@@ -48,6 +48,9 @@
 //! records `host_parallelism` so scaling numbers can be judged against
 //! the cores that were actually available.
 //!
+//! The report goes to `--out <file>`, by default `target/perf_report.json`
+//! (build output, so a bare run never overwrites a committed bench file).
+//!
 //! With `--baseline <file>` (a previous report), every workload also gets
 //! `baseline_ms` and `speedup` fields so regressions/improvements are
 //! visible from the committed JSON alone.
@@ -296,7 +299,7 @@ fn main() {
             .position(|a| a == flag)
             .and_then(|i| args.get(i + 1).cloned())
     };
-    let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_9.json".to_string());
+    let out_path = flag_value("--out").unwrap_or_else(|| "target/perf_report.json".to_string());
     let baseline = flag_value("--baseline").map(|path| {
         std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"))
@@ -619,6 +622,9 @@ fn main() {
     }
 
     let report = render_report(mode, &thread_counts, &measurements, baseline.as_deref());
+    if let Some(dir) = std::path::Path::new(&out_path).parent() {
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("cannot create {dir:?}: {e}"));
+    }
     std::fs::write(&out_path, &report).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
     eprintln!("wrote {out_path}");
     print!("{report}");

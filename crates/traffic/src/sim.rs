@@ -22,6 +22,29 @@
 //! when a hop is actually blocked, so a million messages on a 512² mesh
 //! never materialise a million hop vectors.
 //!
+//! # State layout
+//!
+//! The request/grant loop is bound by memory traffic, not by arithmetic, so
+//! its state is laid out for what one hop touches:
+//!
+//! * **one packed word per directed link** — bits 0..32 hold the four
+//!   one-byte VC occupancies (vc`k` in byte `k`), bits 32..34 the
+//!   round-robin pointer (the VC granted last), and bits 34..64 one plus
+//!   the link's index in this cycle's request table (0: not requested);
+//! * **port-plane link numbering** — links are grouped by the port they
+//!   arrive through (west, east, south, north), one plane of
+//!   `width × height` words each. The west/east planes are row-major and
+//!   the south/north planes column-major, so consecutive hops of a message
+//!   in one direction land on adjacent words;
+//! * **a compact request table** — the links requested this cycle, in
+//!   first-request order, each with the first requester per VC. Grants walk
+//!   it in that order, so a slot vacated by an earlier grant is already free
+//!   when a later link of the same pass checks its occupancy;
+//! * **one detour arena** — every detour walk is appended to one shared
+//!   vector, and a message keeps the `(at, end)` range of its remaining
+//!   walk. The arena is never compacted: it keeps one `Coord` per detour
+//!   hop of the run.
+//!
 //! The simulation is sequential by design; parallelism lives one layer up,
 //! where independent (model × pattern × trial) cells fan out on the rayon
 //! pool and this determinism makes the merged CSV byte-identical at any
@@ -34,6 +57,11 @@ use meshroute::{ecube_next_hop, ExtendedECube, MessageClass, PairSample, RegionM
 use rand::{rngs::StdRng, SeedableRng};
 
 const NONE: u32 = u32::MAX;
+
+/// Shift of a link word's round-robin pointer (2 bits).
+const RR_SHIFT: u32 = 32;
+/// Shift of a link word's request-table slot (1 + index, 0 = none).
+const SLOT_SHIFT: u32 = 34;
 
 /// Configuration of one traffic run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -89,24 +117,105 @@ struct Msg {
     current: Coord,
     dst: Coord,
     manhattan: u32,
-    inject_cycle: u64,
+    inject_cycle: u32,
     hops: u32,
-    abnormal: u32,
     /// Flat `(link, vc)` buffer slot currently occupied; `NONE` at source.
     buffer: u32,
+    /// Remaining detour walk, `arena[at..end]`; empty on the base route.
+    at: u32,
+    end: u32,
+    /// The hop requested this cycle.
+    next: Coord,
     state: MsgState,
-    /// Remaining abnormal walk while circumnavigating a region.
-    detour: Option<(Vec<Coord>, usize)>,
 }
 
-/// Port of `to` through which a message arriving from `from` enters.
-fn arrival_port(from: Coord, to: Coord) -> usize {
-    match (to.x - from.x, to.y - from.y) {
-        (1, 0) => 0,  // west port
-        (-1, 0) => 1, // east port
-        (0, 1) => 2,  // south port
-        (0, -1) => 3, // north port
-        _ => unreachable!("links connect 4-neighbors"),
+/// One link requested this cycle: the first requester per VC (`NONE` where
+/// no message asked for that channel).
+struct Request {
+    link: u32,
+    first: [u32; 4],
+}
+
+/// The packed per-link words, numbered in port planes (see the module docs).
+struct Links {
+    words: Vec<u64>,
+    width: usize,
+    height: usize,
+}
+
+impl Links {
+    /// Empty links whose round-robin rotation starts at vc0.
+    fn new(mesh: &Mesh2D) -> Links {
+        Links {
+            words: vec![3 << RR_SHIFT; mesh.node_count() * 4],
+            width: mesh.width() as usize,
+            height: mesh.height() as usize,
+        }
+    }
+
+    /// Index of the directed link `from → to`: planes west, east, south
+    /// and north port in that order.
+    fn index(&self, from: Coord, to: Coord) -> usize {
+        debug_assert_eq!(from.manhattan(to), 1, "links connect 4-neighbors");
+        let (x, y) = (to.x as usize, to.y as usize);
+        let plane = self.width * self.height;
+        if from.y == to.y {
+            (from.x > to.x) as usize * plane + y * self.width + x
+        } else {
+            (2 + (from.y > to.y) as usize) * plane + x * self.height + y
+        }
+    }
+
+    /// Occupancy of `vc` at `link`.
+    fn occupancy(&self, link: usize, vc: usize) -> u8 {
+        (self.words[link] >> (8 * vc)) as u8
+    }
+
+    /// The VC `link` granted last.
+    fn last_granted(&self, link: usize) -> u32 {
+        (self.words[link] >> RR_SHIFT & 3) as u32
+    }
+
+    /// Records a grant to `vc` at `link` for the round-robin rotation.
+    fn grant(&mut self, link: usize, vc: usize) {
+        let word = &mut self.words[link];
+        *word = *word & !(3 << RR_SHIFT) | (vc as u64) << RR_SHIFT;
+    }
+
+    /// Forgets `link`'s request slot at the end of the cycle.
+    fn close(&mut self, link: usize) {
+        self.words[link] &= (1 << SLOT_SHIFT) - 1;
+    }
+
+    /// Puts a packet into the flat buffer slot `link * 4 + vc`.
+    fn fill(&mut self, slot: u32) {
+        self.words[(slot >> 2) as usize] += 1 << (8 * (slot & 3));
+    }
+
+    /// Takes a packet out of the flat buffer slot `link * 4 + vc`.
+    fn vacate(&mut self, slot: u32) {
+        self.words[(slot >> 2) as usize] -= 1 << (8 * (slot & 3));
+    }
+
+    /// Files `id`'s request to cross `from → to` on `vc` in this cycle's
+    /// table.
+    fn request(&mut self, table: &mut Vec<Request>, from: Coord, to: Coord, vc: usize, id: u32) {
+        let link = self.index(from, to);
+        let word = &mut self.words[link];
+        let slot = (*word >> SLOT_SHIFT) as usize;
+        let entry = if slot == 0 {
+            table.push(Request {
+                link: link as u32,
+                first: [NONE; 4],
+            });
+            *word |= (table.len() as u64) << SLOT_SHIFT;
+            table.last_mut().expect("just pushed")
+        } else {
+            &mut table[slot - 1]
+        };
+        if entry.first[vc] == NONE {
+            entry.first[vc] = id;
+        }
     }
 }
 
@@ -121,6 +230,10 @@ pub fn simulate(
 ) -> TrafficReport {
     let _span = mocp_obs::span!("traffic.sim");
     let router = ExtendedECube::with_regions(mesh, status, regions);
+    assert!(
+        cfg.messages < 1 << (64 - SLOT_SHIFT),
+        "a cycle's requests must fit a link word's request slot"
+    );
 
     // ---- message generation (seeded, deterministic) --------------------
     let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -141,25 +254,23 @@ pub fn simulate(
             current: src,
             dst,
             manhattan: src.manhattan(dst),
-            inject_cycle: (i / rate) as u64,
+            inject_cycle: (i / rate) as u32,
             hops: 0,
-            abnormal: 0,
             buffer: NONE,
+            at: 0,
+            end: 0,
+            next: src,
             state: MsgState::AtSource,
-            detour: None,
         });
     }
     report.injected = msgs.len();
 
     // ---- network state --------------------------------------------------
     let nodes = mesh.node_count();
-    let links = nodes * 4;
     let cap = cfg.vc_capacity.max(1) as u8;
-    let mut occupancy = vec![0u8; links * 4];
-    let mut req_first = vec![NONE; links * 4];
-    let mut req_mask = vec![0u8; links];
-    let mut rr = vec![3u8; links];
-    let mut touched: Vec<usize> = Vec::new();
+    let mut links = Links::new(mesh);
+    let mut requests: Vec<Request> = Vec::new();
+    let mut arena: Vec<Coord> = Vec::new();
     let mut vc_now = [0u64; 4];
     let mut vc_occ: [VcOccupancy; 4] = Default::default();
 
@@ -179,26 +290,32 @@ pub fn simulate(
 
     let mut lat_hist = mocp_obs::LocalHistogram::new(mocp_obs::histogram!("traffic.latency"));
 
-    // Desired next hop of a live message; computes and caches a detour walk
-    // when the base hop is blocked. `None` drops the message as unreachable.
-    let desired = |msg: &mut Msg, detours: &mut u64| -> Option<Coord> {
-        if let Some((walk, at)) = &msg.detour {
-            return Some(walk[*at]);
+    // Sets `msg.next` to the hop a live message wants and returns its VC;
+    // computes a detour walk into the arena when the base hop is blocked.
+    // `None` drops the message as unreachable.
+    let desired = |msg: &mut Msg, arena: &mut Vec<Coord>, detours: &mut u64| -> Option<usize> {
+        let class = MessageClass::classify(msg.current, msg.dst).expect("not yet at destination");
+        let vc = class.virtual_channel().0 as usize;
+        if msg.at != msg.end {
+            msg.next = arena[msg.at as usize];
+            return Some(vc);
         }
         let next = ecube_next_hop(msg.current, msg.dst).expect("not yet at destination");
         if router.enabled(next) {
-            return Some(next);
+            msg.next = next;
+            return Some(vc);
         }
-        let class = MessageClass::classify(msg.current, msg.dst).expect("not yet at destination");
         let region = router
             .blocking_region(next)
             .expect("blocked hop lies in an excluded region");
         match router.detour(region, msg.current, msg.dst, class) {
             Ok((walk, _fallback)) => {
                 *detours += 1;
-                let first = walk[1];
-                msg.detour = Some((walk, 1));
-                Some(first)
+                msg.at = arena.len() as u32;
+                arena.extend_from_slice(&walk[1..]);
+                msg.end = arena.len() as u32;
+                msg.next = arena[msg.at as usize];
+                Some(vc)
             }
             Err(RouteError::Unreachable) => None,
             Err(_) => unreachable!("endpoints were checked at injection"),
@@ -207,7 +324,7 @@ pub fn simulate(
 
     for cycle in 0..horizon {
         // -- injection: messages whose time has come join their source FIFO.
-        while next_inject < msgs.len() && msgs[next_inject].inject_cycle <= cycle {
+        while next_inject < msgs.len() && u64::from(msgs[next_inject].inject_cycle) <= cycle {
             let id = next_inject as u32;
             let node = mesh.index_of(msgs[next_inject].current);
             if q_head[node] == NONE {
@@ -229,24 +346,11 @@ pub fn simulate(
             if msg.state != MsgState::InNet {
                 continue;
             }
-            match desired(msg, &mut report.detours) {
-                Some(next) => {
-                    let link = mesh.index_of(next) * 4 + arrival_port(msg.current, next);
-                    let vc = MessageClass::classify(msg.current, msg.dst)
-                        .expect("in-flight message")
-                        .virtual_channel()
-                        .0 as usize;
-                    if req_mask[link] == 0 {
-                        touched.push(link);
-                    }
-                    if req_first[link * 4 + vc] == NONE {
-                        req_first[link * 4 + vc] = id;
-                        req_mask[link] |= 1 << vc;
-                    }
-                }
+            match desired(msg, &mut arena, &mut report.detours) {
+                Some(vc) => links.request(&mut requests, msg.current, msg.next, vc, id),
                 None => {
                     // Walled off mid-flight: drop and free the buffer slot.
-                    occupancy[msg.buffer as usize] -= 1;
+                    links.vacate(msg.buffer);
                     vc_now[(msg.buffer & 3) as usize] -= 1;
                     msg.state = MsgState::Dropped;
                     report.unreachable += 1;
@@ -261,20 +365,9 @@ pub fn simulate(
                     break;
                 }
                 let msg = &mut msgs[head as usize];
-                match desired(msg, &mut report.detours) {
-                    Some(next) => {
-                        let link = mesh.index_of(next) * 4 + arrival_port(msg.current, next);
-                        let vc = MessageClass::classify(msg.current, msg.dst)
-                            .expect("at source, not yet delivered")
-                            .virtual_channel()
-                            .0 as usize;
-                        if req_mask[link] == 0 {
-                            touched.push(link);
-                        }
-                        if req_first[link * 4 + vc] == NONE {
-                            req_first[link * 4 + vc] = head;
-                            req_mask[link] |= 1 << vc;
-                        }
+                match desired(msg, &mut arena, &mut report.detours) {
+                    Some(vc) => {
+                        links.request(&mut requests, msg.current, msg.next, vc, head);
                         break;
                     }
                     None => {
@@ -290,28 +383,27 @@ pub fn simulate(
             }
         }
 
-        // -- grant + move: one packet per link, round-robin over channels.
-        for &link in &touched {
-            let mask = req_mask[link];
-            for k in 1..=4u8 {
-                let vc = ((rr[link] + k) & 3) as usize;
-                if mask & (1 << vc) == 0 {
+        // -- grant + move: one packet per link, round-robin over channels,
+        //    links in first-request order.
+        for req in &requests {
+            let link = req.link as usize;
+            let rr = links.last_granted(link);
+            for k in 1..=4 {
+                let vc = ((rr + k) & 3) as usize;
+                let id = req.first[vc];
+                if id == NONE {
                     continue;
                 }
-                let id = req_first[link * 4 + vc];
                 let msg = &mut msgs[id as usize];
-                let next = match &msg.detour {
-                    Some((walk, at)) => walk[*at],
-                    None => ecube_next_hop(msg.current, msg.dst).expect("granted message moves"),
-                };
+                let next = msg.next;
                 let delivering = next == msg.dst;
-                if !delivering && occupancy[link * 4 + vc] >= cap {
+                if !delivering && links.occupancy(link, vc) >= cap {
                     continue; // buffer full: offer the link to the next channel
                 }
-                rr[link] = vc as u8;
+                links.grant(link, vc);
                 // Free the slot (or source-queue head) being vacated.
                 if msg.buffer != NONE {
-                    occupancy[msg.buffer as usize] -= 1;
+                    links.vacate(msg.buffer);
                     vc_now[(msg.buffer & 3) as usize] -= 1;
                 } else {
                     let node = mesh.index_of(msg.current);
@@ -326,35 +418,28 @@ pub fn simulate(
                 msg.current = next;
                 msg.hops += 1;
                 report.total_hops += 1;
-                if let Some((walk, at)) = &mut msg.detour {
-                    msg.abnormal += 1;
+                if msg.at != msg.end {
                     report.abnormal_hops += 1;
-                    *at += 1;
-                    if *at == walk.len() {
-                        msg.detour = None;
-                    }
+                    msg.at += 1;
                 }
                 if delivering {
                     msg.state = MsgState::Delivered;
                     msg.buffer = NONE;
                     done += 1;
-                    let latency = cycle - msg.inject_cycle + 1;
+                    let latency = cycle - u64::from(msg.inject_cycle) + 1;
                     latencies.push(latency);
                     lat_hist.record(latency);
                     stretch_sum += msg.hops as f64 / msg.manhattan.max(1) as f64;
                 } else {
                     msg.buffer = (link * 4 + vc) as u32;
-                    occupancy[link * 4 + vc] += 1;
+                    links.fill(msg.buffer);
                     vc_now[vc] += 1;
                 }
                 break;
             }
-            req_mask[link] = 0;
-            for vc in 0..4 {
-                req_first[link * 4 + vc] = NONE;
-            }
+            links.close(link);
         }
-        touched.clear();
+        requests.clear();
 
         // -- sample per-VC occupancy, compact the live sets.
         for (vc, occ) in vc_occ.iter_mut().enumerate() {
@@ -393,6 +478,8 @@ pub fn simulate(
     mocp_obs::counter!("traffic.endpoint_excluded").add(report.endpoint_excluded as u64);
     mocp_obs::counter!("traffic.detours").add(report.detours);
     mocp_obs::counter!("traffic.cycles").add(report.cycles);
+    mocp_obs::counter!("traffic.hops").add(report.total_hops);
+    mocp_obs::counter!("traffic.abnormal_hops").add(report.abnormal_hops);
     mocp_obs::histogram!("traffic.vc0.occupancy_max").record(report.vc[0].max);
     mocp_obs::histogram!("traffic.vc1.occupancy_max").record(report.vc[1].max);
     mocp_obs::histogram!("traffic.vc2.occupancy_max").record(report.vc[2].max);

@@ -12,7 +12,7 @@
 //! serialize on one lock and reset state at each entry.
 
 use mocp::experiments::scenario::{run_scenario, Metric, Scenario};
-use mocp::experiments::{render_csv, SweepConfig};
+use mocp::experiments::{render_csv, run_traffic, SweepConfig, TrafficScenario};
 use mocp::faultgen::FaultDistribution;
 use std::fmt::Write as _;
 use std::sync::Mutex;
@@ -153,4 +153,19 @@ fn sweep_trace_is_valid_and_balanced() {
         mocp::mocp_obs::MetricValue::Histogram(h) => assert_eq!(h.count, 2),
         other => panic!("sweep.trial.us has wrong kind: {other:?}"),
     }
+}
+
+#[test]
+fn traffic_hop_counters_match_the_reports() {
+    let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    mocp::mocp_obs::reset_all();
+    let registry = mocp::mocp_core::standard_registry();
+    let result = run_traffic(&registry, &TrafficScenario::quick()).unwrap();
+    let reports = || result.cells.iter().flat_map(|cell| &cell.reports);
+    let hops: u64 = reports().map(|r| r.total_hops).sum();
+    let abnormal: u64 = reports().map(|r| r.abnormal_hops).sum();
+    assert!(abnormal > 0, "the quick sweep detours around its faults");
+    // With the `traffic.sim` span, these give the simulator's ns per hop.
+    assert_eq!(counter_value("traffic.hops"), hops);
+    assert_eq!(counter_value("traffic.abnormal_hops"), abnormal);
 }
