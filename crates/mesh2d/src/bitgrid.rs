@@ -524,19 +524,41 @@ impl BitGrid {
     }
 
     /// `self |= other`, growing the frame to cover `other`'s set bits when
-    /// necessary.
+    /// necessary. Walks only `other`'s content rectangle: each of its rows
+    /// is ORed word by word into the matching row of `self`, so merging a
+    /// small grid into a large accumulator costs in proportion to the
+    /// small one.
     pub fn union_with(&mut self, other: &BitGrid) {
-        if let Some(rect) = other.bounding_rect() {
-            if self.words.is_empty() {
-                *self = BitGrid::with_bounds(rect.min(), rect.max());
-            } else if !(self.in_frame(rect.min()) && self.in_frame(rect.max())) {
-                let (lo, hi) = self.frame_bounds();
-                self.regrow(
-                    Coord::new(lo.x.min(rect.min().x), lo.y.min(rect.min().y)),
-                    Coord::new(hi.x.max(rect.max().x), hi.y.max(rect.max().y)),
-                );
+        let Some(rect) = other.bounding_rect() else {
+            return;
+        };
+        let (lo, hi) = (rect.min(), rect.max());
+        if self.words.is_empty() {
+            *self = BitGrid::with_bounds(lo, hi);
+        } else if !(self.in_frame(lo) && self.in_frame(hi)) {
+            let (slo, shi) = self.frame_bounds();
+            self.regrow(
+                Coord::new(slo.x.min(lo.x), slo.y.min(lo.y)),
+                Coord::new(shi.x.max(hi.x), shi.y.max(hi.y)),
+            );
+        }
+        // Both frames share the 64-aligned x phase, so the content's word
+        // columns map one to one.
+        let first = word_align(lo.x);
+        let (src_j, dst_j) = (
+            ((first - other.origin_x) / 64) as usize,
+            ((first - self.origin_x) / 64) as usize,
+        );
+        let n = ((word_align(hi.x) - first) / 64) as usize + 1;
+        for y in lo.y..=hi.y {
+            let src = (y - other.origin_y) as usize * other.width_words + src_j;
+            let dst = (y - self.origin_y) as usize * self.width_words + dst_j;
+            for (d, &s) in self.words[dst..dst + n]
+                .iter_mut()
+                .zip(&other.words[src..src + n])
+            {
+                *d |= s;
             }
-            self.zip_words_mut(other, |a, b| a | b);
         }
     }
 
@@ -1189,6 +1211,36 @@ mod tests {
 
         let far = BitGrid::from_coords(coords(&[(500, 500)]));
         assert!(!a.intersects(&far));
+    }
+
+    #[test]
+    fn union_with_is_frame_local_across_offsets() {
+        // Frames a whole number of words apart, negative origins, disjoint
+        // and nested row ranges: the union is always the set union.
+        let grids = [
+            BitGrid::from_coords(coords(&[(0, 0), (63, 2)])),
+            BitGrid::from_coords(coords(&[(64, 1), (127, 5)])),
+            BitGrid::from_coords(coords(&[(-64, -3), (-1, 0), (200, 9)])),
+            BitGrid::from_coords(coords(&[(-130, 7)])),
+        ];
+        for a in &grids {
+            for b in &grids {
+                let mut u = a.clone();
+                u.union_with(b);
+                assert_eq!(u.to_region(), a.to_region().union(&b.to_region()));
+            }
+        }
+        // An empty border of `other` outside `self`'s frame does not grow
+        // it, and a narrow grid ORs into a wide accumulator in place.
+        let mut wide = BitGrid::with_bounds(Coord::new(-128, -10), Coord::new(255, 10));
+        wide.set(Coord::new(70, 3));
+        let mut u = grids[1].clone();
+        u.union_with(&wide);
+        assert_eq!(u.to_region(), region(&[(64, 1), (127, 5), (70, 3)]));
+        assert_eq!(u.frame_bounds(), grids[1].frame_bounds());
+        wide.union_with(&grids[3]);
+        assert_eq!(wide.len(), 2);
+        assert_eq!(wide.frame_bounds().0, Coord::new(-192, -10));
     }
 
     #[test]

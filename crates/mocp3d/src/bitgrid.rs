@@ -84,10 +84,36 @@ impl BitGrid3 {
         grid
     }
 
+    /// The solid box `lo..=hi`: one x-line span mask (the
+    /// [`row_span_mask`] of the line's two end bits) copied into every
+    /// line of the frame.
+    pub fn solid_box(lo: Coord3, hi: Coord3) -> Self {
+        let mut grid = BitGrid3::with_bounds(lo, hi);
+        let ww = grid.width_words;
+        let mut ends = vec![0u64; ww];
+        for x in [lo.x, hi.x] {
+            let dx = (x - grid.origin_x) as usize;
+            ends[dx / 64] |= 1u64 << (dx % 64);
+        }
+        let mut span = vec![0u64; ww];
+        row_span_mask(&ends, &mut span);
+        for line in grid.words.chunks_exact_mut(ww) {
+            line.copy_from_slice(&span);
+        }
+        grid
+    }
+
     /// Number of lines (one per `(y, z)` pair).
     #[inline]
     fn lines(&self) -> usize {
         self.dim_y * self.dim_z
+    }
+
+    /// Index of the first word of the `(y, z)` line (must be in frame).
+    #[inline]
+    fn line_start(&self, y: i32, z: i32) -> usize {
+        ((z - self.origin_z) as usize * self.dim_y + (y - self.origin_y) as usize)
+            * self.width_words
     }
 
     /// True when the frame covers `c`.
@@ -217,6 +243,19 @@ impl BitGrid3 {
         })
     }
 
+    /// The lexicographically minimal `(z, y, x)` set cell — the first set
+    /// bit in storage order, where the flood seeds a component — or `None`
+    /// when empty.
+    pub fn min_cell(&self) -> Option<Coord3> {
+        let i = self.words.iter().position(|&w| w != 0)?;
+        let (line, j) = (i / self.width_words, i % self.width_words);
+        Some(Coord3::new(
+            self.origin_x + (j * 64) as i32 + self.words[i].trailing_zeros() as i32,
+            self.origin_y + (line % self.dim_y) as i32,
+            self.origin_z + (line / self.dim_y) as i32,
+        ))
+    }
+
     /// The tight bounding box of the set bits, or `None` when empty.
     pub fn bounding_box(&self) -> Option<(Coord3, Coord3)> {
         let ww = self.width_words;
@@ -327,19 +366,42 @@ impl BitGrid3 {
         ok
     }
 
-    /// `self |= other`, growing the frame when needed.
+    /// `self |= other`, growing the frame when needed. Walks only
+    /// `other`'s content box: each of its lines is ORed word by word into
+    /// the matching line of `self`, so merging a small grid into a large
+    /// accumulator costs in proportion to the small one.
     pub fn union_with(&mut self, other: &BitGrid3) {
-        if let Some((lo, hi)) = other.bounding_box() {
-            if self.words.is_empty() {
-                *self = BitGrid3::with_bounds(lo, hi);
-            } else if !(self.in_frame(lo) && self.in_frame(hi)) {
-                let (slo, shi) = self.frame_bounds();
-                self.regrow(
-                    Coord3::new(slo.x.min(lo.x), slo.y.min(lo.y), slo.z.min(lo.z)),
-                    Coord3::new(shi.x.max(hi.x), shi.y.max(hi.y), shi.z.max(hi.z)),
-                );
+        let Some((lo, hi)) = other.bounding_box() else {
+            return;
+        };
+        if self.words.is_empty() {
+            *self = BitGrid3::with_bounds(lo, hi);
+        } else if !(self.in_frame(lo) && self.in_frame(hi)) {
+            let (slo, shi) = self.frame_bounds();
+            self.regrow(
+                Coord3::new(slo.x.min(lo.x), slo.y.min(lo.y), slo.z.min(lo.z)),
+                Coord3::new(shi.x.max(hi.x), shi.y.max(hi.y), shi.z.max(hi.z)),
+            );
+        }
+        // Both frames share the 64-aligned x phase, so the content's word
+        // columns map one to one.
+        let first = word_align(lo.x);
+        let (src_j, dst_j) = (
+            ((first - other.origin_x) / 64) as usize,
+            ((first - self.origin_x) / 64) as usize,
+        );
+        let n = ((word_align(hi.x) - first) / 64) as usize + 1;
+        for z in lo.z..=hi.z {
+            for y in lo.y..=hi.y {
+                let src = other.line_start(y, z) + src_j;
+                let dst = self.line_start(y, z) + dst_j;
+                for (d, &s) in self.words[dst..dst + n]
+                    .iter_mut()
+                    .zip(&other.words[src..src + n])
+                {
+                    *d |= s;
+                }
             }
-            self.zip_words_mut(other, |a, b| a | b);
         }
     }
 
@@ -591,84 +653,47 @@ impl BitGrid3 {
             .map(|b| self.components26_range(bounds[b], bounds[b + 1]))
             .collect();
 
-        // Flatten, remembering each piece's band and bounding box.
-        struct Piece {
-            grid: BitGrid3,
-            min_cell: Coord3,
-            band: usize,
-            bbox: (Coord3, Coord3),
-        }
+        // Flatten, remembering each piece's band.
+        let mut bands: Vec<usize> = Vec::new();
         let mut pieces: Vec<Piece> = Vec::new();
         for (band, list) in band_pieces.into_iter().enumerate() {
             for (grid, min_cell) in list {
                 let bbox = grid.bounding_box().expect("components are non-empty");
+                bands.push(band);
                 pieces.push(Piece {
                     grid,
-                    min_cell,
-                    band,
                     bbox,
+                    min_cell,
                 });
             }
         }
 
         // Union-find over pieces, stitching across each band boundary.
-        let mut parent: Vec<usize> = (0..pieces.len()).collect();
-        fn find(parent: &mut [usize], mut i: usize) -> usize {
-            while parent[i] != i {
-                parent[i] = parent[parent[i]];
-                i = parent[i];
-            }
-            i
-        }
+        let mut classes = UnionFind::new(pieces.len());
         for a in 0..pieces.len() {
-            let boundary_z = self.origin_z + bounds[pieces[a].band + 1] as i32 - 1;
+            let boundary_z = self.origin_z + bounds[bands[a] + 1] as i32 - 1;
             if pieces[a].bbox.1.z != boundary_z {
                 continue; // does not reach its band's top row
             }
             // Lazily dilate the boundary-touching piece once.
             let mut dilated: Option<BitGrid3> = None;
             for b in 0..pieces.len() {
-                if pieces[b].band != pieces[a].band + 1 || pieces[b].bbox.0.z != boundary_z + 1 {
+                if bands[b] != bands[a] + 1 || pieces[b].bbox.0.z != boundary_z + 1 {
                     continue;
                 }
-                // Cheap proximity filter on the x/y boxes (±1 halo).
-                let (alo, ahi) = pieces[a].bbox;
-                let (blo, bhi) = pieces[b].bbox;
-                if alo.x > bhi.x + 1 || blo.x > ahi.x + 1 || alo.y > bhi.y + 1 || blo.y > ahi.y + 1
-                {
+                if !boxes_touch(pieces[a].bbox, pieces[b].bbox) {
                     continue;
                 }
                 let dilated = dilated.get_or_insert_with(|| pieces[a].grid.dilate26());
-                if dilated.intersects(&pieces[b].grid) {
-                    let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
-                    if ra != rb {
-                        parent[ra] = rb;
-                    }
+                if pieces[b].grid.intersects(dilated) {
+                    classes.union(a, b);
                 }
             }
         }
-
-        // Merge each union-find class into one grid, keyed by the class's
-        // minimal cell. `union_with` may leave a word-aligned (wider)
-        // frame than the sequential tight extraction; frames are not
-        // observable through Region3's content-based API.
-        let mut merged: Vec<Option<(Coord3, BitGrid3)>> = (0..pieces.len()).map(|_| None).collect();
-        for (i, piece) in pieces.into_iter().enumerate() {
-            let root = find(&mut parent, i);
-            match &mut merged[root] {
-                slot @ None => *slot = Some((piece.min_cell, piece.grid)),
-                Some((min_cell, grid)) => {
-                    let (a, b) = (*min_cell, piece.min_cell);
-                    if (b.z, b.y, b.x) < (a.z, a.y, a.x) {
-                        *min_cell = b;
-                    }
-                    grid.union_with(&piece.grid);
-                }
-            }
-        }
-        let mut components: Vec<(Coord3, BitGrid3)> = merged.into_iter().flatten().collect();
-        components.sort_by_key(|(c, _)| (c.z, c.y, c.x));
-        components.into_iter().map(|(_, grid)| grid).collect()
+        merge_classes(pieces, &mut classes)
+            .into_iter()
+            .map(|(piece, _)| piece.grid)
+            .collect()
     }
 
     /// Copies the set bits of `bits` within the given `(y, z)` line ranges
@@ -865,6 +890,122 @@ impl BitGrid3 {
     }
 }
 
+/// True when two boxes touch or overlap under 26-adjacency: their ±1
+/// halos intersect on every axis. The exact test for solid boxes and the
+/// proximity prefilter for anything else.
+pub(crate) fn boxes_touch(a: (Coord3, Coord3), b: (Coord3, Coord3)) -> bool {
+    let ((alo, ahi), (blo, bhi)) = (a, b);
+    alo.x <= bhi.x + 1
+        && blo.x <= ahi.x + 1
+        && alo.y <= bhi.y + 1
+        && blo.y <= ahi.y + 1
+        && alo.z <= bhi.z + 1
+        && blo.z <= ahi.z + 1
+}
+
+/// A union-find over `0..n` with path halving: the slab flood's stitch
+/// and the regrouping step of the 3-D merge process.
+pub(crate) struct UnionFind {
+    parent: Vec<usize>,
+}
+
+impl UnionFind {
+    /// `n` singleton classes.
+    pub(crate) fn new(n: usize) -> Self {
+        UnionFind {
+            parent: (0..n).collect(),
+        }
+    }
+
+    /// The representative of `i`'s class.
+    pub(crate) fn find(&mut self, mut i: usize) -> usize {
+        while self.parent[i] != i {
+            self.parent[i] = self.parent[self.parent[i]];
+            i = self.parent[i];
+        }
+        i
+    }
+
+    /// Joins the classes of `a` and `b`.
+    pub(crate) fn union(&mut self, a: usize, b: usize) {
+        let (ra, rb) = (self.find(a), self.find(b));
+        if ra != rb {
+            self.parent[ra] = rb;
+        }
+    }
+}
+
+/// One connected piece of a node set: its grid, the grid's tight bounding
+/// box and its lexicographically minimal `(z, y, x)` cell.
+#[derive(Debug)]
+pub(crate) struct Piece {
+    pub(crate) grid: BitGrid3,
+    pub(crate) bbox: (Coord3, Coord3),
+    pub(crate) min_cell: Coord3,
+}
+
+impl Piece {
+    /// Wraps a non-empty grid.
+    pub(crate) fn new(grid: BitGrid3) -> Self {
+        let bbox = grid.bounding_box().expect("pieces are non-empty");
+        let min_cell = grid.min_cell().expect("pieces are non-empty");
+        Piece {
+            grid,
+            bbox,
+            min_cell,
+        }
+    }
+}
+
+/// Storage-order sort key of a cell: `z`, then `y`, then `x`.
+fn zyx(c: Coord3) -> (i32, i32, i32) {
+    (c.z, c.y, c.x)
+}
+
+/// Merges the pieces of each union-find class into one — a grid framed
+/// once over the class's joint bounding box, each member ORed in over its
+/// own frame — and orders the results by minimal `(z, y, x)` cell, which
+/// is the first-seen order of the sequential flood. Returns each merged
+/// piece with the number of pieces its class held.
+pub(crate) fn merge_classes(pieces: Vec<Piece>, classes: &mut UnionFind) -> Vec<(Piece, usize)> {
+    let mut members: Vec<Vec<Piece>> = (0..pieces.len()).map(|_| Vec::new()).collect();
+    for (i, piece) in pieces.into_iter().enumerate() {
+        members[classes.find(i)].push(piece);
+    }
+    let mut merged: Vec<(Piece, usize)> = members
+        .into_iter()
+        .filter(|class| !class.is_empty())
+        .map(|mut class| {
+            let size = class.len();
+            if size == 1 {
+                return (class.pop().expect("one member"), 1);
+            }
+            let (mut lo, mut hi) = class[0].bbox;
+            let mut min_cell = class[0].min_cell;
+            for p in &class[1..] {
+                let (plo, phi) = p.bbox;
+                lo = Coord3::new(lo.x.min(plo.x), lo.y.min(plo.y), lo.z.min(plo.z));
+                hi = Coord3::new(hi.x.max(phi.x), hi.y.max(phi.y), hi.z.max(phi.z));
+                if zyx(p.min_cell) < zyx(min_cell) {
+                    min_cell = p.min_cell;
+                }
+            }
+            let mut grid = BitGrid3::with_bounds(lo, hi);
+            for p in &class {
+                grid.union_with(&p.grid);
+            }
+            let piece = Piece {
+                grid,
+                bbox: (lo, hi),
+                min_cell,
+            };
+            (piece, size)
+        })
+        .collect();
+    merged.sort_by_key(|(piece, _)| zyx(piece.min_cell));
+    merged
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -913,6 +1054,108 @@ mod tests {
         d.subtract(&a);
         assert_eq!(d.len(), 1);
         assert!(d.contains(Coord3::new(100, 2, 2)));
+    }
+
+    /// `union_with` against the per-cell set union, for a pair of grids
+    /// and both argument orders.
+    fn assert_union_is_set_union(a: &BitGrid3, b: &BitGrid3) {
+        for (x, y) in [(a, b), (b, a)] {
+            let mut u = x.clone();
+            u.union_with(y);
+            let expected: std::collections::BTreeSet<(i32, i32, i32)> =
+                x.iter().chain(y.iter()).map(|c| (c.x, c.y, c.z)).collect();
+            let got: std::collections::BTreeSet<(i32, i32, i32)> =
+                u.iter().map(|c| (c.x, c.y, c.z)).collect();
+            assert_eq!(got, expected);
+            assert_eq!(u.len(), expected.len());
+        }
+    }
+
+    #[test]
+    fn union_across_different_y_z_frames() {
+        // Disjoint, nested and partly overlapping (y, z) frames.
+        let a = grid(&[(1, 0, 0), (2, 3, 1), (5, 4, 2)]);
+        for b in [
+            grid(&[(1, 9, 9), (3, 12, 10)]),
+            grid(&[(2, 3, 1)]),
+            grid(&[(4, 2, 2), (0, 7, 5), (5, 4, 2)]),
+        ] {
+            assert_union_is_set_union(&a, &b);
+        }
+        // A frame wider than its content: `other`'s empty border lies
+        // outside `self`'s frame and must not grow it.
+        let mut wide = BitGrid3::with_bounds(Coord3::new(0, -5, -5), Coord3::new(10, 20, 20));
+        wide.set(Coord3::new(2, 3, 1));
+        let mut u = a.clone();
+        u.union_with(&wide);
+        assert_eq!(u.len(), 3);
+        assert_eq!(u.frame_bounds(), a.frame_bounds());
+    }
+
+    #[test]
+    fn union_with_negative_origins() {
+        let a = grid(&[(-1, -1, -1), (-70, -3, -2)]);
+        let b = grid(&[(-65, -2, -9), (0, 0, 0), (-128, 4, 1)]);
+        assert_union_is_set_union(&a, &b);
+        let mut u = BitGrid3::empty();
+        u.union_with(&b);
+        assert_eq!(u.len(), 3);
+        assert!(u.contains(Coord3::new(-128, 4, 1)));
+    }
+
+    #[test]
+    fn union_with_x_origins_whole_words_apart() {
+        // Frames starting at x = 0, 64, 128 and -64: the content's word
+        // columns map across different word offsets.
+        let a = grid(&[(0, 0, 0), (63, 1, 0)]);
+        let b = grid(&[(64, 0, 0), (127, 1, 1)]);
+        let c = grid(&[(130, 2, 0), (200, 0, 1)]);
+        let d = grid(&[(-64, 0, 0), (-1, 1, 1)]);
+        for (x, y) in [(&a, &b), (&a, &c), (&b, &c), (&a, &d), (&d, &c)] {
+            assert_union_is_set_union(x, y);
+        }
+        // A wide accumulator absorbing a narrow grid deep inside it.
+        let mut acc = BitGrid3::with_bounds(Coord3::new(-128, 0, 0), Coord3::new(255, 3, 3));
+        acc.union_with(&c);
+        assert_eq!(acc.len(), 2);
+        assert!(acc.contains(Coord3::new(200, 0, 1)));
+        assert_eq!(acc.frame_bounds().0, Coord3::new(-128, 0, 0));
+    }
+
+    #[test]
+    fn solid_box_matches_the_per_cell_cuboid() {
+        for (x0, width) in [
+            (0, 63),
+            (0, 64),
+            (0, 65),
+            (1, 63),
+            (60, 65),
+            (-3, 64),
+            (-70, 65),
+        ] {
+            let (lo, hi) = (Coord3::new(x0, -2, -4), Coord3::new(x0 + width - 1, 1, -3));
+            let mut cells = Vec::new();
+            for z in lo.z..=hi.z {
+                for y in lo.y..=hi.y {
+                    for x in lo.x..=hi.x {
+                        cells.push(Coord3::new(x, y, z));
+                    }
+                }
+            }
+            let solid = BitGrid3::solid_box(lo, hi);
+            let per_cell = BitGrid3::from_coords(cells);
+            assert_eq!(solid.len(), per_cell.len(), "x0 {x0} width {width}");
+            assert!(solid.is_subset_of(&per_cell), "x0 {x0} width {width}");
+            assert_eq!(solid.bounding_box(), Some((lo, hi)));
+        }
+    }
+
+    #[test]
+    fn min_cell_is_the_first_cell_in_storage_order() {
+        let g = grid(&[(5, 2, 3), (1, 7, 3), (90, 1, 3), (0, 0, 4)]);
+        assert_eq!(g.min_cell(), Some(Coord3::new(90, 1, 3)));
+        assert_eq!(g.min_cell(), g.iter().next());
+        assert_eq!(BitGrid3::empty().min_cell(), None);
     }
 
     #[test]

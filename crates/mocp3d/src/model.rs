@@ -10,14 +10,43 @@
 //! process. Since a component's hull is contained in its bounding cuboid,
 //! the MFP-3D excluded set is a subset of the FB-3D excluded set at every
 //! step, so MFP-3D never disables more non-faulty nodes than FB-3D.
+//!
+//! # One flood, then regrouping
+//!
+//! The excluded set is flooded into components once, from the faults.
+//! After that the fixpoint tracks the components itself instead of
+//! re-flooding the union of the completions every round:
+//!
+//! * only the components that are new or were merged in the previous
+//!   round are completed — every other component is already the
+//!   completion of something, and completions are idempotent;
+//! * the completions are regrouped with a union-find over touching pairs.
+//!   Two components that both kept their shape were distinct components
+//!   of the previous set, so they cannot touch; only pairs with a member
+//!   that grew are tested, first on their bounding boxes with a ±1 halo
+//!   (exact for cuboids), then, for hulls, by a 26-dilation intersection;
+//! * each class is merged into one grid, and the classes are ordered by
+//!   their minimal `(z, y, x)` cell, the first-seen order of the flood.
+//!
+//! Completions are connected, so the classes of touching completions are
+//! exactly the 26-connected components of their union: every round
+//! produces the components the full re-flood would, in the same order.
+//! The set grows in a round exactly when some completion grew (a
+//! completion that reaches into another component also takes a node
+//! between them), so the round count and the result are those of the
+//! full-relabel loop, which is kept as the differential oracle in
+//! `crates/mocp3d/tests/merge_oracle.rs`. The result is the least set
+//! that contains the faults and is closed under completing its
+//! components: any closed superset contains the completion of each of
+//! its connected pieces, so it contains every round's set.
 
+use crate::bitgrid::{boxes_touch, merge_classes, BitGrid3, Piece, UnionFind};
 use crate::fault::FaultSet3;
 use crate::grid::Grid3;
 use crate::mesh::Mesh3D;
-use crate::region::Region3;
+use crate::region::{hull_bits, Region3};
 use distsim::RoundStats;
 use mesh2d::NodeStatus;
-use mocp_core::extension3d::Coord3;
 use mocp_topology::{FaultModel, Outcome};
 
 /// The outcome of running a 3-D fault-model construction on a faulty
@@ -29,61 +58,90 @@ use mocp_topology::{FaultModel, Outcome};
 /// `regions_disjoint`) come from the shared generic impl.
 pub type Outcome3 = Outcome<Mesh3D>;
 
-/// How one merge-process step completes a 26-connected component.
-fn complete_component(comp: &Region3, cuboid: bool) -> Region3 {
-    if cuboid {
-        let (lo, hi) = comp.bounding_box().expect("components are non-empty");
-        let mut cells = Vec::with_capacity(
-            ((hi.x - lo.x + 1) * (hi.y - lo.y + 1) * (hi.z - lo.z + 1)) as usize,
-        );
-        for z in lo.z..=hi.z {
-            for y in lo.y..=hi.y {
-                for x in lo.x..=hi.x {
-                    cells.push(Coord3::new(x, y, z));
-                }
-            }
-        }
-        Region3::from_coords(cells)
+/// One merge-process completion of a 26-connected component: its solid
+/// bounding cuboid, or its minimum orthogonal convex hull. `None` when
+/// the component already is its own completion.
+fn complete(piece: &Piece, cuboid: bool) -> Option<BitGrid3> {
+    let completion = if cuboid {
+        BitGrid3::solid_box(piece.bbox.0, piece.bbox.1)
     } else {
-        comp.orthogonal_convex_hull()
-    }
+        hull_bits(&piece.grid)
+    };
+    (completion.len() > piece.grid.len()).then_some(completion)
 }
 
 /// The shared merge-process fixpoint: replace every 26-connected component
 /// of the excluded set by its completion until the set stops growing, then
 /// report the final components as the model's regions.
 fn merge_process(mesh: &Mesh3D, faults: &FaultSet3, name: &'static str, cuboid: bool) -> Outcome3 {
-    let mut excluded = faults.region();
+    use rayon::prelude::*;
+    // Each component with whether it still needs completing (it is new or
+    // was merged in the previous round). Components stay sorted by their
+    // minimal cell, hence by the low z of their bounding box.
+    let mut parts: Vec<(Piece, bool)> = faults
+        .region()
+        .bits()
+        .components26()
+        .into_iter()
+        .map(|grid| (Piece::new(grid), true))
+        .collect();
     let mut growth_rounds = 0u32;
-    let regions = loop {
-        let components = excluded.components26();
-        // The hulls are independent per component — fan them out over
-        // the pool (ordered collect keeps the component order, and with
-        // one effective thread this is a plain sequential map).
-        use rayon::prelude::*;
-        let completed: Vec<Region3> = components
+    loop {
+        // The completions are independent per component — fan them out
+        // over the pool (ordered collect keeps the component order, and
+        // with one effective thread this is a plain sequential map).
+        let completions: Vec<Option<BitGrid3>> = parts
             .par_iter()
-            .map(|c| complete_component(c, cuboid))
+            .map(|(piece, open)| if *open { complete(piece, cuboid) } else { None })
             .collect();
-        // Completions stay inside their component's bounding box, and
-        // faults are in-mesh by FaultSet3 construction, so `next` never
-        // leaves the mesh. Accumulate by whole-word union instead of
-        // re-materializing coordinates.
-        let mut next = Region3::new();
-        for completion in &completed {
-            next.union_in_place(completion);
+        let mut grew = vec![false; parts.len()];
+        for (i, completion) in completions.into_iter().enumerate() {
+            if let Some(grid) = completion {
+                parts[i].0 = Piece::new(grid);
+                grew[i] = true;
+            }
         }
-        if next.len() == excluded.len() {
-            break completed;
+        if !grew.contains(&true) {
+            break;
         }
         growth_rounds += 1;
-        excluded = next;
-    };
+
+        let mut classes = UnionFind::new(parts.len());
+        for i in 0..parts.len() {
+            let mut dilated: Option<BitGrid3> = None;
+            for j in i + 1..parts.len() {
+                let (a, b) = (&parts[i].0, &parts[j].0);
+                if b.bbox.0.z > a.bbox.1.z + 1 {
+                    break; // sorted by low z: no later part comes closer
+                }
+                if !(grew[i] || grew[j]) || !boxes_touch(a.bbox, b.bbox) {
+                    continue;
+                }
+                // Cuboids touch exactly when their haloed boxes do.
+                let touching = cuboid || {
+                    let dilated = dilated.get_or_insert_with(|| a.grid.dilate26());
+                    b.grid.intersects(dilated)
+                };
+                if touching {
+                    classes.union(i, j);
+                }
+            }
+        }
+        let pieces = parts.into_iter().map(|(piece, _)| piece).collect();
+        parts = merge_classes(pieces, &mut classes)
+            .into_iter()
+            .map(|(piece, size)| (piece, size > 1))
+            .collect();
+    }
+    let regions: Vec<Region3> = parts
+        .into_iter()
+        .map(|(piece, _)| Region3::from_bits(piece.grid))
+        .collect();
+    let excluded: usize = regions.iter().map(Region3::len).sum();
 
     mocp_obs::counter!("merge3d.constructions").inc();
     mocp_obs::counter!("merge3d.growth_rounds").add(growth_rounds as u64);
-    mocp_obs::counter!("merge3d.excluded_beyond_faults")
-        .add((excluded.len() - faults.len()) as u64);
+    mocp_obs::counter!("merge3d.excluded_beyond_faults").add((excluded - faults.len()) as u64);
 
     let mut status = Grid3::for_mesh(mesh, NodeStatus::Enabled);
     for region in &regions {
@@ -102,7 +160,7 @@ fn merge_process(mesh: &Mesh3D, faults: &FaultSet3, name: &'static str, cuboid: 
         // one event per node the model excluded beyond the faults.
         rounds: RoundStats {
             rounds: growth_rounds,
-            events: (excluded.len() - faults.len()) as u64,
+            events: (excluded - faults.len()) as u64,
             converged: true,
         },
         status,
@@ -147,6 +205,7 @@ mod tests {
     use super::*;
     use crate::fault::generate_faults_3d;
     use faultgen::FaultDistribution;
+    use mocp_core::extension3d::Coord3;
 
     fn faults(mesh: Mesh3D, list: &[(i32, i32, i32)]) -> FaultSet3 {
         FaultSet3::from_coords(mesh, list.iter().map(|&(x, y, z)| Coord3::new(x, y, z)))

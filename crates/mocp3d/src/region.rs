@@ -86,8 +86,8 @@ impl Region3 {
         self.bits.insert(c)
     }
 
-    /// `self ∪= other` as whole-word ORs — the merge-process accumulator,
-    /// replacing per-node re-insertion.
+    /// `self ∪= other` as whole-word ORs over `other`'s frame, instead of
+    /// per-node re-insertion.
     pub fn union_in_place(&mut self, other: &Region3) {
         self.bits.union_with(&other.bits);
     }
@@ -126,19 +126,26 @@ impl Region3 {
     ///
     /// Fills never leave the bounding box, so the bitmap is allocated once.
     pub fn orthogonal_convex_hull(&self) -> Region3 {
-        let mut hull = self.bits.clone();
-        hull.hull_fixpoint();
-        let hull = Region3 { bits: hull };
-        debug_assert!(
-            self.len() > ORACLE_NODE_CAP || {
-                let oracle =
-                    extension3d::Region3::from_coords(self.iter()).orthogonal_convex_hull();
-                oracle.len() == hull.len() && hull.iter().all(|c| oracle.contains(c))
-            },
-            "bit-parallel 3-D hull diverged from the extension3d prototype"
-        );
-        hull
+        Region3 {
+            bits: hull_bits(&self.bits),
+        }
     }
+}
+
+/// The bit-parallel hull of a bitmap — the body of
+/// [`Region3::orthogonal_convex_hull`], shared with the merge process,
+/// which completes bare grids.
+pub(crate) fn hull_bits(bits: &BitGrid3) -> BitGrid3 {
+    let mut hull = bits.clone();
+    hull.hull_fixpoint();
+    debug_assert!(
+        bits.len() > ORACLE_NODE_CAP || {
+            let oracle = extension3d::Region3::from_coords(bits.iter()).orthogonal_convex_hull();
+            oracle.len() == hull.len() && hull.iter().all(|c| oracle.contains(c))
+        },
+        "bit-parallel 3-D hull diverged from the extension3d prototype"
+    );
+    hull
 }
 
 impl PartialEq for Region3 {

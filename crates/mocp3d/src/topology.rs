@@ -60,6 +60,19 @@ impl BitmapOps for BitGrid3 {
         BitGrid3::from_coords(coords.iter().copied())
     }
 
+    fn framed_over(parts: &[Self]) -> Self {
+        parts
+            .iter()
+            .filter_map(BitGrid3::bounding_box)
+            .reduce(|(alo, ahi), (blo, bhi)| {
+                (
+                    Coord3::new(alo.x.min(blo.x), alo.y.min(blo.y), alo.z.min(blo.z)),
+                    Coord3::new(ahi.x.max(bhi.x), ahi.y.max(bhi.y), ahi.z.max(bhi.z)),
+                )
+            })
+            .map_or_else(BitGrid3::empty, |(lo, hi)| BitGrid3::with_bounds(lo, hi))
+    }
+
     fn len(&self) -> usize {
         BitGrid3::len(self)
     }

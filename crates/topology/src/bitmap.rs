@@ -33,6 +33,10 @@ pub trait BitmapOps: Clone + Debug + Default + Send + Sync + 'static {
     /// by their bounding box.
     fn from_coords(coords: &[Self::Coord]) -> Self;
 
+    /// An empty bitmap framed over the joint bounding box of the set
+    /// nodes of `parts`, so that unioning them all in never regrows it.
+    fn framed_over(parts: &[Self]) -> Self;
+
     /// Number of set nodes.
     fn len(&self) -> usize;
 
@@ -82,6 +86,16 @@ impl BitmapOps for mesh2d::BitGrid {
 
     fn from_coords(coords: &[mesh2d::Coord]) -> Self {
         mesh2d::BitGrid::from_coords(coords.iter().copied())
+    }
+
+    fn framed_over(parts: &[Self]) -> Self {
+        parts
+            .iter()
+            .filter_map(mesh2d::BitGrid::bounding_rect)
+            .reduce(|a, b| a.union(&b))
+            .map_or_else(mesh2d::BitGrid::empty, |r| {
+                mesh2d::BitGrid::with_bounds(r.min(), r.max())
+            })
     }
 
     fn len(&self) -> usize {

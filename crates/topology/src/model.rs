@@ -102,17 +102,19 @@ impl<T: MeshTopology> Outcome<T> {
 
     /// True when the produced regions are pairwise disjoint — one running
     /// union bitmap and a whole-word intersection test per region instead
-    /// of the scalar all-pairs scan (which remains the debug oracle).
+    /// of the scalar all-pairs scan (which remains the debug oracle). The
+    /// running union is framed once over the regions' joint bounding box,
+    /// so each region's test and union walk only that region's frame.
     pub fn regions_disjoint(&self) -> bool {
-        let mut seen = T::Bitmap::empty();
+        let bitmaps: Vec<T::Bitmap> = self.regions.iter().map(RegionOps::to_bitmap).collect();
+        let mut seen = T::Bitmap::framed_over(&bitmaps);
         let mut disjoint = true;
-        for r in &self.regions {
-            let bits = r.to_bitmap();
+        for bits in &bitmaps {
             if bits.intersects(&seen) {
                 disjoint = false;
                 break;
             }
-            seen.union_with(&bits);
+            seen.union_with(bits);
         }
         debug_assert!(
             self.regions.iter().map(RegionOps::len).sum::<usize>() > ORACLE_NODE_CAP || {
@@ -244,6 +246,27 @@ mod tests {
         let a = Region::from_coords([Coord::new(0, 0), Coord::new(1, 0)]);
         let b = Region::from_coords([Coord::new(1, 0)]);
         let o = outcome_with(vec![a, b], StatusMap::all_enabled(&mesh));
+        assert!(!o.regions_disjoint());
+    }
+
+    #[test]
+    fn regions_disjoint_over_many_regions() {
+        // 400 single-node regions on a 20 x 20 lattice over a 128-wide
+        // mesh (rows cross the x = 64 word boundary), then one overlap
+        // added at the end and one at the start.
+        let mesh = Mesh2D::square(128);
+        let cells: Vec<Coord> = (0..400)
+            .map(|i| Coord::new((i % 20) * 6, (i / 20) * 6))
+            .collect();
+        let mut regions: Vec<Region> = cells.iter().map(|&c| Region::from_coords([c])).collect();
+        let o = outcome_with(regions.clone(), StatusMap::all_enabled(&mesh));
+        assert!(o.regions_disjoint());
+        regions.push(Region::from_coords([Coord::new(1, 1), cells[399]]));
+        let o = outcome_with(regions.clone(), StatusMap::all_enabled(&mesh));
+        assert!(!o.regions_disjoint());
+        regions.pop();
+        regions.insert(0, Region::from_coords([cells[200], Coord::new(127, 0)]));
+        let o = outcome_with(regions, StatusMap::all_enabled(&mesh));
         assert!(!o.regions_disjoint());
     }
 
