@@ -12,9 +12,18 @@
 //! the paper handles this by letting the west-most south-west **inner**
 //! corner initiate a separate traversal. Here every 4-connected free region
 //! touching the component gets its own walk.
+//!
+//! The replay runs on a window-local *ring frame*: the component's protocol
+//! window (its virtual block plus a one-node margin, clipped to the mesh)
+//! as a dense byte grid whose index order is `Coord` order, with member,
+//! ring, free-region and visited flags per cell. Marking the ring is one
+//! pass over the members; one stack flood per free region collects the
+//! region's ring nodes and tells a hole (the flood never reaches the window
+//! edge) from the outside; the walk then reads its band off the same bytes.
+//! One frame is reused for every component of a construction.
 
 use crate::component::FaultyComponent;
-use mesh2d::{Connectivity, Coord, Mesh2D, Region};
+use mesh2d::{Coord, Mesh2D, Rect, Region};
 use serde::{Deserialize, Serialize};
 
 /// The boundary roles a node can play with respect to one component.
@@ -71,17 +80,12 @@ pub fn is_south_west_inner_corner(component: &FaultyComponent, c: Coord) -> bool
 
 /// All ring nodes of the component: in-mesh, non-component nodes within
 /// Chebyshev distance 1 of the component (side boundary nodes plus outer
-/// corner nodes).
+/// corner nodes), i.e. the ring cells of its frame.
 pub fn ring_nodes(mesh: &Mesh2D, component: &FaultyComponent) -> Region {
-    let mut ring = Region::new();
-    for c in component.iter() {
-        for n in mesh.neighbors8(c) {
-            if !component.contains(n) {
-                ring.insert(n);
-            }
-        }
-    }
-    ring
+    let mut frame = RingFrame::new();
+    frame.load_component(mesh, component);
+    frame.mark_ring();
+    Region::from_coords(frame.ring_cells())
 }
 
 /// One traversal of a component's boundary: the free region it runs in, the
@@ -109,113 +113,349 @@ pub struct RingWalk {
 }
 
 /// Builds every boundary-ring walk of the component: one for the outer free
-/// region and one per closed concave region (hole).
+/// region and one per closed concave region (hole), in the order of each
+/// region's smallest node.
 pub fn ring_walks(mesh: &Mesh2D, component: &FaultyComponent) -> Vec<RingWalk> {
-    let ring = ring_nodes(mesh, component);
-    if ring.is_empty() {
-        return Vec::new();
-    }
-
-    // Partition the free space around the component into 4-connected regions:
-    // the window is the virtual block plus a one-node margin clipped to the
-    // mesh, which is guaranteed to contain every ring node and to connect the
-    // outside into a single region.
-    let block = component.virtual_block();
-    let min = Coord::new((block.min().x - 1).max(0), (block.min().y - 1).max(0));
-    let max = Coord::new(
-        (block.max().x + 1).min(mesh.width() - 1),
-        (block.max().y + 1).min(mesh.height() - 1),
-    );
-    let window = mesh2d::Rect::new(min, max);
-    let free = Region::from_coords(window.nodes().filter(|c| !component.contains(*c)));
-    let free_regions = free.components(Connectivity::Four);
-
+    let mut frame = RingFrame::new();
+    frame.load_component(mesh, component);
+    frame.mark_ring();
     let mut walks = Vec::new();
-    for region in free_regions {
-        let ring_in_region = region.intersection(&ring);
-        if ring_in_region.is_empty() {
-            continue;
-        }
-        // A region is "inner" (a hole) when it never touches the window
-        // border: it is completely enclosed by the component.
-        let is_inner = !region.iter().any(|c| window.on_boundary(c));
-        let walk = trace_walk(&ring_in_region, is_inner);
-        walks.push(walk);
+    while let Some(walk) = frame.next_walk() {
+        walks.push(RingWalk {
+            initiator: walk.initiator,
+            visits: frame.visits().to_vec(),
+            hops: walk.hops,
+            is_inner: walk.is_inner,
+            complete: walk.complete,
+        });
     }
     walks
 }
 
-/// Traversal of a single 1-node-wide ring band.
+/// Cell flags of a [`RingFrame`].
+const MEMBER: u8 = 1;
+const RING: u8 = 1 << 1;
+/// The cell's free region has been flooded (its walk is done or running).
+const FLOODED: u8 = 1 << 2;
+const VISITED: u8 = 1 << 3;
+/// The one-cell guard band around the window: never a member, ring node
+/// or free cell.
+const GUARD: u8 = 1 << 4;
+
+/// The header of one walk traced on a [`RingFrame`]; its visits are in
+/// [`RingFrame::visits`] until the next walk.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct WalkSummary {
+    /// See [`RingWalk::initiator`].
+    pub(crate) initiator: Coord,
+    /// See [`RingWalk::hops`].
+    pub(crate) hops: u32,
+    /// See [`RingWalk::is_inner`].
+    pub(crate) is_inner: bool,
+    /// See [`RingWalk::complete`].
+    pub(crate) complete: bool,
+}
+
+/// One component's protocol window as a dense byte grid, reusable across
+/// components.
 ///
-/// The token performs a depth-first walk along the band (4-adjacent hops,
-/// backtracking through already-visited cells when a notch dead-ends), which
-/// is exactly how the circulating initiation message behaves: it hugs the
-/// component, enters every notch, and returns to the initiator. `hops`
-/// counts every hop including the backtracking ones. If the band happens to
-/// be 4-disconnected inside one free region (possible for components pinched
-/// against the mesh border), the remaining pieces are traversed by secondary
-/// initiators, matching the paper's multiple-initiation handling; their hops
-/// accrue to the same walk because they run concurrently with it.
-fn trace_walk(band: &Region, is_inner: bool) -> RingWalk {
-    let initiator = band
-        .iter()
-        .min_by_key(|c| (c.x, c.y))
-        .expect("band is non-empty");
+/// The window ([`load_component`](Self::load_component)) is framed by a
+/// one-cell guard band and laid out column-major: cell `(x, y)` sits at
+/// `(x − x0 + 1)·H + (y − y0 + 1)` with `H` the window height plus two, so
+/// index order is `Coord` order and every window cell has all eight
+/// neighbours in the grid. Every cell holds its member, ring, flooded
+/// (free-region label) and visited flags. Reads outside the window return
+/// "not a member" and "not a ring node", which is what the protocol sees
+/// outside the window.
+///
+/// All per-cell buffers are sized to the frame when it grows, so
+/// [`grows`](Self::grows) counts exactly the times a larger window than
+/// any before was loaded.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct RingFrame {
+    /// The window's south-west corner.
+    x0: i32,
+    y0: i32,
+    /// Window width and height.
+    width: i32,
+    height: i32,
+    /// Column stride: the window height plus the guard band.
+    stride: usize,
+    /// One flag byte per cell, guard band included.
+    cells: Vec<u8>,
+    /// Flood stack.
+    stack: Vec<u32>,
+    /// Ring cells of the free region being walked, in index order.
+    band: Vec<u32>,
+    /// The walk's depth-first path.
+    path: Vec<u32>,
+    /// The last walk's visits.
+    visits: Vec<Coord>,
+    /// Next cell to try as a free-region seed.
+    cursor: usize,
+    /// Times the frame's buffers grew.
+    grows: u64,
+}
 
-    let mut visits = Vec::with_capacity(band.len());
-    let mut visited = Region::new();
-    let mut hops = 0u32;
-    let mut max_piece_hops = 0u32;
+impl RingFrame {
+    /// An empty frame.
+    pub(crate) fn new() -> Self {
+        RingFrame::default()
+    }
 
-    let mut pending: Vec<Coord> = band.iter().collect();
-    pending.sort_by_key(|c| (c.x, c.y));
+    /// Times the frame's buffers grew since construction.
+    pub(crate) fn grows(&self) -> u64 {
+        self.grows
+    }
 
-    // Primary walk from the west-most south-west ring node, then secondary
-    // walks from the next unvisited initiators (overwriting-rule order).
-    for start in std::iter::once(initiator).chain(pending) {
-        if visited.contains(start) {
-            continue;
+    /// The loaded window.
+    pub(crate) fn window(&self) -> Rect {
+        Rect::new(
+            Coord::new(self.x0, self.y0),
+            Coord::new(self.x0 + self.width - 1, self.y0 + self.height - 1),
+        )
+    }
+
+    /// Re-frames over the component's protocol window: its virtual block
+    /// plus a one-node margin, clipped to the mesh. The window holds every
+    /// ring node, and the free space outside the component is one
+    /// 4-connected region inside it.
+    pub(crate) fn load_component(&mut self, mesh: &Mesh2D, component: &FaultyComponent) {
+        let block = component.virtual_block();
+        let window = Rect::new(
+            Coord::new((block.min().x - 1).max(0), (block.min().y - 1).max(0)),
+            Coord::new(
+                (block.max().x + 1).min(mesh.width() - 1),
+                (block.max().y + 1).min(mesh.height() - 1),
+            ),
+        );
+        self.load(window, component.iter());
+    }
+
+    /// Re-frames over `window` with `members` (which must lie inside it) as
+    /// the component. Ring flags are not set until [`mark_ring`](Self::mark_ring).
+    pub(crate) fn load(&mut self, window: Rect, members: impl IntoIterator<Item = Coord>) {
+        (self.x0, self.y0) = (window.min().x, window.min().y);
+        self.width = window.width() as i32;
+        self.height = window.height() as i32;
+        self.stride = self.height as usize + 2;
+        let len = (self.width as usize + 2) * self.stride;
+        if self.cells.capacity() < len {
+            self.grows += 1;
+            self.cells.reserve(len);
+            for buf in [&mut self.stack, &mut self.band, &mut self.path] {
+                buf.reserve(len);
+            }
+            self.visits.reserve(len);
         }
-        let mut piece_nodes = 0u32;
-        let mut path = vec![start];
-        visited.insert(start);
-        visits.push(start);
-        piece_nodes += 1;
-        while let Some(&cur) = path.last() {
-            let next = cur
-                .neighbors4()
-                .into_iter()
-                .filter(|n| band.contains(*n) && !visited.contains(*n))
-                .min_by_key(|n| (n.x, n.y));
-            match next {
-                Some(n) => {
-                    visited.insert(n);
-                    visits.push(n);
-                    path.push(n);
-                    piece_nodes += 1;
-                }
-                None => {
-                    path.pop();
+        self.cells.clear();
+        self.cells.resize(len, 0);
+        self.cells[..self.stride].fill(GUARD);
+        self.cells[len - self.stride..].fill(GUARD);
+        for col in self.cells.chunks_exact_mut(self.stride) {
+            col[0] = GUARD;
+            col[self.stride - 1] = GUARD;
+        }
+        for c in members {
+            self.insert_member(c);
+        }
+    }
+
+    /// Index of `c` in the guard-banded frame, if it lies inside it.
+    fn index(&self, c: Coord) -> Option<usize> {
+        let dx = c.x - self.x0 + 1;
+        let dy = c.y - self.y0 + 1;
+        ((0..self.width + 2).contains(&dx) && (0..self.height + 2).contains(&dy))
+            .then(|| dx as usize * self.stride + dy as usize)
+    }
+
+    fn coord(&self, i: usize) -> Coord {
+        Coord::new(
+            self.x0 + (i / self.stride) as i32 - 1,
+            self.y0 + (i % self.stride) as i32 - 1,
+        )
+    }
+
+    /// True when `c` is a member; false anywhere outside the window.
+    pub(crate) fn is_member(&self, c: Coord) -> bool {
+        self.index(c).is_some_and(|i| self.cells[i] & MEMBER != 0)
+    }
+
+    /// Adds `c`, which must lie inside the window, to the component.
+    pub(crate) fn insert_member(&mut self, c: Coord) {
+        let i = self.index(c).expect("members lie inside the frame");
+        debug_assert!(self.cells[i] & GUARD == 0, "{c} outside the window");
+        self.cells[i] |= MEMBER;
+    }
+
+    /// Frame analogue of [`classify`].
+    pub(crate) fn classify(&self, c: Coord) -> BoundaryKind {
+        if self.is_member(c) {
+            return BoundaryKind::default();
+        }
+        BoundaryKind {
+            north: self.is_member(c.offset(0, -1)),
+            south: self.is_member(c.offset(0, 1)),
+            east: self.is_member(c.offset(-1, 0)),
+            west: self.is_member(c.offset(1, 0)),
+        }
+    }
+
+    /// Marks the ring nodes of the current members (every non-member window
+    /// cell 8-adjacent to a member) and clears the flood and walk state, so
+    /// [`next_walk`](Self::next_walk) starts from the first free region.
+    pub(crate) fn mark_ring(&mut self) {
+        for cell in &mut self.cells {
+            *cell &= MEMBER | GUARD;
+        }
+        let s = self.stride;
+        let around = [s + 1, s, s - 1, 1];
+        for i in s..self.cells.len() - s {
+            if self.cells[i] & MEMBER == 0 {
+                continue;
+            }
+            for d in around {
+                for n in [i - d, i + d] {
+                    if self.cells[n] & (MEMBER | GUARD) == 0 {
+                        self.cells[n] |= RING;
+                    }
                 }
             }
         }
-        // The circulating token passes every ring node of the piece exactly
-        // once on its way back to the initiator, so the piece costs one hop
-        // per ring node.
-        hops += piece_nodes;
-        max_piece_hops = max_piece_hops.max(piece_nodes);
+        self.cursor = 0;
     }
-    // Concurrent pieces overlap in time: the walk completes when its longest
-    // piece does, but we keep the total in `hops` monotone with band size.
-    let hops = hops.max(max_piece_hops);
 
-    let complete = visited.len() == band.len();
-    RingWalk {
-        initiator,
-        visits,
-        hops,
-        is_inner,
-        complete,
+    /// The ring cells in `Coord` order.
+    pub(crate) fn ring_cells(&self) -> impl Iterator<Item = Coord> + '_ {
+        (0..self.cells.len())
+            .filter(|&i| self.cells[i] & RING != 0)
+            .map(|i| self.coord(i))
+    }
+
+    /// Floods the next 4-connected free region (in order of smallest node)
+    /// that holds ring nodes and traces its walk into
+    /// [`visits`](Self::visits). `None` once every region is done.
+    ///
+    /// The region's walk is inner (around a hole) exactly when the flood
+    /// never touches the guard band, i.e. the window edge.
+    pub(crate) fn next_walk(&mut self) -> Option<WalkSummary> {
+        let s = self.stride;
+        while self.cursor < self.cells.len() {
+            let seed = self.cursor;
+            self.cursor += 1;
+            if self.cells[seed] & (MEMBER | GUARD | FLOODED) != 0 {
+                continue;
+            }
+            self.band.clear();
+            self.cells[seed] |= FLOODED;
+            self.stack.push(seed as u32);
+            let mut on_edge = false;
+            while let Some(i) = self.stack.pop() {
+                let i = i as usize;
+                if self.cells[i] & RING != 0 {
+                    self.band.push(i as u32);
+                }
+                for n in [i - s, i - 1, i + 1, i + s] {
+                    let flags = self.cells[n];
+                    if flags & GUARD != 0 {
+                        on_edge = true;
+                    } else if flags & (MEMBER | FLOODED) == 0 {
+                        self.cells[n] |= FLOODED;
+                        self.stack.push(n as u32);
+                    }
+                }
+            }
+            if self.band.is_empty() {
+                continue;
+            }
+            self.band.sort_unstable();
+            return Some(self.trace_walk(!on_edge));
+        }
+        None
+    }
+
+    /// The visits of the walk [`next_walk`](Self::next_walk) last traced.
+    pub(crate) fn visits(&self) -> &[Coord] {
+        &self.visits
+    }
+
+    /// Traversal of the flooded region's 1-node-wide ring band.
+    ///
+    /// The token performs a depth-first walk along the band (4-adjacent
+    /// hops, backtracking through already-visited cells when a notch
+    /// dead-ends), which is exactly how the circulating initiation message
+    /// behaves: it hugs the component, enters every notch, and returns to
+    /// the initiator. The initiator is the band's minimum `(x, y)` node and
+    /// each hop goes to the minimum-`(x, y)` unvisited band neighbour. If
+    /// the band is 4-disconnected inside one free region (possible for
+    /// components pinched against the mesh border), the remaining pieces
+    /// are traversed by secondary initiators, taken in sorted order,
+    /// matching the paper's multiple-initiation handling.
+    ///
+    /// `hops` is the *sum* of the pieces' node counts, one hop per ring
+    /// node: the walk's cost stays monotone in band size. (The pieces run
+    /// concurrently, but the round count does not take their maximum: the
+    /// sum already dominates every piece, so bounding it below by the
+    /// longest piece changes nothing.)
+    fn trace_walk(&mut self, is_inner: bool) -> WalkSummary {
+        let s = self.stride;
+        self.visits.clear();
+        let mut hops = 0u32;
+        for k in 0..self.band.len() {
+            let start = self.band[k] as usize;
+            if self.cells[start] & VISITED != 0 {
+                continue;
+            }
+            self.cells[start] |= VISITED;
+            self.visits.push(self.coord(start));
+            self.path.push(start as u32);
+            hops += 1;
+            while let Some(&cur) = self.path.last() {
+                let cur = cur as usize;
+                // Neighbours in `Coord` order: west, south, north, east.
+                let next = [cur - s, cur - 1, cur + 1, cur + s]
+                    .into_iter()
+                    .find(|&n| self.cells[n] & (RING | VISITED) == RING);
+                match next {
+                    Some(n) => {
+                        self.cells[n] |= VISITED;
+                        self.visits.push(self.coord(n));
+                        self.path.push(n as u32);
+                        hops += 1;
+                    }
+                    None => {
+                        self.path.pop();
+                    }
+                }
+            }
+        }
+        WalkSummary {
+            initiator: self.coord(self.band[0] as usize),
+            hops,
+            is_inner,
+            complete: self.visits.len() == self.band.len(),
+        }
+    }
+
+    /// True when the members' intersection with every row and every
+    /// column of the window is contiguous (Definition 1).
+    pub(crate) fn is_orthogonally_convex(&self) -> bool {
+        let s = self.stride;
+        let member = |i: usize| self.cells[i] & MEMBER != 0;
+        // A line is contiguous when at most one member run starts on it.
+        let columns = (1..=self.width as usize).all(|x| {
+            (x * s + 1..(x + 1) * s - 1)
+                .filter(|&i| member(i) && !member(i - 1))
+                .count()
+                <= 1
+        });
+        columns
+            && (1..=self.height as usize).all(|y| {
+                (1..=self.width as usize)
+                    .filter(|&x| member(x * s + y) && !member((x - 1) * s + y))
+                    .count()
+                    <= 1
+            })
     }
 }
 

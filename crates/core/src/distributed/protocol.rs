@@ -22,16 +22,24 @@
 //! never has in our test corpus), the construction falls back to the
 //! centralized specification for the remainder and records the fact in the
 //! per-component trace so that fidelity regressions are visible to tests.
+//!
+//! A construction threads one [`DmfpScratch`] through its components: the
+//! ring frame, the boundary array, the detected-section list and the
+//! notification search grid are re-framed per component, not reallocated.
 
 use crate::component::{merge_components, FaultyComponent};
-use crate::distributed::boundary::ring_walks;
-use crate::distributed::notify::{plan_notification, Notification};
-use crate::distributed::ring::process_walk;
+use crate::distributed::boundary::RingFrame;
+use crate::distributed::notify::{plan_notification_with, Notification, SectionBfs};
+use crate::distributed::ring::{replay_walk, BoundaryArray, DetectedSection};
 use crate::hull::minimum_polygon;
 use crate::superseding::pile_polygons;
 use distsim::RoundStats;
 use fblock::{FaultModel, ModelOutcome};
 use mesh2d::{FaultSet, Mesh2D, Region};
+
+/// Size cap under which a convex protocol polygon is re-verified against
+/// [`minimum_polygon`] in debug builds.
+const ORACLE_NODE_CAP: usize = 1024;
 
 /// Per-component record of what the distributed protocol did.
 #[derive(Clone, Debug)]
@@ -52,6 +60,46 @@ pub struct ComponentTrace {
     pub faithful: bool,
 }
 
+/// Reusable buffers of the protocol replay, threaded through every
+/// component of a construction (or of many constructions):
+/// [`grows`](Self::grows) counts how often any of them had to grow, which
+/// the no-allocation tests pin.
+#[derive(Clone, Debug, Default)]
+pub struct DmfpScratch {
+    /// The component's window, re-framed per component.
+    frame: RingFrame,
+    /// The boundary array, reset per walk.
+    array: BoundaryArray,
+    /// Sections detected in the current protocol iteration.
+    detected: Vec<DetectedSection>,
+    /// Search grid of blocked notifications.
+    bfs: SectionBfs,
+    /// Times `detected` grew.
+    detected_grows: u64,
+}
+
+impl DmfpScratch {
+    /// Fresh, empty scratch space.
+    pub fn new() -> Self {
+        DmfpScratch::default()
+    }
+
+    /// Total number of buffer growths since construction. Constant across
+    /// calls ⇔ the replay ran without growing its scratch (steady state).
+    pub fn grows(&self) -> u64 {
+        self.frame.grows() + self.array.grows() + self.bfs.grows() + self.detected_grows
+    }
+}
+
+/// What one component's replay produced (a [`ComponentTrace`] without the
+/// component and the notifications).
+struct ComponentRun {
+    polygon: Region,
+    rounds: RoundStats,
+    iterations: u32,
+    faithful: bool,
+}
+
 /// The distributed minimum faulty polygon construction (model name `DMFP`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DistributedMfpModel;
@@ -64,84 +112,15 @@ impl DistributedMfpModel {
         faults: &FaultSet,
         component: &FaultyComponent,
     ) -> ComponentTrace {
-        // Phase 1: boundary classification costs one round of neighbor
-        // information exchange.
-        let mut rounds = RoundStats {
-            rounds: 1,
-            events: 0,
-            converged: true,
-        };
-        let mut polygon = component.region().clone();
         let mut notifications = Vec::new();
-        let mut iterations = 0u32;
-        let mut faithful = true;
-
-        loop {
-            iterations += 1;
-            // The procedure restarts on the region grown so far ("whenever a
-            // new south-west corner is formed").
-            let grown = FaultyComponent::new(polygon.clone());
-            let walks = ring_walks(mesh, &grown);
-            let mut ring_rounds = 0u32;
-            let mut ring_events = 0u64;
-            let mut detected = Vec::new();
-            for walk in &walks {
-                let outcome = process_walk(&grown, walk);
-                faithful &= outcome.complete;
-                // Rings of the same component circulate concurrently.
-                ring_rounds = ring_rounds.max(outcome.hops);
-                ring_events += outcome.hops as u64;
-                detected.extend(outcome.detected);
-            }
-
-            let mut notify_rounds = 0u32;
-            let mut notify_events = 0u64;
-            let mut added_any = false;
-            for d in &detected {
-                let notification = plan_notification(mesh, faults, d.notification_end, &d.section);
-                notify_rounds = notify_rounds.max(notification.hops);
-                notify_events += notification.hops as u64;
-                for node in d.section.nodes() {
-                    if mesh.contains(node) && polygon.insert(node) {
-                        added_any = true;
-                    }
-                }
-                notifications.push(notification);
-            }
-
-            rounds = rounds.then(RoundStats {
-                rounds: ring_rounds + notify_rounds,
-                events: ring_events + notify_events,
-                converged: true,
-            });
-
-            // A new pass is only needed when freshly disabled nodes created a
-            // concavity that was not yet notified (new south-west corners
-            // forming, in the paper's terms). For 8-connected components one
-            // pass reaches the convex fixpoint.
-            if !added_any || polygon.is_orthogonally_convex() {
-                break;
-            }
-        }
-
-        // Safety net: the distributed detection has matched the centralized
-        // specification on every component we have ever tested; if a shape
-        // ever escapes it, fall back to the specification so the model's
-        // output stays a minimum polygon, and record the infidelity.
-        let spec = minimum_polygon(component);
-        if polygon != spec {
-            faithful = false;
-            polygon = polygon.union(&spec);
-        }
-
-        ComponentTrace {
-            component: component.clone(),
-            polygon,
-            rounds,
-            notifications,
-            iterations,
-            faithful,
-        }
+        let run = replay(
+            mesh,
+            faults,
+            component,
+            &mut DmfpScratch::new(),
+            &mut notifications,
+        );
+        run.into_trace(component, notifications)
     }
 
     /// Runs the full construction and returns both the model outcome and the
@@ -151,26 +130,183 @@ impl DistributedMfpModel {
         mesh: &Mesh2D,
         faults: &FaultSet,
     ) -> (ModelOutcome, Vec<ComponentTrace>) {
-        let components = merge_components(faults);
-        let mut traces = Vec::with_capacity(components.len());
-        let mut rounds = RoundStats::quiescent();
-        let mut polygons = Vec::with_capacity(components.len());
-        for component in &components {
-            let trace = self.run_component(mesh, faults, component);
-            rounds = rounds.in_parallel_with(trace.rounds);
-            polygons.push(trace.polygon.clone());
-            traces.push(trace);
+        let mut traces = Vec::new();
+        let outcome = construct_on(mesh, faults, &mut DmfpScratch::new(), Some(&mut traces));
+        (outcome, traces)
+    }
+
+    /// [`FaultModel::construct`] on caller-provided scratch buffers, for
+    /// callers that run many constructions.
+    pub fn construct_with(
+        &self,
+        mesh: &Mesh2D,
+        faults: &FaultSet,
+        scratch: &mut DmfpScratch,
+    ) -> ModelOutcome {
+        construct_on(mesh, faults, scratch, None)
+    }
+}
+
+/// Replays the protocol for every component with one scratch, in component
+/// order, recording a trace per component when `traces` is given.
+fn construct_on(
+    mesh: &Mesh2D,
+    faults: &FaultSet,
+    scratch: &mut DmfpScratch,
+    mut traces: Option<&mut Vec<ComponentTrace>>,
+) -> ModelOutcome {
+    let components = merge_components(faults);
+    let mut rounds = RoundStats::quiescent();
+    let mut polygons = Vec::with_capacity(components.len());
+    let mut notifications = Vec::new();
+    for component in &components {
+        let run = replay(mesh, faults, component, scratch, &mut notifications);
+        rounds = rounds.in_parallel_with(run.rounds);
+        match traces.as_deref_mut() {
+            Some(traces) => {
+                polygons.push(run.polygon.clone());
+                traces.push(run.into_trace(component, std::mem::take(&mut notifications)));
+            }
+            None => {
+                polygons.push(run.polygon);
+                notifications.clear();
+            }
         }
-        let status = pile_polygons(mesh, faults, &polygons);
-        (
-            ModelOutcome {
-                model: "DMFP".to_string(),
-                status,
-                regions: polygons,
-                rounds,
-            },
-            traces,
-        )
+    }
+    let status = pile_polygons(mesh, faults, &polygons);
+    ModelOutcome {
+        model: "DMFP".to_string(),
+        status,
+        regions: polygons,
+        rounds,
+    }
+}
+
+impl ComponentRun {
+    fn into_trace(
+        self,
+        component: &FaultyComponent,
+        notifications: Vec<Notification>,
+    ) -> ComponentTrace {
+        ComponentTrace {
+            component: component.clone(),
+            polygon: self.polygon,
+            rounds: self.rounds,
+            notifications,
+            iterations: self.iterations,
+            faithful: self.faithful,
+        }
+    }
+}
+
+/// The protocol for one component on the scratch frame; appends the
+/// planned notifications to `notifications`.
+fn replay(
+    mesh: &Mesh2D,
+    faults: &FaultSet,
+    component: &FaultyComponent,
+    scratch: &mut DmfpScratch,
+    notifications: &mut Vec<Notification>,
+) -> ComponentRun {
+    let DmfpScratch {
+        frame,
+        array,
+        detected,
+        bfs,
+        detected_grows,
+    } = scratch;
+    frame.load_component(mesh, component);
+    // Phase 1: boundary classification costs one round of neighbor
+    // information exchange.
+    let mut rounds = RoundStats {
+        rounds: 1,
+        events: 0,
+        converged: true,
+    };
+    let mut polygon = component.region().clone();
+    let mut iterations = 0u32;
+    let mut faithful = true;
+    let mut convex;
+
+    loop {
+        iterations += 1;
+        // The procedure restarts on the region grown so far ("whenever a
+        // new south-west corner is formed"): the frame's members are the
+        // polygon, and its window is unchanged because concave sections
+        // lie inside the virtual block.
+        frame.mark_ring();
+        let capacity = detected.capacity();
+        detected.clear();
+        let mut ring_rounds = 0u32;
+        let mut ring_events = 0u64;
+        while let Some(walk) = frame.next_walk() {
+            replay_walk(frame, frame.visits(), array, detected);
+            faithful &= walk.complete;
+            // Rings of the same component circulate concurrently.
+            ring_rounds = ring_rounds.max(walk.hops);
+            ring_events += walk.hops as u64;
+        }
+        if detected.capacity() > capacity {
+            *detected_grows += 1;
+        }
+
+        let mut notify_rounds = 0u32;
+        let mut notify_events = 0u64;
+        let mut added_any = false;
+        for d in detected.iter() {
+            let notification =
+                plan_notification_with(mesh, faults, d.notification_end, &d.section, bfs);
+            notify_rounds = notify_rounds.max(notification.hops);
+            notify_events += notification.hops as u64;
+            for node in d.section.nodes() {
+                if mesh.contains(node) && polygon.insert(node) {
+                    frame.insert_member(node);
+                    added_any = true;
+                }
+            }
+            notifications.push(notification);
+        }
+
+        rounds = rounds.then(RoundStats {
+            rounds: ring_rounds + notify_rounds,
+            events: ring_events + notify_events,
+            converged: true,
+        });
+
+        // A new pass is only needed when freshly disabled nodes created a
+        // concavity that was not yet notified (new south-west corners
+        // forming, in the paper's terms). For 8-connected components one
+        // pass reaches the convex fixpoint.
+        convex = frame.is_orthogonally_convex();
+        if !added_any || convex {
+            break;
+        }
+    }
+
+    // Safety net: the distributed detection has matched the centralized
+    // specification on every component we have ever tested; if a shape
+    // ever escapes it, fall back to the specification so the model's
+    // output stays a minimum polygon, and record the infidelity. Every
+    // added node lies on a concave section between two polygon nodes, so
+    // the polygon never leaves the component's orthogonal convex hull; it
+    // therefore *is* the hull (the minimum polygon) exactly when it is
+    // orthogonally convex, and only a non-convex result needs the
+    // specification.
+    if convex {
+        debug_assert!(
+            component.len() > ORACLE_NODE_CAP || polygon == minimum_polygon(component),
+            "a convex protocol polygon differs from the minimum polygon"
+        );
+    } else {
+        faithful = false;
+        polygon = polygon.union(&minimum_polygon(component));
+    }
+
+    ComponentRun {
+        polygon,
+        rounds,
+        iterations,
+        faithful,
     }
 }
 
@@ -180,7 +316,7 @@ impl FaultModel for DistributedMfpModel {
     }
 
     fn construct(&self, mesh: &Mesh2D, faults: &FaultSet) -> ModelOutcome {
-        self.construct_detailed(mesh, faults).0
+        self.construct_with(mesh, faults, &mut DmfpScratch::new())
     }
 }
 

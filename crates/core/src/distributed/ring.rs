@@ -17,46 +17,92 @@
 //! nodes containing the detector (a stale entry from an earlier section of
 //! the same line can only widen the span across component nodes, never into
 //! healthy territory that is not actually concave).
+//!
+//! The replay reads the component off the ring frame the walks were
+//! traced on: boundary roles and the section clamps are byte reads that
+//! return "not a member" outside the window. The boundary array is four
+//! window-indexed arrays (rows for `E`/`W`, columns for `S`/`N`), reused
+//! across walks and components.
 
 use crate::component::FaultyComponent;
 use crate::concave::{ConcaveSection, Orientation};
-use crate::distributed::boundary::{classify, RingWalk};
-use mesh2d::Coord;
-use std::collections::{BTreeMap, BTreeSet};
+use crate::distributed::boundary::{RingFrame, RingWalk};
+use mesh2d::{Coord, Rect};
+
+/// Marks an entry of the boundary array that is still "-".
+const UNSET: i32 = i32::MIN;
 
 /// The boundary array `V[1..n](E, S, W, N)` carried by the initiation
-/// message. Entries are created lazily (the paper initialises them to "-").
+/// message, over the rows and columns of one protocol window. Every entry
+/// starts as "-" (as in the paper).
 #[derive(Clone, Debug, Default)]
 pub struct BoundaryArray {
+    /// The window's south-west corner: `east`/`west` are indexed by
+    /// `row - y0`, `north`/`south` by `column - x0`.
+    x0: i32,
+    y0: i32,
     /// Row → column of the most recently visited east boundary node.
-    east: BTreeMap<i32, i32>,
+    east: Vec<i32>,
     /// Row → column of the most recently visited west boundary node.
-    west: BTreeMap<i32, i32>,
+    west: Vec<i32>,
     /// Column → row of the most recently visited north boundary node.
-    north: BTreeMap<i32, i32>,
+    north: Vec<i32>,
     /// Column → row of the most recently visited south boundary node.
-    south: BTreeMap<i32, i32>,
+    south: Vec<i32>,
+    /// Times the arrays grew.
+    grows: u64,
 }
 
 impl BoundaryArray {
+    /// Resets every entry to "-" over the rows and columns of `window`.
+    pub(crate) fn reset(&mut self, window: Rect) {
+        (self.x0, self.y0) = (window.min().x, window.min().y);
+        let (width, height) = (window.width() as usize, window.height() as usize);
+        if self.east.capacity() < height || self.north.capacity() < width {
+            self.grows += 1;
+        }
+        for (line, len) in [
+            (&mut self.east, height),
+            (&mut self.west, height),
+            (&mut self.north, width),
+            (&mut self.south, width),
+        ] {
+            line.clear();
+            line.resize(len, UNSET);
+        }
+    }
+
+    /// Times the arrays grew since construction.
+    pub(crate) fn grows(&self) -> u64 {
+        self.grows
+    }
+
+    fn get(line: &[i32], at: i32) -> Option<i32> {
+        usize::try_from(at)
+            .ok()
+            .and_then(|i| line.get(i))
+            .copied()
+            .filter(|&v| v != UNSET)
+    }
+
     /// Looks up the east entry of a row (used by tests).
     pub fn east_of_row(&self, row: i32) -> Option<i32> {
-        self.east.get(&row).copied()
+        Self::get(&self.east, row - self.y0)
     }
 
     /// Looks up the west entry of a row.
     pub fn west_of_row(&self, row: i32) -> Option<i32> {
-        self.west.get(&row).copied()
+        Self::get(&self.west, row - self.y0)
     }
 
     /// Looks up the north entry of a column.
     pub fn north_of_column(&self, col: i32) -> Option<i32> {
-        self.north.get(&col).copied()
+        Self::get(&self.north, col - self.x0)
     }
 
     /// Looks up the south entry of a column.
     pub fn south_of_column(&self, col: i32) -> Option<i32> {
-        self.south.get(&col).copied()
+        Self::get(&self.south, col - self.x0)
     }
 }
 
@@ -83,41 +129,62 @@ pub struct RingOutcome {
     pub boundary_array: BoundaryArray,
 }
 
-/// Replays the boundary-array protocol along one ring walk.
+/// Replays the boundary-array protocol along one ring walk of `component`.
 pub fn process_walk(component: &FaultyComponent, walk: &RingWalk) -> RingOutcome {
-    let mut v = BoundaryArray::default();
+    let block = component.virtual_block();
+    let window = walk.visits.iter().fold(
+        Rect::new(block.min().offset(-1, -1), block.max().offset(1, 1)),
+        |window, &c| window.expanded_to(c),
+    );
+    let mut frame = RingFrame::new();
+    frame.load(window, component.iter());
+    let mut boundary_array = BoundaryArray::default();
     let mut detected = Vec::new();
-    let mut seen: BTreeSet<(u8, i32, i32, i32)> = BTreeSet::new();
+    replay_walk(&frame, &walk.visits, &mut boundary_array, &mut detected);
+    RingOutcome {
+        detected,
+        hops: walk.hops,
+        complete: walk.complete,
+        boundary_array,
+    }
+}
 
-    for &node in &walk.visits {
-        let kind = classify(component, node);
+/// Replays the boundary-array protocol along `visits`, a walk traced on
+/// `frame`: resets `v` to the frame's window and appends the sections the
+/// walk detects, each once, to `detected`.
+pub(crate) fn replay_walk(
+    frame: &RingFrame,
+    visits: &[Coord],
+    v: &mut BoundaryArray,
+    detected: &mut Vec<DetectedSection>,
+) {
+    v.reset(frame.window());
+    let first = detected.len();
+    let (x0, y0) = (v.x0, v.y0);
+    for &node in visits {
+        let kind = frame.classify(node);
         if !kind.is_side_boundary() {
             continue;
         }
+        let (row, col) = ((node.y - y0) as usize, (node.x - x0) as usize);
         // Step (a): update the boundary array entries for every role the
         // node carries (all with the same timestamp).
         if kind.east {
-            v.east.insert(node.y, node.x);
+            v.east[row] = node.x;
         }
         if kind.west {
-            v.west.insert(node.y, node.x);
+            v.west[row] = node.x;
         }
         if kind.north {
-            v.north.insert(node.x, node.y);
+            v.north[col] = node.y;
         }
         if kind.south {
-            v.south.insert(node.x, node.y);
+            v.south[col] = node.y;
         }
         // Step (b): check whether this node closes a concave section.
         let mut fire = |section: Option<ConcaveSection>| {
             if let Some(section) = section {
-                let key = (
-                    matches!(section.orientation, Orientation::Row) as u8,
-                    section.line,
-                    section.start,
-                    section.end,
-                );
-                if seen.insert(key) {
+                if !detected[first..].iter().any(|d| d.section == section) {
                     detected.push(DetectedSection {
                         notification_end: node,
                         section,
@@ -125,75 +192,32 @@ pub fn process_walk(component: &FaultyComponent, walk: &RingWalk) -> RingOutcome
                 }
             }
         };
-        if kind.east {
-            if let Some(w) = v.west_of_row(node.y) {
-                if w >= node.x {
-                    fire(clamp_row_section(component, node.y, node.x, w, node.x));
-                }
-            }
+        let member_in_row = |x: i32| frame.is_member(Coord::new(x, node.y));
+        let member_in_col = |y: i32| frame.is_member(Coord::new(node.x, y));
+        if kind.east && v.west[row] != UNSET && v.west[row] >= node.x {
+            let run = clamp_run(node.x, v.west[row], node.x, member_in_row);
+            fire(section(Orientation::Row, node.y, run));
         }
-        if kind.west {
-            if let Some(e) = v.east_of_row(node.y) {
-                if e <= node.x {
-                    fire(clamp_row_section(component, node.y, e, node.x, node.x));
-                }
-            }
+        if kind.west && v.east[row] != UNSET && v.east[row] <= node.x {
+            let run = clamp_run(v.east[row], node.x, node.x, member_in_row);
+            fire(section(Orientation::Row, node.y, run));
         }
-        if kind.south {
-            if let Some(n) = v.north_of_column(node.x) {
-                if n <= node.y {
-                    fire(clamp_column_section(component, node.x, n, node.y, node.y));
-                }
-            }
+        if kind.south && v.north[col] != UNSET && v.north[col] <= node.y {
+            let run = clamp_run(v.north[col], node.y, node.y, member_in_col);
+            fire(section(Orientation::Column, node.x, run));
         }
-        if kind.north {
-            if let Some(s) = v.south_of_column(node.x) {
-                if s >= node.y {
-                    fire(clamp_column_section(component, node.x, node.y, s, node.y));
-                }
-            }
+        if kind.north && v.south[col] != UNSET && v.south[col] >= node.y {
+            let run = clamp_run(node.y, v.south[col], node.y, member_in_col);
+            fire(section(Orientation::Column, node.x, run));
         }
-    }
-
-    RingOutcome {
-        detected,
-        hops: walk.hops,
-        complete: walk.complete,
-        boundary_array: v,
     }
 }
 
-/// Clamps the raw span `[lo, hi]` of row `row` to the contiguous run of
-/// non-component nodes containing `anchor`, and keeps it only when the run is
-/// bounded by component nodes on both sides (a genuine concave section).
-fn clamp_row_section(
-    component: &FaultyComponent,
-    row: i32,
-    lo: i32,
-    hi: i32,
-    anchor: i32,
-) -> Option<ConcaveSection> {
-    let (start, end) = clamp_run(lo, hi, anchor, |v| component.contains(Coord::new(v, row)))?;
-    Some(ConcaveSection {
-        orientation: Orientation::Row,
-        line: row,
-        start,
-        end,
-    })
-}
-
-/// Column analogue of [`clamp_row_section`].
-fn clamp_column_section(
-    component: &FaultyComponent,
-    col: i32,
-    lo: i32,
-    hi: i32,
-    anchor: i32,
-) -> Option<ConcaveSection> {
-    let (start, end) = clamp_run(lo, hi, anchor, |v| component.contains(Coord::new(col, v)))?;
-    Some(ConcaveSection {
-        orientation: Orientation::Column,
-        line: col,
+/// The concave section `run` of `line`, if the clamp kept one.
+fn section(orientation: Orientation, line: i32, run: Option<(i32, i32)>) -> Option<ConcaveSection> {
+    run.map(|(start, end)| ConcaveSection {
+        orientation,
+        line,
         start,
         end,
     })

@@ -74,7 +74,7 @@ pub use construction::{
     construct_cells_with, construct_component, construct_component_with, polygon_from_cells,
     ComponentPolygon, ConstructionScratch,
 };
-pub use distributed::protocol::DistributedMfpModel;
+pub use distributed::protocol::{DistributedMfpModel, DmfpScratch};
 pub use hull::minimum_polygon;
 pub use registry::{ablation_registry, standard_registry};
 pub use verify::is_minimum_covering_polygon;

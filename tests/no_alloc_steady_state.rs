@@ -1,17 +1,19 @@
 //! Steady-state allocation tests for the scratch-buffered kernels.
 //!
-//! The hull fixpoint and the incremental engine's localized re-flood run
-//! on reusable scratch buffers ([`mocp_core::ConstructionScratch`] /
-//! `mesh2d::BitScratch`). Once those buffers have grown to the working-set
-//! size, further constructions and events must not grow them again — the
-//! `grows()` counters expose exactly that, and these tests pin it.
+//! The hull fixpoint, the incremental engine's localized re-flood and the
+//! distributed protocol replay run on reusable scratch buffers
+//! ([`mocp_core::ConstructionScratch`] / `mesh2d::BitScratch` /
+//! [`mocp_core::DmfpScratch`]). Once those buffers have grown to the
+//! working-set size, further constructions and events must not grow them
+//! again — the `grows()` counters expose exactly that, and these tests pin
+//! it.
 
 use mocp::faultgen::{generate_faults, FaultDistribution, FaultInjector};
 use mocp::mesh2d::Region;
-use mocp::mesh2d::{Coord, FaultEvent, Mesh2D};
+use mocp::mesh2d::{Coord, FaultEvent, FaultSet, Mesh2D};
 use mocp::mocp_core::{
     construct_component_with, merge_components, CentralizedSolution, ConstructionScratch,
-    FaultyComponent,
+    DistributedMfpModel, DmfpScratch, FaultyComponent,
 };
 use mocp::mocp_incremental::IncrementalEngine;
 
@@ -80,5 +82,64 @@ fn engine_scratch_reaches_steady_state() {
             steady,
             "cycle {cycle}: the engine allocated scratch in steady state"
         );
+    }
+}
+
+/// Repeated DMFP constructions must stop growing the protocol scratch
+/// (ring frame, boundary array, detected sections, notification search
+/// grid) once it has been warmed on mesh-spanning shapes.
+#[test]
+fn dmfp_scratch_reaches_steady_state() {
+    let mesh = Mesh2D::square(48);
+    let mut scratch = DmfpScratch::new();
+    // Warm-up: a diagonal chain frames the whole mesh; a comb spanning it
+    // (a base row with a tooth on every other column) has the longest
+    // ring and the most concave sections a 48² component can have; a C
+    // with a block in its mouth sends a notification round a blocking
+    // polygon, which sizes the search grid to the mesh.
+    let diagonal = (0..48).map(|i| Coord::new(i, i));
+    let comb = (0..48).map(|x| Coord::new(x, 0)).chain(
+        (0..48)
+            .step_by(2)
+            .flat_map(|x| (1..48).map(move |y| Coord::new(x, y))),
+    );
+    let blocked_c = [
+        (2, 2),
+        (3, 2),
+        (4, 2),
+        (5, 2),
+        (2, 3),
+        (2, 4),
+        (2, 5),
+        (2, 6),
+        (2, 7),
+        (2, 8),
+        (3, 8),
+        (4, 8),
+        (5, 8),
+        (4, 4),
+        (4, 5),
+        (5, 4),
+        (5, 5),
+    ]
+    .map(|(x, y)| Coord::new(x, y));
+    for warm in [
+        FaultSet::from_coords(mesh, diagonal),
+        FaultSet::from_coords(mesh, comb),
+        FaultSet::from_coords(mesh, blocked_c),
+    ] {
+        DistributedMfpModel.construct_with(&mesh, &warm, &mut scratch);
+    }
+    let steady = scratch.grows();
+    for round in 0..6 {
+        for distribution in [FaultDistribution::Random, FaultDistribution::Clustered] {
+            let faults = generate_faults(mesh, 150 + 50 * round as usize, distribution, round);
+            DistributedMfpModel.construct_with(&mesh, &faults, &mut scratch);
+            assert_eq!(
+                scratch.grows(),
+                steady,
+                "round {round}, {distribution:?}: the DMFP replay grew its scratch"
+            );
+        }
     }
 }
