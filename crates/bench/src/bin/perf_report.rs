@@ -35,7 +35,7 @@
 //!   real scaling table;
 //! * `serve_chaos_recovery` — the seeded chaos harness
 //!   (`experiments::run_chaos_workload`): the tenant streams ingested
-//!   through scheduled worker kills, WAL replay, supervision and lossy
+//!   through scheduled worker kills, recovery, supervision and lossy
 //!   live-reroute subscribers, verified against the sequential oracle —
 //!   the price of recovery, measured. Like the serve workload, timed
 //!   once (the service owns its threads).
@@ -567,7 +567,7 @@ fn main() {
     }
 
     // Workload 7: the chaos harness — ingestion through seeded worker
-    // kills, WAL replay and subscriber gap recovery, verified against
+    // kills, recovery and subscriber gap recovery, verified against
     // sequential replay. The service owns its threads (first pool entry
     // only), and every run must converge or the report aborts.
     {
@@ -609,6 +609,8 @@ fn main() {
             || {
                 let outcome = experiments::run_chaos_workload(&cfg, serve);
                 assert!(outcome.converged(), "chaos run diverged: {outcome:?}");
+                // Events of the batches killed workers held, re-applied
+                // by recovery: work done twice, so counted as ops.
                 mocp_obs::gauge!("serve.chaos.replayed_events").set(outcome.replayed_events as i64);
                 outcome.events_submitted + outcome.replayed_events
             },

@@ -27,8 +27,9 @@ fn usage() -> ! {
          [--mid-fraction F] [--subscribers S] [--capacity C] [--pairs P] [--batch B] \
          [--mesh SIDE] [--seed S] [--ingest-threads N] [--workers N] [--metrics]\n\
          Runs the seeded workload against a service armed with a derived fault\n\
-         plan: workers are killed at reproducible points, batches are replayed\n\
-         from the WAL, and gap-recovering subscribers resync through drops.\n\
+         plan: workers are killed at reproducible points, queued batches wait\n\
+         for the replacement worker, the batch a dead worker held is re-applied,\n\
+         and gap-recovering subscribers resync through drops.\n\
          The run exits non-zero on any divergence from the sequential oracle.\n\
          --quick shrinks everything to CI size; --metrics dumps the mocp_obs\n\
          registry (build with --features obs)."
@@ -109,7 +110,7 @@ fn main() {
 
     println!(
         "applied {} events across {} tenants in {:.3}s through {} worker kills \
-         ({} restarts, {} WAL events replayed)",
+         ({} restarts, {} held events re-applied)",
         outcome.events_submitted,
         outcome.tenants,
         elapsed.as_secs_f64(),

@@ -1,18 +1,19 @@
 //! Seeded chaos harness over the full fault-tolerant stack.
 //!
-//! Reuses the deterministic tenant streams of [`serve_workload`] but runs
-//! them against a [`MonitorService`] armed with a seeded
-//! [`ChaosPlan`](mocp_serve::ChaosPlan): workers are killed (cleanly and
-//! mid-apply) at reproducible dequeue counts while a subset of tenants is
-//! tracked by gap-recovering [`LiveReroute`] subscribers over deliberately
-//! tiny buffers — so every run exercises WAL replay, supervision,
-//! quarantine-and-rebuild, *and* subscriber gap resynchronization at once.
+//! Reuses the deterministic tenant streams of
+//! [`serve_workload`](crate::serve_workload) but runs them against a
+//! [`MonitorService`] armed with a seeded [`ChaosPlan`]: workers are
+//! killed (cleanly and mid-apply) at reproducible dequeue counts while a
+//! subset of tenants is tracked by gap-recovering [`LiveReroute`]
+//! subscribers over deliberately tiny buffers — so every run exercises queueing through outages,
+//! supervision, quarantine-and-rebuild from the fault set, *and*
+//! subscriber gap resynchronization at once.
 //!
 //! The harness then asserts the whole story end to end:
 //!
 //! * every tenant returns to [`TenantHealth::Live`];
 //! * every tenant's served state equals a **sequential replay** of its
-//!   stream ([`replay_tenant`]) — the same ground truth the fault-free
+//!   stream ([`replay_tenant`](crate::replay_tenant)) — the same ground truth the fault-free
 //!   workload pins, now across injected worker deaths;
 //! * every live route index equals **from-scratch routing** over the
 //!   tenant's final status map, despite dropped updates and recovery
@@ -137,7 +138,8 @@ pub struct ChaosOutcome {
     pub panicked_workers: u64,
     /// Supervisor respawns.
     pub restarts: u64,
-    /// Events re-applied from the WAL during recovery.
+    /// Events of batches that died with their worker, re-applied by
+    /// recovery.
     pub replayed_events: u64,
     /// `seq` gaps detected across all live subscribers.
     pub subscriber_gaps: u64,

@@ -31,7 +31,7 @@
 //! service ([`mocp_serve`]) — from the `serve_workload` binary, the
 //! sequential-equivalence tests and the `serve_ingest_1k_tenants` perf
 //! workload. The [`chaos_workload`] module runs the same streams against
-//! a service armed with a seeded fault plan — worker kills, WAL replay,
+//! a service armed with a seeded fault plan — worker kills, recovery,
 //! lossy live-reroute subscribers — and verifies convergence back to the
 //! sequential oracle (the `serve_chaos` binary and the chaos property
 //! test).

@@ -1,12 +1,12 @@
 //! Deterministic fault injection for the service.
 //!
-//! A [`ChaosPlan`] is armed at [`MonitorService::start_with_chaos`]
-//! (crate::MonitorService::start_with_chaos) and drives faults from
-//! *inside* the workers at exactly reproducible points: the plan speaks
-//! in terms of the global dequeue counter (the `n`-th batch any worker
-//! pulls off its queue), so a fixed plan plus a fixed workload yields
-//! the same kill sites run after run, regardless of thread scheduling
-//! jitter in between.
+//! A [`ChaosPlan`] is armed at
+//! [`MonitorService::start_with_chaos`](crate::MonitorService::start_with_chaos)
+//! and drives faults from *inside* the workers at exactly reproducible
+//! points: the plan speaks in terms of the global dequeue counter (the
+//! `n`-th batch any worker pulls off its queue), so a fixed plan plus a
+//! fixed workload yields the same kill sites run after run, regardless
+//! of thread scheduling jitter in between.
 //!
 //! Two externally held **gates** make the non-deterministic parts
 //! testable too:
@@ -35,13 +35,14 @@ pub const CHAOS_PANIC: &str = "chaos-injected";
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KillMode {
     /// The worker panics after dequeuing a batch but before touching the
-    /// tenant — the batch is lost from the queue, the engine stays
-    /// coherent (`Degraded`), and WAL replay must re-supply the batch.
+    /// tenant — the engine stays coherent (`Degraded`), and recovery
+    /// re-applies the batch the worker held.
     Clean,
     /// The worker panics *inside* the apply, after `after_events` of the
     /// batch's events have mutated the engine. The tenant is caught
-    /// mid-flight (`Rebuilding`, shard lock poisoned) and must be fully
-    /// rebuilt from checkpoint + WAL replay.
+    /// mid-flight (`Rebuilding`, shard lock poisoned); recovery rebuilds
+    /// its engine from the tenant's fault set and re-applies the held
+    /// batch.
     MidApply {
         /// Events of the fatal batch applied before the panic.
         after_events: usize,

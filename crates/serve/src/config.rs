@@ -27,11 +27,6 @@ pub struct ServeConfig {
     /// both produce identical polygons (see
     /// [`IncrementalEngine::with_solution`](mocp_incremental::IncrementalEngine::with_solution)).
     pub solution: CentralizedSolution,
-    /// How many applied events a tenant's write-ahead log may accumulate
-    /// before its suffix is folded into the checkpoint fault set. Lower
-    /// values keep the log small; higher values amortize the folding.
-    /// Clamped to at least 1.
-    pub wal_checkpoint_every: u64,
     /// How many applied batches may pass before a tenant's coherent
     /// snapshot (the state degraded reads are served from while the
     /// tenant is rebuilding) is refreshed. Lower values make degraded
@@ -47,7 +42,6 @@ impl Default for ServeConfig {
             workers: std::thread::available_parallelism().map_or(2, |n| n.get().max(2)),
             queue_capacity: 1024,
             solution: CentralizedSolution::ConcaveSections,
-            wal_checkpoint_every: 256,
             snapshot_every: 32,
         }
     }
@@ -84,12 +78,6 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the write-ahead log checkpoint interval (in events).
-    pub fn with_wal_checkpoint_every(mut self, events: u64) -> Self {
-        self.wal_checkpoint_every = events;
-        self
-    }
-
     /// Sets the coherent-snapshot refresh interval (in batches).
     pub fn with_snapshot_every(mut self, batches: u64) -> Self {
         self.snapshot_every = batches;
@@ -110,10 +98,9 @@ mod tests {
             .with_workers(3)
             .with_queue_capacity(16)
             .with_solution(CentralizedSolution::VirtualBlock)
-            .with_wal_checkpoint_every(17)
             .with_snapshot_every(5);
         assert_eq!((c.shards, c.workers, c.queue_capacity), (8, 3, 16));
         assert_eq!(c.solution, CentralizedSolution::VirtualBlock);
-        assert_eq!((c.wal_checkpoint_every, c.snapshot_every), (17, 5));
+        assert_eq!(c.snapshot_every, 5);
     }
 }

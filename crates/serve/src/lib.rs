@@ -44,13 +44,13 @@
 //! The service survives its own failures the way the paper's meshes
 //! survive theirs:
 //!
-//! * every batch is appended to a per-tenant **write-ahead log** before
-//!   it is enqueued, so batches that die with a worker are replayed —
-//!   [`MonitorService::quiesce`] still means "every accepted event is
-//!   applied" across worker panics;
-//! * a **supervisor** thread detects worker deaths, fences the dead
-//!   worker, rebuilds mid-apply tenants (checkpoint + WAL replay),
-//!   catches up coherent ones, and respawns a replacement;
+//! * each worker's bounded queue belongs to its **slot**, not its
+//!   thread, so batches queued behind a dead worker simply wait for the
+//!   replacement — [`MonitorService::quiesce`] still means "every
+//!   accepted event is applied" across worker panics;
+//! * a **supervisor** thread detects worker deaths, rebuilds mid-apply
+//!   tenants from their fault sets, re-applies the one batch the dead
+//!   worker held, and respawns a replacement on the same queue;
 //! * per-tenant **health** ([`TenantHealth`]) is surfaced through
 //!   queries; a rebuilding tenant serves its last coherent snapshot
 //!   instead of a half-applied engine, and poisoned locks are stripped,
@@ -89,7 +89,6 @@ mod config;
 mod registry;
 mod service;
 mod supervisor;
-mod wal;
 
 pub use chaos::{ChaosControl, ChaosPlan, KillMode, KillSpec};
 pub use config::ServeConfig;

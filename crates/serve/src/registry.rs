@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 use crossbeam::channel::Sender;
-use mesh2d::{Region, StatusMap};
+use mesh2d::{FaultSet, Region, StatusMap};
 use mocp_incremental::IncrementalEngine;
 
 use crate::service::{TenantId, TenantUpdate};
@@ -16,12 +16,13 @@ pub enum TenantHealth {
     /// A live worker owns the tenant and its engine is coherent.
     Live,
     /// The tenant's worker died but the engine is coherent — queries are
-    /// exact, ingestion is paused until the supervisor restores a
+    /// exact, and new batches queue until the supervisor restores a
     /// worker.
     Degraded,
     /// The engine is mid-rebuild (the worker died inside an apply, or a
     /// poisoned lock quarantined the tenant). Queries are served from
-    /// the last coherent snapshot until WAL replay completes.
+    /// the last coherent snapshot until the supervisor rebuilds the
+    /// engine from the tenant's fault set.
     Rebuilding,
 }
 
@@ -61,6 +62,9 @@ impl CoherentSnapshot {
 pub(crate) struct Tenant {
     /// The per-mesh incremental MFP engine.
     pub engine: IncrementalEngine,
+    /// The faults of every completely applied batch. The engine's state
+    /// is a pure function of this set, so recovery rebuilds from it.
+    pub faults: FaultSet,
     /// Batches applied so far; stamped onto fan-out updates so
     /// subscribers can detect (their own) missed updates.
     pub seq: u64,
@@ -82,6 +86,7 @@ impl Tenant {
     pub fn new(engine: IncrementalEngine) -> Self {
         let snapshot = CoherentSnapshot::capture(&engine, 0, 0);
         Tenant {
+            faults: FaultSet::new(*engine.mesh()),
             engine,
             seq: 0,
             events_applied: 0,

@@ -3,23 +3,23 @@
 //!
 //! # Fault tolerance
 //!
-//! Every batch is written to the per-tenant [`Wal`] *before* it is
-//! offered to a worker queue, so a worker death never loses accepted
-//! events. A dedicated supervisor thread watches for worker deaths
+//! Each worker [`Slot`] owns its bounded queue, so a worker death loses
+//! nothing that was queued: the batches wait for the replacement. The
+//! one batch a worker has dequeued is parked in the slot until it is
+//! applied. A dedicated supervisor thread watches for worker deaths
 //! (panics — including chaos-injected ones — are reported by a drop
-//! guard inside the worker), fences the dead worker (sender removed,
-//! epoch bumped so in-flight enqueue acknowledgements are rejected and
-//! resent), rebuilds or catches up every tenant the worker owned by WAL
-//! replay, and spawns a replacement. Queries keep working throughout:
-//! a tenant whose engine is coherent serves exact answers
+//! guard inside the worker), rebuilds every tenant caught mid-apply
+//! from its fault set, re-applies the parked batch, and spawns a
+//! replacement on the same queue. Queries keep working throughout: a
+//! tenant whose engine is coherent serves exact answers
 //! ([`TenantHealth::Degraded`]); a tenant caught mid-apply serves its
-//! last coherent snapshot ([`TenantHealth::Rebuilding`]) until replay
-//! completes. Poisoned locks are stripped, never propagated.
+//! last coherent snapshot ([`TenantHealth::Rebuilding`]) until it is
+//! rebuilt. Poisoned locks are stripped, never propagated.
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -33,7 +33,6 @@ use crate::chaos::{ChaosControl, ChaosPlan, KillMode, CHAOS_PANIC};
 use crate::config::ServeConfig;
 use crate::registry::{spread, CoherentSnapshot, ShardedRegistry, Tenant, TenantHealth};
 use crate::supervisor;
-use crate::wal::Wal;
 
 /// Tenant identifier: one monitored mesh per id.
 pub type TenantId = u64;
@@ -224,8 +223,8 @@ impl RetryPolicy {
 pub struct ShutdownReport {
     /// Worker threads that died by panic (chaos-injected or genuine).
     pub panicked_workers: u64,
-    /// Events re-applied from the write-ahead log by recoveries
-    /// (supervisor restarts and the final shutdown sweep).
+    /// Events of batches that died with their worker, re-applied by
+    /// recoveries (supervisor restarts and the final shutdown sweep).
     pub replayed_events: u64,
     /// Replacement workers the supervisor spawned.
     pub supervisor_restarts: u64,
@@ -246,7 +245,8 @@ pub struct ServiceStatsSnapshot {
     pub updates_dropped: u64,
     /// Replacement workers spawned by the supervisor.
     pub restarts: u64,
-    /// Events re-applied from the write-ahead log.
+    /// Events of batches that died with their worker, re-applied by
+    /// recovery.
     pub replayed_events: u64,
     /// Bounded ingest sends that timed out and backed off.
     pub ingest_retries: u64,
@@ -300,23 +300,19 @@ pub(crate) struct Ledger {
 }
 
 impl Ledger {
-    fn lock(&self) -> std::sync::MutexGuard<'_, (u64, u64)> {
-        self.counts.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     fn add_submitted(&self, n: u64) {
-        self.lock().0 += n;
+        lock(&self.counts).0 += n;
     }
 
     /// Compensation for a submission the channel refused after the
     /// submitted count was already bumped.
     fn retract_submitted(&self, n: u64) {
-        self.lock().0 -= n;
+        lock(&self.counts).0 -= n;
         self.drained.notify_all();
     }
 
     pub(crate) fn add_applied(&self, n: u64) {
-        let mut counts = self.lock();
+        let mut counts = lock(&self.counts);
         counts.1 += n;
         if counts.1 >= counts.0 {
             self.drained.notify_all();
@@ -324,7 +320,7 @@ impl Ledger {
     }
 
     fn wait_drained(&self) {
-        let mut counts = self.lock();
+        let mut counts = lock(&self.counts);
         while counts.1 < counts.0 {
             counts = self
                 .drained
@@ -337,7 +333,7 @@ impl Ledger {
     /// when the timeout elapsed first.
     fn wait_drained_timeout(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let mut counts = self.lock();
+        let mut counts = lock(&self.counts);
         while counts.1 < counts.0 {
             let now = Instant::now();
             if now >= deadline {
@@ -355,16 +351,9 @@ impl Ledger {
 
 /// One queued unit of ingestion: a tenant's events, applied atomically
 /// under the tenant's shard lock and fanned out as one coalesced update.
-/// Carries its WAL ticket — the tenant's absolute event and batch
-/// counts at append — so application is idempotent under resends.
-#[derive(Clone)]
 pub(crate) struct Batch {
-    tenant: TenantId,
-    events: Vec<FaultEvent>,
-    /// Tenant's absolute event count after this batch (WAL ticket).
-    upto: u64,
-    /// Tenant's absolute batch count after this batch (WAL ticket).
-    batch_no: u64,
+    pub tenant: TenantId,
+    pub events: Vec<FaultEvent>,
 }
 
 /// A worker death noticed by its [`DeathWatch`]. Whether the death was
@@ -375,12 +364,28 @@ pub(crate) struct WorkerDeath {
     pub worker: usize,
 }
 
-/// One worker's replaceable attachment points: the live queue sender
-/// (taken while the worker is down) and its join handle.
-#[derive(Default)]
+/// One worker's attachment points. The queue belongs to the slot, not
+/// to the thread: batches queued behind a dead worker wait for its
+/// replacement.
 pub(crate) struct Slot {
+    /// Taken at shutdown, which disconnects the queue once it drains.
     pub sender: Mutex<Option<Sender<Batch>>>,
+    pub receiver: Receiver<Batch>,
+    /// The batch the worker dequeued and has not finished applying.
+    pub inflight: Mutex<Option<Batch>>,
     pub handle: Mutex<Option<JoinHandle<()>>>,
+}
+
+impl Slot {
+    fn new(capacity: usize) -> Self {
+        let (sender, receiver) = channel::bounded(capacity.max(1));
+        Slot {
+            sender: Mutex::new(Some(sender)),
+            receiver,
+            inflight: Mutex::new(None),
+            handle: Mutex::new(None),
+        }
+    }
 }
 
 /// Everything shared between the front (submitters, queries), the
@@ -388,42 +393,33 @@ pub(crate) struct Slot {
 pub(crate) struct Core {
     pub config: ServeConfig,
     pub registry: ShardedRegistry,
-    pub wal: Wal,
     pub ledger: Ledger,
     pub stats: ServiceStats,
     pub slots: Vec<Slot>,
-    /// Per-worker fencing epochs: bumped by the supervisor before it
-    /// reads recovery specs, checked by submitters before they record
-    /// an enqueue acknowledgement (see [`Wal::mark_enqueued_if`]).
-    pub epochs: Vec<AtomicU64>,
     pub shutting_down: AtomicBool,
     pub deaths: Mutex<VecDeque<WorkerDeath>>,
     pub death_signal: Condvar,
     pub chaos: ChaosControl,
 }
 
+/// Locks `mutex`, stripping poison: a worker panic must not wedge the
+/// service.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl Core {
     pub fn worker_of(&self, tenant: TenantId) -> usize {
         (spread(tenant) % self.slots.len() as u64) as usize
     }
-
-    fn sender_of(&self, worker: usize) -> Option<Sender<Batch>> {
-        self.slots[worker]
-            .sender
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
 }
 
 /// The sharded multi-tenant monitoring service. See the [crate
-/// docs](crate) for the architecture and the [module
-/// docs](self) for the fault-tolerance design.
+/// docs](crate) for the architecture and the fault-tolerance design.
 ///
 /// Dropping the service shuts it down: queued batches are still drained
-/// (no accepted event is lost, even across worker deaths — WAL replay
-/// covers batches that died with their worker), then the workers exit
-/// and are joined. [`shutdown`](Self::shutdown) does the same
+/// (no accepted event is lost, even across worker deaths), then the
+/// workers exit and are joined. [`shutdown`](Self::shutdown) does the same
 /// explicitly and returns what happened.
 pub struct MonitorService {
     core: Arc<Core>,
@@ -446,11 +442,11 @@ impl MonitorService {
         let core = Arc::new(Core {
             config,
             registry: ShardedRegistry::new(config.shards),
-            wal: Wal::new(config.shards),
             ledger: Ledger::default(),
             stats: ServiceStats::default(),
-            slots: (0..workers).map(|_| Slot::default()).collect(),
-            epochs: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+            slots: (0..workers)
+                .map(|_| Slot::new(config.queue_capacity))
+                .collect(),
             shutting_down: AtomicBool::new(false),
             deaths: Mutex::new(VecDeque::new()),
             death_signal: Condvar::new(),
@@ -481,9 +477,6 @@ impl MonitorService {
     /// centralized solution. Returns `false` (and changes nothing) when
     /// the id is already registered. Tenants are never removed.
     pub fn create_tenant(&self, tenant: TenantId, mesh: Mesh2D) -> bool {
-        // WAL entry first: a worker can touch the tenant the instant it
-        // is visible in the registry, and the WAL must already be there.
-        self.core.wal.register(tenant, mesh);
         let created = self.core.registry.insert(
             tenant,
             Tenant::new(IncrementalEngine::with_solution(
@@ -503,131 +496,50 @@ impl MonitorService {
     }
 
     /// Submits a batch of events for `tenant`, blocking while the owning
-    /// worker's queue is full (backpressure) and riding out worker
-    /// deaths (the batch is resent to the replacement worker if its
-    /// acceptance could not be confirmed). Events of one tenant are
-    /// applied in submission order as long as each tenant is fed from
-    /// one thread at a time. An empty batch is a no-op.
+    /// worker's queue is full (backpressure). A worker death does not
+    /// refuse the batch: it queues for the replacement worker. Events of
+    /// one tenant are applied in submission order as long as each tenant
+    /// is fed from one thread at a time. An empty batch is a no-op.
     pub fn submit(&self, tenant: TenantId, events: Vec<FaultEvent>) -> Result<(), SubmitError> {
         if events.is_empty() {
             return Ok(());
         }
-        if !self.core.registry.contains(tenant) {
-            return Err(SubmitError::UnknownTenant(tenant));
-        }
-        let core = &self.core;
+        let sender = self.sender_for(tenant)?;
         let n = events.len() as u64;
         // Submitted is bumped before the send so `applied <= submitted`
-        // holds at every instant a worker could observe the batch; the
-        // WAL append precedes the send so no accepted event can be lost.
-        core.ledger.add_submitted(n);
-        let (upto, batch_no) = core.wal.append(tenant, &events);
-        let worker = core.worker_of(tenant);
-        loop {
-            if core.shutting_down.load(Ordering::SeqCst) {
-                core.wal.retract(tenant, n);
-                core.ledger.retract_submitted(n);
-                return Err(SubmitError::Shutdown);
-            }
-            let epoch = core.epochs[worker].load(Ordering::SeqCst);
-            let Some(sender) = core.sender_of(worker) else {
-                // The worker is down and being replaced; wait it out.
-                std::thread::sleep(Duration::from_micros(200));
-                continue;
-            };
-            let batch = Batch {
-                tenant,
-                events: events.clone(),
-                upto,
-                batch_no,
-            };
-            match sender.send(batch) {
-                Ok(())
-                    if core.wal.mark_enqueued_if(
-                        tenant,
-                        upto,
-                        batch_no,
-                        &core.epochs[worker],
-                        epoch,
-                    ) =>
-                {
-                    mocp_obs::counter!("serve.submitted").add(n);
-                    return Ok(());
-                }
-                // Epoch moved mid-send: the batch may sit in a dead
-                // queue, so resend to the replacement (idempotent —
-                // workers skip batches whose ticket is already applied).
-                Ok(()) => {}
-                // Queue died under us: the owning worker is being
-                // replaced.
-                Err(_) => std::thread::sleep(Duration::from_micros(200)),
-            }
+        // holds at every instant a worker could observe the batch.
+        self.core.ledger.add_submitted(n);
+        if sender.send(Batch { tenant, events }).is_err() {
+            self.core.ledger.retract_submitted(n);
+            return Err(SubmitError::Shutdown);
         }
+        mocp_obs::counter!("serve.submitted").add(n);
+        Ok(())
     }
 
     /// Like [`submit`](Self::submit) but never blocks: a full worker
-    /// queue (or one fenced off for recovery) returns
-    /// [`SubmitError::Backpressure`] with the batch fully rolled back —
-    /// nothing is partially enqueued and resubmitting later is safe.
+    /// queue returns [`SubmitError::Backpressure`] with the batch fully
+    /// rolled back — nothing is partially enqueued and resubmitting
+    /// later is safe.
     pub fn try_submit(&self, tenant: TenantId, events: Vec<FaultEvent>) -> Result<(), SubmitError> {
         if events.is_empty() {
             return Ok(());
         }
-        if !self.core.registry.contains(tenant) {
-            return Err(SubmitError::UnknownTenant(tenant));
-        }
-        let core = &self.core;
+        let sender = self.sender_for(tenant)?;
         let n = events.len() as u64;
-        core.ledger.add_submitted(n);
-        let (upto, batch_no) = core.wal.append(tenant, &events);
-        let worker = core.worker_of(tenant);
-        let rollback = |err| {
-            core.wal.retract(tenant, n);
-            core.ledger.retract_submitted(n);
-            Err(err)
-        };
-        let epoch = core.epochs[worker].load(Ordering::SeqCst);
-        let Some(sender) = core.sender_of(worker) else {
-            mocp_obs::counter!("serve.backpressure").inc();
-            return rollback(SubmitError::Backpressure(tenant));
-        };
-        let batch = Batch {
-            tenant,
-            events: events.clone(),
-            upto,
-            batch_no,
-        };
-        match sender.try_send(batch) {
-            Ok(())
-                if core.wal.mark_enqueued_if(
-                    tenant,
-                    upto,
-                    batch_no,
-                    &core.epochs[worker],
-                    epoch,
-                ) =>
-            {
+        self.core.ledger.add_submitted(n);
+        match sender.try_send(Batch { tenant, events }) {
+            Ok(()) => {
                 mocp_obs::counter!("serve.submitted").add(n);
                 Ok(())
             }
-            // Accepted by a queue that died mid-send: roll back (the
-            // unacknowledged batch is invisible to recovery) and report
-            // backpressure so the caller retries.
-            Ok(()) => {
-                mocp_obs::counter!("serve.backpressure").inc();
-                rollback(SubmitError::Backpressure(tenant))
-            }
-            Err(TrySendError::Full(_)) => {
-                mocp_obs::counter!("serve.backpressure").inc();
-                rollback(SubmitError::Backpressure(tenant))
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                if core.shutting_down.load(Ordering::SeqCst) {
-                    rollback(SubmitError::Shutdown)
-                } else {
-                    mocp_obs::counter!("serve.backpressure").inc();
-                    rollback(SubmitError::Backpressure(tenant))
+            Err(err) => {
+                self.core.ledger.retract_submitted(n);
+                if err.is_disconnected() {
+                    return Err(SubmitError::Shutdown);
                 }
+                mocp_obs::counter!("serve.backpressure").inc();
+                Err(SubmitError::Backpressure(tenant))
             }
         }
     }
@@ -646,71 +558,37 @@ impl MonitorService {
         if events.is_empty() {
             return Ok(());
         }
-        if !self.core.registry.contains(tenant) {
-            return Err(IngestError::UnknownTenant(tenant));
-        }
+        let sender = self.sender_for(tenant).map_err(|err| match err {
+            SubmitError::UnknownTenant(t) => IngestError::UnknownTenant(t),
+            _ => IngestError::Shutdown,
+        })?;
         let core = &self.core;
         let n = events.len() as u64;
         core.ledger.add_submitted(n);
-        let (upto, batch_no) = core.wal.append(tenant, &events);
-        let worker = core.worker_of(tenant);
         let deadline = Instant::now() + policy.deadline;
         let mut rng = StdRng::seed_from_u64(policy.seed ^ spread(tenant));
         let mut wait = policy.base.max(Duration::from_nanos(1));
         let mut retries = 0u32;
-        let saturate = |retries| {
-            core.wal.retract(tenant, n);
-            core.ledger.retract_submitted(n);
-            core.stats.ingest_saturated.fetch_add(1, Ordering::Relaxed);
-            mocp_obs::counter!("serve.ingest.saturated").inc();
-            Err(IngestError::Saturated { tenant, retries })
-        };
+        let mut batch = Batch { tenant, events };
         loop {
-            if core.shutting_down.load(Ordering::SeqCst) {
-                core.wal.retract(tenant, n);
-                core.ledger.retract_submitted(n);
-                return Err(IngestError::Shutdown);
-            }
-            let epoch = core.epochs[worker].load(Ordering::SeqCst);
-            let Some(sender) = core.sender_of(worker) else {
-                // Worker down; its replacement is the supervisor's job,
-                // bounded by our own deadline.
-                if Instant::now() >= deadline {
-                    return saturate(retries);
-                }
-                std::thread::sleep(Duration::from_micros(200));
-                continue;
-            };
-            let batch = Batch {
-                tenant,
-                events: events.clone(),
-                upto,
-                batch_no,
-            };
             // The backoff wait doubles as send time: waiting *inside*
             // the bounded send reacts the instant a slot opens.
             let attempt_deadline = deadline.min(Instant::now() + wait);
             match sender.send_deadline(batch, attempt_deadline) {
-                Ok(())
-                    if core.wal.mark_enqueued_if(
-                        tenant,
-                        upto,
-                        batch_no,
-                        &core.epochs[worker],
-                        epoch,
-                    ) =>
-                {
+                Ok(()) => {
                     mocp_obs::counter!("serve.submitted").add(n);
                     return Ok(());
                 }
-                // Worker replaced mid-send: resend (not a saturation).
-                Ok(()) => {}
-                Err(SendTimeoutError::Timeout(_)) => {
+                Err(SendTimeoutError::Timeout(returned)) => {
+                    batch = returned;
                     retries += 1;
                     core.stats.ingest_retries.fetch_add(1, Ordering::Relaxed);
                     mocp_obs::counter!("serve.ingest.retries").inc();
                     if retries > policy.max_retries || Instant::now() >= deadline {
-                        return saturate(retries);
+                        core.ledger.retract_submitted(n);
+                        core.stats.ingest_saturated.fetch_add(1, Ordering::Relaxed);
+                        mocp_obs::counter!("serve.ingest.saturated").inc();
+                        return Err(IngestError::Saturated { tenant, retries });
                     }
                     // Decorrelated jitter: next wait is uniform in
                     // [base, 3·previous), clamped to the cap.
@@ -720,19 +598,27 @@ impl MonitorService {
                     wait = Duration::from_nanos(rng.gen_range(base_ns..hi)).min(policy.cap);
                 }
                 Err(SendTimeoutError::Disconnected(_)) => {
-                    if Instant::now() >= deadline {
-                        return saturate(retries);
-                    }
-                    std::thread::sleep(Duration::from_micros(200));
+                    core.ledger.retract_submitted(n);
+                    return Err(IngestError::Shutdown);
                 }
             }
         }
     }
 
+    /// The owning worker's queue sender for a registered tenant.
+    fn sender_for(&self, tenant: TenantId) -> Result<Sender<Batch>, SubmitError> {
+        if !self.core.registry.contains(tenant) {
+            return Err(SubmitError::UnknownTenant(tenant));
+        }
+        let slot = &self.core.slots[self.core.worker_of(tenant)];
+        lock(&slot.sender).clone().ok_or(SubmitError::Shutdown)
+    }
+
     /// Blocks until every event submitted so far has been applied. New
     /// submissions racing with the wait extend it; with submissions
     /// stopped this is the "all queues drained" barrier. Worker deaths
-    /// extend the wait only until recovery replays the lost events.
+    /// extend the wait only until recovery and the replacement worker
+    /// have applied what the dead worker left behind.
     pub fn quiesce(&self) {
         self.core.ledger.wait_drained();
     }
@@ -861,7 +747,7 @@ impl MonitorService {
 
     /// Shuts the service down: disconnects the ingestion queues, lets
     /// the workers drain what was already queued, joins everything, and
-    /// replays whatever a late worker death left behind. Never panics —
+    /// finishes whatever a late worker death left behind. Never panics —
     /// worker panics are counted in the returned [`ShutdownReport`].
     pub fn shutdown(mut self) -> ShutdownReport {
         self.shutdown_in_place()
@@ -879,27 +765,16 @@ impl MonitorService {
         }
         // Disconnect the queues: workers drain what is queued and exit.
         for slot in &core.slots {
-            slot.sender
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take();
-        }
-        for slot in &core.slots {
-            let handle = slot
-                .handle
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take();
-            if let Some(handle) = handle {
-                if handle.join().is_err() {
-                    core.stats.panicked_workers.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+            lock(&slot.sender).take();
         }
         // Final sweep: a death during the drain had no supervisor left
-        // to recover it — replay whatever the WAL still holds.
-        for tenant in core.registry.ids() {
-            supervisor::recover_tenant(core, tenant);
+        // to recover it, so recover here and apply the rest of its queue.
+        for (worker, slot) in core.slots.iter().enumerate() {
+            supervisor::join_worker(core, worker);
+            supervisor::recover_worker(core, worker);
+            while let Ok(batch) = slot.receiver.try_recv() {
+                apply_batch(core, &batch, None);
+            }
         }
         let stats = core.stats.snapshot();
         ShutdownReport {
@@ -937,26 +812,16 @@ impl fmt::Debug for MonitorService {
     }
 }
 
-/// Spawns (or respawns) worker `w`: fresh bounded queue, thread, then
-/// the sender is published last so no batch can race the handle into
-/// the slot.
+/// Spawns (or respawns) worker `w` on its slot's queue.
 pub(crate) fn spawn_worker(core: &Arc<Core>, w: usize) {
-    let (tx, rx) = channel::bounded::<Batch>(core.config.queue_capacity.max(1));
     let handle = std::thread::Builder::new()
         .name(format!("mocp-serve-{w}"))
         .spawn({
             let core = Arc::clone(core);
-            move || worker_loop(&core, w, rx)
+            move || worker_loop(&core, w)
         })
         .expect("worker thread spawn cannot fail");
-    *core.slots[w]
-        .handle
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner) = Some(handle);
-    *core.slots[w]
-        .sender
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner) = Some(tx);
+    *lock(&core.slots[w].handle) = Some(handle);
 }
 
 /// Reports the enclosing worker's death to the supervisor from its
@@ -972,11 +837,7 @@ impl Drop for DeathWatch<'_> {
         if !panicked && self.core.shutting_down.load(Ordering::SeqCst) {
             return; // orderly exit at shutdown, not a death
         }
-        let mut deaths = self
-            .core
-            .deaths
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut deaths = lock(&self.core.deaths);
         deaths.push_back(WorkerDeath {
             worker: self.worker,
         });
@@ -985,14 +846,18 @@ impl Drop for DeathWatch<'_> {
     }
 }
 
-/// One worker: drain the queue, apply each batch under its tenant's
-/// shard lock, fan out the coalesced delta. Exits when the service
-/// disconnects the queue *and* every queued batch has been processed;
-/// a panic (chaos-injected or genuine) is reported by the
-/// [`DeathWatch`], which drops before the queue receiver.
-fn worker_loop(core: &Core, worker: usize, queue: Receiver<Batch>) {
+/// One worker: drain the slot's queue, apply each batch under its
+/// tenant's shard lock, fan out the coalesced delta. Exits when the
+/// service disconnects the queue *and* every queued batch has been
+/// processed; a panic (chaos-injected or genuine) is reported by the
+/// [`DeathWatch`] and leaves the batch in hand parked in the slot.
+fn worker_loop(core: &Core, worker: usize) {
     let _watch = DeathWatch { core, worker };
-    while let Ok(batch) = queue.recv() {
+    let slot = &core.slots[worker];
+    while let Ok(batch) = slot.receiver.recv() {
+        // Parked before anything can fail, cleared once applied.
+        let mut inflight = lock(&slot.inflight);
+        let batch = inflight.insert(batch);
         let mut panic_after = None;
         if let Some(mode) = core.chaos.on_dequeue(&core.shutting_down) {
             match mode {
@@ -1006,77 +871,68 @@ fn worker_loop(core: &Core, worker: usize, queue: Receiver<Batch>) {
             }
         }
         apply_batch(core, batch, panic_after);
+        *inflight = None;
     }
 }
 
-/// Applies one batch to its tenant under the shard lock. A duplicate
-/// resend (the WAL ticket shows the batch already applied) is skipped
-/// entirely.
+/// Applies one batch to its tenant under the shard lock.
+fn apply_batch(core: &Core, batch: &Batch, panic_after: Option<usize>) {
+    core.registry
+        .with(batch.tenant, |state| apply(core, state, batch, panic_after))
+        // Unknown tenants cannot happen today (submit checks and tenants
+        // are never removed).
+        .unwrap_or(())
+}
+
+/// Applies one batch to its tenant's state, which the caller holds
+/// under the shard lock.
 ///
 /// Health dips to `Rebuilding` for the duration of the mutation and
 /// back to `Live` before the lock is released: invisible in normal
 /// operation, but a panic mid-apply (chaos or genuine) leaves the
 /// quarantine marker set, so every later reader serves the snapshot
-/// instead of the half-applied engine.
-fn apply_batch(core: &Core, batch: Batch, panic_after: Option<usize>) {
+/// instead of the half-applied engine. The fault set only takes the
+/// batch once it is complete, so it always holds the pre-batch state a
+/// recovery rebuilds from.
+pub(crate) fn apply(core: &Core, state: &mut Tenant, batch: &Batch, panic_after: Option<usize>) {
     let _span = mocp_obs::span!("serve.apply");
     let tenant = batch.tenant;
-    core.registry
-        .with(tenant, |state| {
-            if batch.upto <= state.events_applied {
-                // Duplicate of an applied batch (resent because the
-                // submitter's acknowledgement raced a recovery).
-                return;
-            }
-            state.health = TenantHealth::Rebuilding;
-            let mut delta = StatusDelta::new();
-            for (i, &event) in batch.events.iter().enumerate() {
-                if panic_after == Some(i) {
-                    std::panic::panic_any(format!(
-                        "{CHAOS_PANIC}: mid-apply kill in tenant {tenant}"
-                    ));
-                }
-                delta.extend(state.engine.apply(event));
-            }
-            let n = batch.events.len() as u64;
-            state.seq = batch.batch_no;
-            state.events_applied = batch.upto;
-            // Applied mark and ledger credit inside the lock: recovery
-            // observes the engine mutation and its accounting atomically.
-            core.wal.mark_applied(
-                tenant,
-                batch.upto,
-                batch.batch_no,
-                core.config.wal_checkpoint_every,
-            );
-            if state.seq - state.snapshot.seq >= core.config.snapshot_every.max(1) {
-                state.snapshot =
-                    CoherentSnapshot::capture(&state.engine, state.seq, state.events_applied);
-            }
-            state.health = TenantHealth::Live;
-            let (sent, dropped) = fan_out(state, tenant, delta);
-            core.stats.batches.fetch_add(1, Ordering::Relaxed);
-            core.stats.events.fetch_add(n, Ordering::Relaxed);
-            core.stats.updates_sent.fetch_add(sent, Ordering::Relaxed);
-            core.stats
-                .updates_dropped
-                .fetch_add(dropped, Ordering::Relaxed);
-            mocp_obs::counter!("serve.batches").inc();
-            mocp_obs::counter!("serve.events").add(n);
-            // Ledger credit last: when `quiesce` returns, every applied
-            // batch's update and counters are already visible.
-            core.ledger.add_applied(n);
-        })
-        // Unknown tenants cannot happen today (submit checks and tenants
-        // are never removed), but losing that race must not wedge the
-        // ledger: the batch was never marked enqueued, so nothing leaks.
-        .unwrap_or(())
+    state.health = TenantHealth::Rebuilding;
+    let mut delta = StatusDelta::new();
+    for (i, &event) in batch.events.iter().enumerate() {
+        if panic_after == Some(i) {
+            std::panic::panic_any(format!("{CHAOS_PANIC}: mid-apply kill in tenant {tenant}"));
+        }
+        delta.extend(state.engine.apply(event));
+    }
+    for &event in &batch.events {
+        state.faults.apply(event);
+    }
+    let n = batch.events.len() as u64;
+    state.seq += 1;
+    state.events_applied += n;
+    if state.seq - state.snapshot.seq >= core.config.snapshot_every.max(1) {
+        state.snapshot = CoherentSnapshot::capture(&state.engine, state.seq, state.events_applied);
+    }
+    state.health = TenantHealth::Live;
+    let (sent, dropped) = fan_out(state, tenant, delta);
+    core.stats.batches.fetch_add(1, Ordering::Relaxed);
+    core.stats.events.fetch_add(n, Ordering::Relaxed);
+    core.stats.updates_sent.fetch_add(sent, Ordering::Relaxed);
+    core.stats
+        .updates_dropped
+        .fetch_add(dropped, Ordering::Relaxed);
+    mocp_obs::counter!("serve.batches").inc();
+    mocp_obs::counter!("serve.events").add(n);
+    // Ledger credit last: when `quiesce` returns, every applied batch's
+    // update and counters are already visible.
+    core.ledger.add_applied(n);
 }
 
 /// Delivers one batch's coalesced delta to the tenant's subscribers.
 /// Returns `(updates sent, updates dropped)`; disconnected subscribers
 /// are unregistered.
-pub(crate) fn fan_out(state: &mut Tenant, tenant: TenantId, delta: StatusDelta) -> (u64, u64) {
+fn fan_out(state: &mut Tenant, tenant: TenantId, delta: StatusDelta) -> (u64, u64) {
     if state.subscribers.is_empty() {
         return (0, 0);
     }

@@ -1,23 +1,22 @@
-//! Worker supervision: death detection, fencing, WAL replay, respawn.
+//! Worker supervision: death detection, recovery, respawn.
 //!
-//! One supervisor thread per service sleeps on the death signal. When a
-//! worker's [`DeathWatch`](crate::service) reports a death, the
-//! supervisor:
+//! One supervisor thread per service sleeps on the death signal. A
+//! worker's queue and the batch it was applying both live in its
+//! [`Slot`](crate::service), so nothing the worker was given dies with
+//! it. When a worker's [`DeathWatch`](crate::service) reports a death,
+//! the supervisor:
 //!
-//! 1. **fences** the dead worker — takes its queue sender (submitters
-//!    stop targeting the dead queue), bumps its epoch (in-flight enqueue
-//!    acknowledgements are rejected and the batches resent), joins the
-//!    corpse, and marks every owned tenant [`Degraded`] (engines still
-//!    coherent) — tenants caught mid-apply already carry [`Rebuilding`];
+//! 1. joins the corpse and marks every owned tenant [`Degraded`]
+//!    (engines still coherent) — tenants caught mid-apply already carry
+//!    [`Rebuilding`]. Submitters keep queueing batches meanwhile;
 //! 2. waits out the **recovery gate** (tests hold it to observe the
 //!    degraded states for as long as they need);
-//! 3. **recovers** each owned tenant from the write-ahead log: a
-//!    `Rebuilding` tenant's engine is rebuilt from the checkpoint fault
-//!    set plus a full suffix replay, a `Degraded` tenant's coherent
-//!    engine just catches up the enqueued-but-unapplied tail; either way
-//!    the tenant ends `Live` with a fresh coherent snapshot;
-//! 4. **respawns** a replacement worker (skipped during shutdown; the
-//!    shutdown path runs its own final recovery sweep instead).
+//! 3. **recovers** the worker's tenants: a `Rebuilding` tenant's engine
+//!    is rebuilt from its fault set, the batch the worker held is
+//!    re-applied (idempotent from the pre-batch set, because inject and
+//!    repair are absolute), and every tenant ends `Live`;
+//! 4. **respawns** a replacement worker on the same queue (skipped
+//!    during shutdown; the shutdown path runs its own final sweep).
 //!
 //! [`Degraded`]: crate::TenantHealth::Degraded
 //! [`Rebuilding`]: crate::TenantHealth::Rebuilding
@@ -26,11 +25,11 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, PoisonError};
 use std::thread::JoinHandle;
 
-use mesh2d::{FaultEvent, StatusDelta};
+use mesh2d::FaultEvent;
 use mocp_incremental::IncrementalEngine;
 
-use crate::registry::{spread, CoherentSnapshot, TenantHealth};
-use crate::service::{fan_out, spawn_worker, Core, TenantId, WorkerDeath};
+use crate::registry::TenantHealth;
+use crate::service::{apply, lock, spawn_worker, Core, TenantId};
 
 /// Spawns the supervisor thread for `core`.
 pub(crate) fn spawn(core: Arc<Core>) -> JoinHandle<()> {
@@ -43,11 +42,11 @@ pub(crate) fn spawn(core: Arc<Core>) -> JoinHandle<()> {
 fn supervisor_loop(core: &Arc<Core>) {
     loop {
         let death = {
-            let mut deaths = core.deaths.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut deaths = lock(&core.deaths);
             loop {
                 // Pending deaths are recovered even during shutdown —
-                // their tenants' WAL replay must not wait for the final
-                // sweep to discover them.
+                // their tenants must not wait for the final sweep to
+                // discover them.
                 if let Some(death) = deaths.pop_front() {
                     break Some(death);
                 }
@@ -61,126 +60,68 @@ fn supervisor_loop(core: &Arc<Core>) {
             }
         };
         let Some(death) = death else { return };
-        fence_worker(core, death);
+        join_worker(core, death.worker);
+        for tenant in owned_tenants(core, death.worker) {
+            core.registry.with(tenant, |state| {
+                if state.health == TenantHealth::Live {
+                    state.health = TenantHealth::Degraded;
+                }
+            });
+        }
         core.chaos.wait_recovery_gate(&core.shutting_down);
         recover_worker(core, death.worker);
+        if !core.shutting_down.load(Ordering::SeqCst) {
+            spawn_worker(core, death.worker);
+            core.stats.restarts.fetch_add(1, Ordering::Relaxed);
+            mocp_obs::counter!("serve.supervisor.restarts").inc();
+        }
     }
 }
 
-/// Fences a dead worker: no new batches reach its queue, no in-flight
-/// acknowledgement can slip past the recovery, the corpse is joined,
-/// and its tenants' health reflects the outage.
-fn fence_worker(core: &Core, death: WorkerDeath) {
-    core.slots[death.worker]
-        .sender
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .take();
-    // The epoch bump must precede the recovery-spec reads below: an
-    // acknowledgement validated after this line sees the new epoch and
-    // fails, so its batch is resent rather than silently lost with the
-    // dead queue.
-    core.epochs[death.worker].fetch_add(1, Ordering::SeqCst);
-    let handle = core.slots[death.worker]
-        .handle
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .take();
+/// Joins worker `worker`'s thread, if any, counting a panic.
+pub(crate) fn join_worker(core: &Core, worker: usize) {
+    let handle = lock(&core.slots[worker].handle).take();
     if let Some(handle) = handle {
         if handle.join().is_err() {
             core.stats.panicked_workers.fetch_add(1, Ordering::Relaxed);
         }
     }
-    for tenant in owned_tenants(core, death.worker) {
-        core.registry.with(tenant, |state| {
-            if state.health == TenantHealth::Live {
-                state.health = TenantHealth::Degraded;
-            }
-        });
-    }
-}
-
-/// Recovers every tenant of a fenced worker and spawns its replacement.
-fn recover_worker(core: &Arc<Core>, worker: usize) {
-    let _span = mocp_obs::span!("serve.recovery");
-    for tenant in owned_tenants(core, worker) {
-        recover_tenant(core, tenant);
-    }
-    if !core.shutting_down.load(Ordering::SeqCst) {
-        spawn_worker(core, worker);
-        core.stats.restarts.fetch_add(1, Ordering::Relaxed);
-        mocp_obs::counter!("serve.supervisor.restarts").inc();
-    }
 }
 
 fn owned_tenants(core: &Core, worker: usize) -> Vec<TenantId> {
-    let workers = core.slots.len() as u64;
     let mut tenants = core.registry.ids();
-    tenants.retain(|&t| spread(t) % workers == worker as u64);
+    tenants.retain(|&t| core.worker_of(t) == worker);
     tenants
 }
 
-/// Brings one tenant back to `Live` from the write-ahead log. Returns
-/// the number of events replayed. Also the shutdown path's final-sweep
-/// primitive; a no-op for tenants that are already live and caught up.
-pub(crate) fn recover_tenant(core: &Core, tenant: TenantId) -> u64 {
-    core.registry
-        .with(tenant, |state| {
-            let Some(spec) = core.wal.recovery_spec(tenant) else {
-                return 0;
-            };
-            if state.health == TenantHealth::Live && spec.lag_events == 0 {
-                return 0;
-            }
-            let replayed;
+/// Brings every tenant of a joined worker back to `Live`: rebuilds the
+/// ones caught mid-apply from their fault sets and re-applies the batch
+/// the worker held. Also the shutdown path's final-sweep primitive; a
+/// no-op for a worker that held nothing and left every tenant live.
+pub(crate) fn recover_worker(core: &Core, worker: usize) {
+    let _span = mocp_obs::span!("serve.recovery");
+    let mut held = lock(&core.slots[worker].inflight).take();
+    for tenant in owned_tenants(core, worker) {
+        core.registry.with(tenant, |state| {
             if state.health == TenantHealth::Rebuilding {
-                // The engine may be mid-apply (or behind a poisoned
-                // lock): rebuild from the checkpoint fault set plus the
-                // full enqueued suffix. Duplicate injects and
-                // repairs-of-healthy are engine no-ops, so overlap with
-                // whatever the dead worker half-applied is harmless.
-                let mesh = *state.engine.mesh();
-                let mut engine = IncrementalEngine::with_solution(mesh, core.config.solution);
-                for &c in spec.checkpoint.in_insertion_order() {
+                let mut engine =
+                    IncrementalEngine::with_solution(*state.engine.mesh(), core.config.solution);
+                for &c in state.faults.in_insertion_order() {
                     engine.apply(FaultEvent::Inject(c));
                 }
-                for &event in &spec.full_replay {
-                    engine.apply(event);
-                }
                 state.engine = engine;
-                replayed = spec.full_replay.len() as u64;
-                // No fan-out: subscribers see the seq jump as a gap and
-                // resynchronize from a status snapshot.
-            } else {
-                // Coherent engine (Degraded, or a live tenant in the
-                // shutdown sweep): catch up the enqueued-but-unapplied
-                // tail and fan it out as one coalesced update.
-                let mut delta = StatusDelta::new();
-                for &event in &spec.lag_replay {
-                    delta.extend(state.engine.apply(event));
-                }
-                replayed = spec.lag_replay.len() as u64;
-                state.seq = spec.batches_enqueued;
-                let (sent, dropped) = fan_out(state, tenant, delta);
-                core.stats.updates_sent.fetch_add(sent, Ordering::Relaxed);
-                core.stats
-                    .updates_dropped
-                    .fetch_add(dropped, Ordering::Relaxed);
             }
-            state.seq = spec.batches_enqueued;
-            state.events_applied = spec.enqueued;
-            state.snapshot =
-                CoherentSnapshot::capture(&state.engine, state.seq, state.events_applied);
-            state.health = TenantHealth::Live;
-            core.wal.complete_recovery(tenant);
-            core.ledger.add_applied(spec.lag_events);
-            if replayed > 0 {
+            // The rebuilt engine is the pre-batch state subscribers last
+            // saw, so the re-applied batch fans out as an ordinary update.
+            if let Some(batch) = held.take_if(|batch| batch.tenant == tenant) {
+                apply(core, state, &batch, None);
+                let replayed = batch.events.len() as u64;
                 core.stats
                     .replayed_events
                     .fetch_add(replayed, Ordering::Relaxed);
-                mocp_obs::counter!("serve.wal.replayed_events").add(replayed);
+                mocp_obs::counter!("serve.recovery.replayed_events").add(replayed);
             }
-            replayed
-        })
-        .unwrap_or(0)
+            state.health = TenantHealth::Live;
+        });
+    }
 }

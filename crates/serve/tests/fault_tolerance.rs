@@ -1,6 +1,6 @@
 //! Fault-tolerance integration tests: supervised recovery from worker
-//! kills, WAL replay equivalence, degraded reads, saturation, and the
-//! structured shutdown report.
+//! kills, replay equivalence, queueing through an outage, degraded reads,
+//! saturation, and the structured shutdown report.
 
 use std::time::{Duration, Instant};
 
@@ -154,7 +154,7 @@ fn mid_apply_kill_serves_snapshot_while_rebuilding_then_recovers() {
     wait_until("tenant 1 quarantined", || {
         service.health(1) == Some(TenantHealth::Rebuilding)
     });
-    // The supervisor fences the dead worker before it parks on the held
+    // The supervisor joins the dead worker before it parks on the held
     // recovery gate, so the coherent co-tenant degrades.
     wait_until("tenant 2 degraded", || {
         service.health(2) == Some(TenantHealth::Degraded)
@@ -199,7 +199,7 @@ fn mid_apply_kill_serves_snapshot_while_rebuilding_then_recovers() {
     );
     assert_matches_replay(&service, 2, mesh, &[FaultEvent::Inject(Coord::new(5, 5))]);
     let stats = service.stats();
-    assert!(stats.replayed_events >= 1, "WAL replayed the killed batch");
+    assert!(stats.replayed_events >= 1, "re-applied the killed batch");
     let report = service.shutdown();
     assert_eq!(report.panicked_workers, 1);
 }
@@ -324,4 +324,115 @@ fn multiple_kills_across_workers_converge() {
     let fired = service.chaos().kills_fired();
     let report = service.shutdown();
     assert_eq!(report.panicked_workers, fired);
+}
+
+#[test]
+fn batches_queue_through_an_outage_and_recovery_replays_only_the_held_batch() {
+    install_quiet_panic_hook();
+    let plan = ChaosPlan {
+        kills: vec![KillSpec {
+            after_batches: 2,
+            mode: KillMode::Clean,
+        }],
+    };
+    let service = MonitorService::start_with_chaos(
+        ServeConfig::default().with_workers(1).with_shards(2),
+        plan,
+    );
+    let mesh = Mesh2D::square(16);
+    assert!(service.create_tenant(1, mesh));
+    service.chaos().hold_recovery();
+
+    let batches = [
+        vec![FaultEvent::Inject(Coord::new(2, 2))],
+        // Dequeued second: the worker dies holding it.
+        vec![
+            FaultEvent::Inject(Coord::new(3, 3)),
+            FaultEvent::Inject(Coord::new(3, 4)),
+            FaultEvent::Repair(Coord::new(2, 2)),
+        ],
+        vec![
+            FaultEvent::Inject(Coord::new(8, 8)),
+            FaultEvent::Repair(Coord::new(3, 4)),
+        ],
+    ];
+    service.submit(1, batches[0].clone()).unwrap();
+    service.submit(1, batches[1].clone()).unwrap();
+    wait_until("the clean kill", || service.chaos().kills_fired() >= 1);
+    wait_until("tenant 1 degraded", || {
+        service.health(1) == Some(TenantHealth::Degraded)
+    });
+
+    // The queue outlives its worker: the outage accepts new batches,
+    // which wait for the replacement.
+    service
+        .try_submit(1, batches[2].clone())
+        .expect("a dead worker's queue still accepts batches");
+    let counts = service.counts(1).unwrap();
+    assert_eq!((counts.seq, counts.faulty), (1, 1), "only batch 1 applied");
+    assert_eq!(service.health(1), Some(TenantHealth::Degraded));
+
+    service.chaos().release_recovery();
+    service.quiesce();
+    wait_until("tenant 1 live", || {
+        service.health(1) == Some(TenantHealth::Live)
+    });
+    assert_matches_replay(&service, 1, mesh, &batches.concat());
+    assert_eq!(service.counts(1).unwrap().seq, 3);
+    assert_eq!(
+        service.stats().replayed_events,
+        batches[1].len() as u64,
+        "recovery re-applies exactly the held batch"
+    );
+    let report = service.shutdown();
+    assert_eq!(report.panicked_workers, 1);
+}
+
+#[test]
+fn a_death_during_the_shutdown_drain_loses_nothing() {
+    install_quiet_panic_hook();
+    let plan = ChaosPlan {
+        kills: vec![KillSpec {
+            after_batches: 3,
+            mode: KillMode::Clean,
+        }],
+    };
+    let service = MonitorService::start_with_chaos(
+        ServeConfig::default().with_workers(1).with_shards(2),
+        plan,
+    );
+    let mesh = Mesh2D::square(12);
+    assert!(service.create_tenant(1, mesh));
+    let updates = service.subscribe(1, None).unwrap();
+
+    // The gated worker holds batch 1; batches 2-6 stay queued until
+    // shutdown opens the gate, and the worker dies on batch 3.
+    service.chaos().hold_intake();
+    let events: Vec<FaultEvent> = (0..6i32)
+        .map(|i| match i {
+            4 => FaultEvent::Repair(Coord::new(2, 2)),
+            _ => FaultEvent::Inject(Coord::new(1 + i, 2)),
+        })
+        .collect();
+    for &event in &events {
+        service.submit(1, vec![event]).unwrap();
+    }
+    let report = service.shutdown();
+    assert_eq!(report.panicked_workers, 1);
+
+    // Every batch reached the subscriber, in order: replaying the
+    // deltas onto a fault-free map rebuilds the oracle's statuses.
+    let oracle = replay(mesh, &events);
+    let mut status = IncrementalEngine::new(mesh).status().clone();
+    let mut seqs = Vec::new();
+    for update in updates.try_iter() {
+        update.delta.apply_to(&mut status);
+        seqs.push(update.seq);
+    }
+    assert_eq!(
+        seqs,
+        (1..=6).collect::<Vec<u64>>(),
+        "no batch lost or repeated"
+    );
+    assert_eq!(&status, oracle.status());
 }

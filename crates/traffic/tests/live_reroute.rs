@@ -119,8 +119,8 @@ fn churn_with_worker_kill_and_drops_matches_oracle() {
     let sample = PairSample::random(&mesh, 60, 13);
     let mut live = LiveReroute::attach(&service, 1, &mesh, &sample, 2).unwrap();
 
-    // Fault/repair churn: batch 5 dies mid-apply and is replayed from the
-    // WAL; the capacity-2 subscription drops most of the rest.
+    // Fault/repair churn: batch 5 dies mid-apply and is re-applied by
+    // recovery; the capacity-2 subscription drops most of the rest.
     let churn: Vec<Vec<FaultEvent>> = (0..10i32)
         .map(|i| {
             let c = Coord::new(3 + i, 9);

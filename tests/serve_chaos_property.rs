@@ -8,7 +8,7 @@
 //! * every scheduled kill fired and every tenant is `Live` again;
 //! * every tenant's served status/regions equal [`replay_tenant`]'s
 //!   sequential ground truth (same equality the fault-free
-//!   `serve_workload` pins, now across worker deaths and WAL replay);
+//!   `serve_workload` pins, now across worker deaths and recovery);
 //! * every subscriber's `RerouteIndex` equals from-scratch routing over
 //!   the tenant's final state, despite dropped updates and recovery;
 //! * nothing was lost or double-applied: the submitted event count is
