@@ -84,23 +84,42 @@ impl BitGrid3 {
         grid
     }
 
-    /// The solid box `lo..=hi`: one x-line span mask (the
-    /// [`row_span_mask`] of the line's two end bits) copied into every
-    /// line of the frame.
+    /// The solid box `lo..=hi`.
     pub fn solid_box(lo: Coord3, hi: Coord3) -> Self {
         let mut grid = BitGrid3::with_bounds(lo, hi);
-        let ww = grid.width_words;
-        let mut ends = vec![0u64; ww];
+        grid.fill_box(lo, hi);
+        grid
+    }
+
+    /// Sets every cell of the box `lo..=hi`, which must lie inside the
+    /// frame: one x-line span mask (the [`row_span_mask`] of the box's two
+    /// end bits) ORed into each of the box's lines.
+    pub fn fill_box(&mut self, lo: Coord3, hi: Coord3) {
+        assert!(
+            lo.x <= hi.x && lo.y <= hi.y && lo.z <= hi.z,
+            "invalid bounds"
+        );
+        assert!(
+            self.in_frame(lo) && self.in_frame(hi),
+            "box outside the frame"
+        );
+        let first = ((lo.x - self.origin_x) / 64) as usize;
+        let n = ((hi.x - self.origin_x) / 64) as usize - first + 1;
+        let mut ends = vec![0u64; n];
         for x in [lo.x, hi.x] {
-            let dx = (x - grid.origin_x) as usize;
+            let dx = (x - self.origin_x) as usize - first * 64;
             ends[dx / 64] |= 1u64 << (dx % 64);
         }
-        let mut span = vec![0u64; ww];
+        let mut span = vec![0u64; n];
         row_span_mask(&ends, &mut span);
-        for line in grid.words.chunks_exact_mut(ww) {
-            line.copy_from_slice(&span);
+        for z in lo.z..=hi.z {
+            for y in lo.y..=hi.y {
+                let start = self.line_start(y, z) + first;
+                for (w, &s) in self.words[start..start + n].iter_mut().zip(&span) {
+                    *w |= s;
+                }
+            }
         }
-        grid
     }
 
     /// Number of lines (one per `(y, z)` pair).
@@ -903,8 +922,8 @@ pub(crate) fn boxes_touch(a: (Coord3, Coord3), b: (Coord3, Coord3)) -> bool {
         && blo.z <= ahi.z + 1
 }
 
-/// A union-find over `0..n` with path halving: the slab flood's stitch
-/// and the regrouping step of the 3-D merge process.
+/// A union-find over `0..n` with path halving: the slab flood's stitch,
+/// and the fault labelling and regrouping steps of the 3-D merge process.
 pub(crate) struct UnionFind {
     parent: Vec<usize>,
 }
@@ -958,7 +977,7 @@ impl Piece {
 }
 
 /// Storage-order sort key of a cell: `z`, then `y`, then `x`.
-fn zyx(c: Coord3) -> (i32, i32, i32) {
+pub(crate) fn zyx(c: Coord3) -> (i32, i32, i32) {
     (c.z, c.y, c.x)
 }
 
@@ -1148,6 +1167,45 @@ mod tests {
             assert!(solid.is_subset_of(&per_cell), "x0 {x0} width {width}");
             assert_eq!(solid.bounding_box(), Some((lo, hi)));
         }
+    }
+
+    /// `fill_box` against the per-cell box, ORed into a grid that already
+    /// holds cells inside and outside the box.
+    fn assert_fill_box_matches_cells(frame: (Coord3, Coord3), lo: Coord3, hi: Coord3) {
+        let outside = frame.0;
+        let mut g = BitGrid3::with_bounds(frame.0, frame.1);
+        g.set(outside);
+        g.set(hi);
+        g.fill_box(lo, hi);
+        let mut expected = std::collections::BTreeSet::from([(outside.x, outside.y, outside.z)]);
+        for z in lo.z..=hi.z {
+            for y in lo.y..=hi.y {
+                for x in lo.x..=hi.x {
+                    expected.insert((x, y, z));
+                }
+            }
+        }
+        let got: std::collections::BTreeSet<(i32, i32, i32)> =
+            g.iter().map(|c| (c.x, c.y, c.z)).collect();
+        assert_eq!(got, expected, "box {lo:?}..={hi:?}");
+    }
+
+    #[test]
+    fn fill_box_sets_exactly_the_box() {
+        // A 70 x 5 x 4 "mesh" frame starting at the origin.
+        let frame = (Coord3::new(0, 0, 0), Coord3::new(69, 4, 3));
+        let (lo, hi) = frame;
+        // A box on the mesh border (the far x/y/z faces).
+        assert_fill_box_matches_cells(frame, Coord3::new(66, 3, 2), hi);
+        // The whole mesh.
+        assert_fill_box_matches_cells(frame, lo, hi);
+        // x-extents crossing the 63/64 word boundary, and ending on it.
+        assert_fill_box_matches_cells(frame, Coord3::new(63, 1, 1), Coord3::new(64, 2, 2));
+        assert_fill_box_matches_cells(frame, Coord3::new(60, 0, 0), Coord3::new(63, 4, 0));
+        assert_fill_box_matches_cells(frame, Coord3::new(64, 0, 3), Coord3::new(64, 0, 3));
+        // A frame whose x-origin is a negative word.
+        let negative = (Coord3::new(-70, -2, -1), Coord3::new(5, 1, 1));
+        assert_fill_box_matches_cells(negative, Coord3::new(-65, -1, 0), Coord3::new(-63, 1, 1));
     }
 
     #[test]

@@ -28,6 +28,27 @@ impl<T: Clone> Grid3<T> {
     pub fn fill(&mut self, value: T) {
         self.data.fill(value);
     }
+
+    /// Overwrites the cells of the box `lo..=hi` (inclusive, inside the
+    /// mesh) with clones of `value`, one contiguous x-run per `(y, z)`
+    /// line.
+    pub fn fill_box(&mut self, lo: Coord3, hi: Coord3, value: T) {
+        assert!(
+            lo.x <= hi.x && lo.y <= hi.y && lo.z <= hi.z,
+            "invalid bounds"
+        );
+        assert!(
+            self.mesh.contains(lo) && self.mesh.contains(hi),
+            "box outside the mesh"
+        );
+        let run = (hi.x - lo.x) as usize + 1;
+        for z in lo.z..=hi.z {
+            for y in lo.y..=hi.y {
+                let start = self.mesh.index(Coord3::new(lo.x, y, z));
+                self.data[start..start + run].fill(value.clone());
+            }
+        }
+    }
 }
 
 impl<T> Grid3<T> {
@@ -122,6 +143,36 @@ mod tests {
         assert_eq!(g.as_slice()[0], 5);
         g.fill(1);
         assert_eq!(g.count_where(|&v| v == 1), 12);
+    }
+
+    /// `fill_box` against per-cell writes of the same box.
+    fn assert_fill_box_matches_cells(mesh: Mesh3D, lo: Coord3, hi: Coord3) {
+        let mut got = Grid3::for_mesh(&mesh, 0u8);
+        got[Coord3::new(0, 0, 0)] = 2;
+        let mut expected = got.clone();
+        got.fill_box(lo, hi, 1);
+        for z in lo.z..=hi.z {
+            for y in lo.y..=hi.y {
+                for x in lo.x..=hi.x {
+                    expected[Coord3::new(x, y, z)] = 1;
+                }
+            }
+        }
+        assert!(got == expected, "box {lo:?}..={hi:?}");
+    }
+
+    #[test]
+    fn fill_box_writes_exactly_the_box() {
+        let mesh = Mesh3D::new(70, 5, 4);
+        let far = Coord3::new(69, 4, 3);
+        // A box on the mesh border (the far x/y/z faces).
+        assert_fill_box_matches_cells(mesh, Coord3::new(66, 3, 2), far);
+        // The whole mesh.
+        assert_fill_box_matches_cells(mesh, Coord3::new(0, 0, 0), far);
+        // An x-run across the 63/64 word boundary of the bitmaps.
+        assert_fill_box_matches_cells(mesh, Coord3::new(63, 1, 1), Coord3::new(64, 2, 2));
+        // A single cell.
+        assert_fill_box_matches_cells(mesh, Coord3::new(5, 0, 3), Coord3::new(5, 0, 3));
     }
 
     #[test]

@@ -11,22 +11,38 @@
 //! the MFP-3D excluded set is a subset of the FB-3D excluded set at every
 //! step, so MFP-3D never disables more non-faulty nodes than FB-3D.
 //!
-//! # One flood, then regrouping
+//! # Labelling from the fault list, then regrouping
 //!
-//! The excluded set is flooded into components once, from the faults.
-//! After that the fixpoint tracks the components itself instead of
-//! re-flooding the union of the completions every round:
+//! The faults are labelled into 26-connected components once per
+//! construction, straight from the fault list: each fault, in injection
+//! order, joins the union-find classes of its already-placed neighbours,
+//! found through a dense slot map of the mesh. The components are ordered
+//! by their minimal `(z, y, x)` cell, the order a storage-order flood
+//! finds them in. After that the fixpoint tracks the components itself
+//! instead of re-flooding the union of the completions every round:
 //!
 //! * only the components that are new or were merged in the previous
 //!   round are completed — every other component is already the
-//!   completion of something, and completions are idempotent;
+//!   completion of something, and completions are idempotent (a single
+//!   node is its own hull, so it is never completed);
 //! * the completions are regrouped with a union-find over touching pairs.
 //!   Two components that both kept their shape were distinct components
 //!   of the previous set, so they cannot touch; only pairs with a member
 //!   that grew are tested, first on their bounding boxes with a ±1 halo
 //!   (exact for cuboids), then, for hulls, by a 26-dilation intersection;
-//! * each class is merged into one grid, and the classes are ordered by
-//!   their minimal `(z, y, x)` cell, the first-seen order of the flood.
+//! * each class is merged into one, and the classes are ordered by their
+//!   minimal `(z, y, x)` cell.
+//!
+//! FB-3D runs this fixpoint on boxes alone. Each of its parts is a
+//! bounding box with a flag telling whether the part fills it, and
+//! completing a part means taking its box. A merged class fills its joint
+//! box exactly when the union of its member boxes does, which is checked
+//! on one rasterized grid. A merged class takes the place of its first
+//! member, which keeps the parts sorted by low z (all the pair test's
+//! early break needs); the final boxes are sorted once by their low
+//! corner, which is their minimal cell. The regions become solid boxes
+//! only at the end, and the status grid is written one x-run per line.
+//! MFP-3D keeps a bitmap per part, since its hulls are not boxes.
 //!
 //! Completions are connected, so the classes of touching completions are
 //! exactly the 26-connected components of their union: every round
@@ -40,13 +56,14 @@
 //! components: any closed superset contains the completion of each of
 //! its connected pieces, so it contains every round's set.
 
-use crate::bitgrid::{boxes_touch, merge_classes, BitGrid3, Piece, UnionFind};
+use crate::bitgrid::{boxes_touch, merge_classes, zyx, BitGrid3, Piece, UnionFind};
 use crate::fault::FaultSet3;
 use crate::grid::Grid3;
 use crate::mesh::Mesh3D;
 use crate::region::{hull_bits, Region3};
 use distsim::RoundStats;
 use mesh2d::NodeStatus;
+use mocp_core::extension3d::Coord3;
 use mocp_topology::{FaultModel, Outcome};
 
 /// The outcome of running a 3-D fault-model construction on a faulty
@@ -58,32 +75,238 @@ use mocp_topology::{FaultModel, Outcome};
 /// `regions_disjoint`) come from the shared generic impl.
 pub type Outcome3 = Outcome<Mesh3D>;
 
-/// One merge-process completion of a 26-connected component: its solid
-/// bounding cuboid, or its minimum orthogonal convex hull. `None` when
-/// the component already is its own completion.
-fn complete(piece: &Piece, cuboid: bool) -> Option<BitGrid3> {
-    let completion = if cuboid {
-        BitGrid3::solid_box(piece.bbox.0, piece.bbox.1)
-    } else {
-        hull_bits(&piece.grid)
-    };
-    (completion.len() > piece.grid.len()).then_some(completion)
+/// An inclusive box `lo..=hi`.
+type Box3 = (Coord3, Coord3);
+
+/// Number of nodes in a box.
+fn volume((lo, hi): Box3) -> u64 {
+    (hi.x - lo.x + 1) as u64 * (hi.y - lo.y + 1) as u64 * (hi.z - lo.z + 1) as u64
 }
 
-/// The shared merge-process fixpoint: replace every 26-connected component
-/// of the excluded set by its completion until the set stops growing, then
-/// report the final components as the model's regions.
-fn merge_process(mesh: &Mesh3D, faults: &FaultSet3, name: &'static str, cuboid: bool) -> Outcome3 {
-    use rayon::prelude::*;
-    // Each component with whether it still needs completing (it is new or
-    // was merged in the previous round). Components stay sorted by their
-    // minimal cell, hence by the low z of their bounding box.
-    let mut parts: Vec<(Piece, bool)> = faults
-        .region()
-        .bits()
-        .components26()
+/// The smallest box containing both boxes.
+fn joint((alo, ahi): Box3, (blo, bhi): Box3) -> Box3 {
+    (
+        Coord3::new(alo.x.min(blo.x), alo.y.min(blo.y), alo.z.min(blo.z)),
+        Coord3::new(ahi.x.max(bhi.x), ahi.y.max(bhi.y), ahi.z.max(bhi.z)),
+    )
+}
+
+/// A 26-connected component of the faults.
+#[derive(Clone, Copy)]
+struct FaultComponent {
+    bbox: Box3,
+    min_cell: Coord3,
+    len: u64,
+}
+
+/// Labels the 26-connected components of the faults with a union-find
+/// over the fault list. Each fault, in injection order, joins the classes
+/// of its already-placed neighbours, looked up in a dense slot map of the
+/// mesh padded by one cell on every side, so no lookup needs a bounds
+/// check. Returns the components ordered by minimal `(z, y, x)` cell and,
+/// for each fault in injection order, the index of its component.
+fn fault_components(faults: &FaultSet3) -> (Vec<FaultComponent>, Vec<usize>) {
+    let list = faults.in_insertion_order();
+    let mesh = faults.mesh();
+    let sy = mesh.width() as usize + 2;
+    let sz = sy * (mesh.height() as usize + 2);
+    let slot = |c: Coord3| (c.x + 1) as usize + sy * (c.y + 1) as usize + sz * (c.z + 1) as usize;
+    let mut offsets = Vec::with_capacity(26);
+    for dz in -1isize..=1 {
+        for dy in -1isize..=1 {
+            for dx in -1isize..=1 {
+                if (dx, dy, dz) != (0, 0, 0) {
+                    offsets.push(dx + dy * sy as isize + dz * sz as isize);
+                }
+            }
+        }
+    }
+    // 1 + the list index of the fault placed in a slot; 0 while empty.
+    let mut slots = vec![0u32; sz * (mesh.depth() as usize + 2)];
+    let mut classes = UnionFind::new(list.len());
+    for (i, &c) in list.iter().enumerate() {
+        let s = slot(c);
+        for &offset in &offsets {
+            let placed = slots[s.wrapping_add_signed(offset)];
+            if placed != 0 {
+                classes.union(i, placed as usize - 1);
+            }
+        }
+        slots[s] = i as u32 + 1;
+    }
+
+    // Components in first-seen order, each with its smallest mesh index
+    // (x-major, so the `(z, y, x)` order of its minimal cell).
+    let mut component_of_root = vec![usize::MAX; list.len()];
+    let mut components: Vec<FaultComponent> = Vec::new();
+    let mut min_index: Vec<(usize, usize)> = Vec::new();
+    let mut labels: Vec<usize> = Vec::with_capacity(list.len());
+    for (i, &c) in list.iter().enumerate() {
+        let root = classes.find(i);
+        let index = mesh.index(c);
+        let mut k = component_of_root[root];
+        if k == usize::MAX {
+            k = components.len();
+            component_of_root[root] = k;
+            components.push(FaultComponent {
+                bbox: (c, c),
+                min_cell: c,
+                len: 1,
+            });
+            min_index.push((index, k));
+        } else {
+            let component = &mut components[k];
+            component.bbox = joint(component.bbox, (c, c));
+            component.len += 1;
+            if index < min_index[k].0 {
+                component.min_cell = c;
+                min_index[k].0 = index;
+            }
+        }
+        labels.push(k);
+    }
+    min_index.sort_unstable();
+    let mut rank = vec![0; components.len()];
+    for (r, &(_, k)) in min_index.iter().enumerate() {
+        rank[k] = r;
+    }
+    for label in &mut labels {
+        *label = rank[*label];
+    }
+    let components = min_index.iter().map(|&(_, k)| components[k]).collect();
+    (components, labels)
+}
+
+/// The FB-3D fixpoint, run on boxes: each part is its bounding box and
+/// whether it fills it, and completing a part means taking its box.
+fn cuboid_process(mesh: &Mesh3D, faults: &FaultSet3, name: &str) -> Outcome3 {
+    let (components, _) = fault_components(faults);
+    // Parts stay sorted by the low z of their box.
+    let mut parts: Vec<(Box3, bool)> = components
+        .iter()
+        .map(|c| (c.bbox, c.len == volume(c.bbox)))
+        .collect();
+    let mut growth_rounds = 0u32;
+    loop {
+        // Every part not yet solid grows into its box; after that all of
+        // them are solid.
+        let grown: Vec<usize> = (0..parts.len()).filter(|&i| !parts[i].1).collect();
+        if grown.is_empty() {
+            break;
+        }
+        growth_rounds += 1;
+
+        // Solid boxes touch exactly when their haloed boxes do. A grown
+        // part is tested against every later part, any other part only
+        // against the later grown ones.
+        let all: Vec<usize> = (0..parts.len()).collect();
+        let mut classes = UnionFind::new(parts.len());
+        let mut next_grown = 0;
+        for (i, &(a, _)) in parts.iter().enumerate() {
+            let grew = grown.get(next_grown) == Some(&i);
+            next_grown += grew as usize;
+            let later = if grew {
+                &all[i + 1..]
+            } else {
+                &grown[next_grown..]
+            };
+            for &j in later {
+                let b = parts[j].0;
+                if b.0.z > a.1.z + 1 {
+                    break; // sorted by low z: no later part comes closer
+                }
+                if boxes_touch(a, b) {
+                    classes.union(i, j);
+                }
+            }
+        }
+        parts = merge_boxes(&parts, &mut classes);
+    }
+    // Every part is a solid box now, whose minimal cell is its low corner.
+    parts.sort_by_key(|&((lo, _), _)| zyx(lo));
+
+    let mut status = Grid3::for_mesh(mesh, NodeStatus::Enabled);
+    for &((lo, hi), _) in &parts {
+        status.fill_box(lo, hi, NodeStatus::Disabled);
+    }
+    let regions = parts
         .into_iter()
-        .map(|grid| (Piece::new(grid), true))
+        .map(|((lo, hi), _)| Region3::from_bits(BitGrid3::solid_box(lo, hi)))
+        .collect();
+    finish(name, faults, regions, status, growth_rounds)
+}
+
+/// Regroups the parts after a round in which every one of them became
+/// solid: each union-find class becomes its joint box, which is solid
+/// exactly when the members' union fills it (checked on one grid with
+/// every member box filled in). A class takes the place of its first
+/// member, which has the lowest low z, so the parts stay sorted by it.
+fn merge_boxes(parts: &[(Box3, bool)], classes: &mut UnionFind) -> Vec<(Box3, bool)> {
+    let roots: Vec<usize> = (0..parts.len()).map(|i| classes.find(i)).collect();
+    let mut joined = vec![false; parts.len()];
+    for (i, &root) in roots.iter().enumerate() {
+        joined[root] |= root != i;
+    }
+    let mut members: Vec<(usize, usize)> = (0..parts.len())
+        .filter(|&i| joined[roots[i]])
+        .map(|i| (roots[i], i))
+        .collect();
+    members.sort_unstable();
+    let mut merged_at: Vec<Option<(Box3, bool)>> = vec![None; parts.len()];
+    for class in members.chunk_by(|a, b| a.0 == b.0) {
+        let boxes = || class.iter().map(|&(_, i)| parts[i].0);
+        let bbox = boxes().reduce(joint).expect("classes are non-empty");
+        // The union fills the joint box when a member is that box, and
+        // cannot when the members' volumes fall short of it.
+        let solid = boxes().any(|b| b == bbox)
+            || boxes().map(volume).sum::<u64>() >= volume(bbox) && {
+                let mut grid = BitGrid3::with_bounds(bbox.0, bbox.1);
+                for (lo, hi) in boxes() {
+                    grid.fill_box(lo, hi);
+                }
+                grid.len() as u64 == volume(bbox)
+            };
+        merged_at[class[0].1] = Some((bbox, solid));
+    }
+    (0..parts.len())
+        .filter_map(|i| {
+            if joined[roots[i]] {
+                merged_at[i]
+            } else {
+                Some((parts[i].0, true))
+            }
+        })
+        .collect()
+}
+
+/// The MFP-3D fixpoint: replace every 26-connected component of the
+/// excluded set by its minimum orthogonal convex hull until the set stops
+/// growing, then report the final components as the model's regions.
+fn merge_process(mesh: &Mesh3D, faults: &FaultSet3, name: &str) -> Outcome3 {
+    use rayon::prelude::*;
+    let (components, labels) = fault_components(faults);
+    let mut grids: Vec<BitGrid3> = components
+        .iter()
+        .map(|c| BitGrid3::with_bounds(c.bbox.0, c.bbox.1))
+        .collect();
+    for (&c, &k) in faults.in_insertion_order().iter().zip(&labels) {
+        grids[k].set(c);
+    }
+    // Each component with whether it still needs completing (it is new or
+    // was merged in the previous round; a single node is its own hull).
+    // Components stay sorted by their minimal cell, hence by the low z of
+    // their bounding box.
+    let mut parts: Vec<(Piece, bool)> = components
+        .iter()
+        .zip(grids)
+        .map(|(c, grid)| {
+            let piece = Piece {
+                grid,
+                bbox: c.bbox,
+                min_cell: c.min_cell,
+            };
+            (piece, c.len > 1)
+        })
         .collect();
     let mut growth_rounds = 0u32;
     loop {
@@ -92,7 +315,10 @@ fn merge_process(mesh: &Mesh3D, faults: &FaultSet3, name: &'static str, cuboid: 
         // with one effective thread this is a plain sequential map).
         let completions: Vec<Option<BitGrid3>> = parts
             .par_iter()
-            .map(|(piece, open)| if *open { complete(piece, cuboid) } else { None })
+            .map(|(piece, open)| {
+                open.then(|| hull_bits(&piece.grid))
+                    .filter(|hull| hull.len() > piece.grid.len())
+            })
             .collect();
         let mut grew = vec![false; parts.len()];
         for (i, completion) in completions.into_iter().enumerate() {
@@ -117,12 +343,8 @@ fn merge_process(mesh: &Mesh3D, faults: &FaultSet3, name: &'static str, cuboid: 
                 if !(grew[i] || grew[j]) || !boxes_touch(a.bbox, b.bbox) {
                     continue;
                 }
-                // Cuboids touch exactly when their haloed boxes do.
-                let touching = cuboid || {
-                    let dilated = dilated.get_or_insert_with(|| a.grid.dilate26());
-                    b.grid.intersects(dilated)
-                };
-                if touching {
+                let dilated = dilated.get_or_insert_with(|| a.grid.dilate26());
+                if b.grid.intersects(dilated) {
                     classes.union(i, j);
                 }
             }
@@ -137,18 +359,30 @@ fn merge_process(mesh: &Mesh3D, faults: &FaultSet3, name: &'static str, cuboid: 
         .into_iter()
         .map(|(piece, _)| Region3::from_bits(piece.grid))
         .collect();
-    let excluded: usize = regions.iter().map(Region3::len).sum();
-
-    mocp_obs::counter!("merge3d.constructions").inc();
-    mocp_obs::counter!("merge3d.growth_rounds").add(growth_rounds as u64);
-    mocp_obs::counter!("merge3d.excluded_beyond_faults").add((excluded - faults.len()) as u64);
-
     let mut status = Grid3::for_mesh(mesh, NodeStatus::Enabled);
     for region in &regions {
         for c in region.iter() {
             status[c] = NodeStatus::Disabled;
         }
     }
+    finish(name, faults, regions, status, growth_rounds)
+}
+
+/// The shared tail of both fixpoints: marks the faults on the status grid
+/// (which already disables every region node), records the merge
+/// counters and assembles the outcome.
+fn finish(
+    name: &str,
+    faults: &FaultSet3,
+    regions: Vec<Region3>,
+    mut status: Grid3<NodeStatus>,
+    growth_rounds: u32,
+) -> Outcome3 {
+    let excluded: usize = regions.iter().map(Region3::len).sum();
+    mocp_obs::counter!("merge3d.constructions").inc();
+    mocp_obs::counter!("merge3d.growth_rounds").add(growth_rounds as u64);
+    mocp_obs::counter!("merge3d.excluded_beyond_faults").add((excluded - faults.len()) as u64);
+
     for &c in faults.in_insertion_order() {
         status[c] = NodeStatus::Faulty;
     }
@@ -180,7 +414,7 @@ impl FaultModel<Mesh3D> for FaultyCuboidModel {
     }
 
     fn construct(&self, mesh: &Mesh3D, faults: &FaultSet3) -> Outcome3 {
-        merge_process(mesh, faults, FaultModel::name(self), true)
+        cuboid_process(mesh, faults, FaultModel::name(self))
     }
 }
 
@@ -196,7 +430,7 @@ impl FaultModel<Mesh3D> for MinimumPolyhedronModel {
     }
 
     fn construct(&self, mesh: &Mesh3D, faults: &FaultSet3) -> Outcome3 {
-        merge_process(mesh, faults, FaultModel::name(self), false)
+        merge_process(mesh, faults, FaultModel::name(self))
     }
 }
 

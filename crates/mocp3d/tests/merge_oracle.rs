@@ -1,12 +1,13 @@
 //! Differential property test of the 3-D merge process.
 //!
-//! `FaultyCuboidModel` and `MinimumPolyhedronModel` flood the faults once
-//! and then regroup touching completions with a union-find. The oracle
-//! here is the full-relabel fixpoint that construction replaced: complete
-//! every component, re-flood the union of the completions with
-//! `components26`, and repeat until the excluded set stops growing. Both
-//! must agree on the regions (content and order), the round count, the
-//! event count and the status grid.
+//! `FaultyCuboidModel` and `MinimumPolyhedronModel` label the faults once,
+//! from the fault list, and then regroup touching completions with a
+//! union-find; FB-3D runs that fixpoint on boxes alone. The oracle here is
+//! the full-relabel fixpoint on bitmaps that construction replaced:
+//! complete every component (cuboid cell by cell, or hull), re-flood the
+//! union of the completions with `components26`, and repeat until the
+//! excluded set stops growing. Both must agree on the regions (content and
+//! order), the round count, the event count and the status grid.
 
 use faultgen::FaultDistribution;
 use mesh2d::NodeStatus;
@@ -158,6 +159,26 @@ proptest! {
         );
         check(&mesh, &faults);
     }
+
+    /// Boxes with unequal sides (`d > h`), half of them wider than one
+    /// 64-bit word, so the slot map's strides, its border padding and the
+    /// bitmaps' word boundary all come into play.
+    #[test]
+    fn merge_process_matches_the_oracle_on_non_cubic_meshes(
+        narrow in 1u32..33,
+        wide in 0u32..2,
+        h in 1u32..13,
+        taller in 1u32..6,
+        permille in 5usize..120,
+        clustered in 0u32..2,
+        seed in 0u64..100_000,
+    ) {
+        let w = narrow + 64 * wide;
+        let mesh = Mesh3D::new(w, h, h + taller);
+        let count = (mesh.node_count() * permille / 1000).max(1);
+        let faults = generate_faults_3d(mesh, count, distribution(clustered == 1), seed);
+        check(&mesh, &faults);
+    }
 }
 
 /// A 70-wide mesh: regions straddle the x = 63/64 word boundary, both
@@ -191,4 +212,108 @@ fn merge_process_matches_the_oracle_across_the_word_boundary() {
         straddling.iter().map(|&(x, y, z)| Coord3::new(x, y, z)),
     );
     check(&mesh, &faults);
+}
+
+/// A fault set from coordinate triples.
+fn fault_set(mesh: Mesh3D, cells: &[(i32, i32, i32)]) -> FaultSet3 {
+    FaultSet3::from_coords(mesh, cells.iter().map(|&(x, y, z)| Coord3::new(x, y, z)))
+}
+
+/// Two staircases, apart under 26-adjacency, whose boxes (x 1..=2 and
+/// x 3..=4, both over y 2..=5) abut: their union is itself a cuboid, so
+/// the merged class is already solid and the fixpoint stops after one
+/// round.
+#[test]
+fn abutting_cuboids_whose_union_is_a_cuboid_stay_solid() {
+    let mesh = Mesh3D::cube(8);
+    let faults = fault_set(
+        mesh,
+        &[
+            (2, 2, 3),
+            (1, 3, 3),
+            (1, 4, 3),
+            (1, 5, 3),
+            (3, 5, 3),
+            (4, 4, 3),
+            (4, 3, 3),
+            (4, 2, 3),
+        ],
+    );
+    check(&mesh, &faults);
+    let fb = FaultyCuboidModel.construct(&mesh, &faults);
+    assert_eq!(fb.regions.len(), 1);
+    assert_eq!(fb.regions[0].len(), 16);
+    assert_eq!(fb.rounds.rounds, 1);
+}
+
+/// A diagonal whose box swallows part of a second component's box: the
+/// two completions overlap, and their union needs one more round.
+#[test]
+fn overlapping_completions_merge() {
+    let mesh = Mesh3D::cube(8);
+    let mut cells: Vec<(i32, i32, i32)> = (1..=5).map(|a| (a, a, 2)).collect();
+    cells.extend([(4, 1, 2), (5, 1, 2), (6, 2, 2)]);
+    let faults = fault_set(mesh, &cells);
+    check(&mesh, &faults);
+    let fb = FaultyCuboidModel.construct(&mesh, &faults);
+    assert_eq!(fb.regions.len(), 1);
+    assert_eq!(fb.regions[0].len(), 30);
+    assert_eq!(fb.rounds.rounds, 2);
+}
+
+/// Each round's new box reaches the next single fault: A = (2,2)-(3,3)
+/// takes B = (4,1), their box takes C = (5,4), that box takes D = (1,5).
+#[test]
+fn a_chain_merges_over_several_rounds() {
+    let mesh = Mesh3D::cube(10);
+    let faults = fault_set(
+        mesh,
+        &[(2, 2, 2), (3, 3, 2), (4, 1, 2), (5, 4, 2), (1, 5, 2)],
+    );
+    assert!(check(&mesh, &faults) >= 3);
+    let fb = FaultyCuboidModel.construct(&mesh, &faults);
+    assert_eq!(fb.rounds.rounds, 4);
+    assert_eq!(fb.regions.len(), 1);
+    assert_eq!(fb.regions[0].len(), 25);
+}
+
+/// A small non-convex component in each of the eight corners of a
+/// non-cubic mesh: neighbour lookups reach into the slot map's padding
+/// on three sides at once.
+#[test]
+fn faults_in_all_eight_corners() {
+    let mesh = Mesh3D::new(70, 6, 9);
+    let mut cells = Vec::new();
+    for (x, sx) in [(0, 1), (69, -1)] {
+        for (y, sy) in [(0, 1), (5, -1)] {
+            for (z, sz) in [(0, 1), (8, -1)] {
+                cells.push((x, y, z));
+                cells.push((x + sx, y + sy, z + sz));
+                cells.push((x + 2 * sx, y, z));
+            }
+        }
+    }
+    let faults = fault_set(mesh, &cells);
+    check(&mesh, &faults);
+    let fb = FaultyCuboidModel.construct(&mesh, &faults);
+    assert_eq!(fb.regions.len(), 8);
+    assert!(fb.regions.iter().all(|r| r.len() == 12));
+}
+
+/// Exactly what the `figures` 3-D sweep constructs: 32³, 100..800 faults,
+/// random and clustered, seeds 2004..=2006. Too slow for debug runs; run
+/// it with `cargo test --release -p mocp_3d --test merge_oracle --
+/// --include-ignored`.
+#[test]
+#[ignore]
+fn merge_process_matches_the_oracle_on_the_paper_sweep() {
+    let mesh = Mesh3D::cube(32);
+    for seed in 2004..=2006 {
+        for clustered in [false, true] {
+            for count in (1..=8).map(|i| i * 100) {
+                let faults = generate_faults_3d(mesh, count, distribution(clustered), seed);
+                check(&mesh, &faults);
+            }
+        }
+    }
 }

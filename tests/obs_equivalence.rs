@@ -110,6 +110,8 @@ fn live_metrics_leave_the_3d_golden_figures_byte_identical() {
     }
     assert!(counter_value("hull3d.hulls") > 0);
     assert!(counter_value("hull3d.fixpoint_rounds") > 0);
+    assert!(counter_value("merge3d.constructions") > 0);
+    assert!(counter_value("merge3d.growth_rounds") > 0);
 }
 
 #[test]

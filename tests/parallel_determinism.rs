@@ -6,10 +6,11 @@
 //! (b) ordered parallel collects (output index = input index), and
 //! (c) a sequential trial-order fold of the averages, so the f64
 //! accumulation order never depends on scheduling. On the 3-D path the
-//! slab-parallel `components26` additionally sorts stitched components
-//! into the sequential flood's first-seen order. If any of those breaks,
-//! the CSVs below diverge between 1, 2 and 8 threads — and from the
-//! golden fixtures that pin them to the pre-redesign sweeps.
+//! merge process orders fault components by their minimal `(z, y, x)`
+//! cell and completes MFP-3D hulls with an ordered parallel collect. If
+//! any of those breaks, the CSVs below diverge between 1, 2 and 8
+//! threads — and from the golden fixtures that pin them to the
+//! pre-redesign sweeps.
 
 use mocp::experiments::scenario::{run_scenario, Metric, Scenario};
 use mocp::experiments::{render_csv, SweepConfig};
