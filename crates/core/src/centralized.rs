@@ -19,12 +19,21 @@
 //! keep extra healthy nodes disabled merely because border nodes have fewer
 //! neighbors, and the centralized solutions, the distributed protocol and
 //! the specification would disagree on border components.
+//!
+//! The window is a reusable packed [`LabelFrame`] in window-local
+//! coordinates (the window's origin may be `(-1, -1)` in mesh
+//! coordinates): the component's faults are loaded as bits, both schemes
+//! run bit-parallel, and the polygon is read off the frame's disabled
+//! bits. The batch models and the incremental engine hold the frame in
+//! their [`ConstructionScratch`](crate::ConstructionScratch), so the solve
+//! allocates only the output polygon. `mocp_core`'s `construct_oracle`
+//! test keeps the per-window `FaultSet`/`Grid` emulation this replaced as
+//! its oracle.
 
 use crate::component::FaultyComponent;
 use distsim::RoundStats;
-use fblock::scheme1::label_safety;
-use fblock::scheme2::label_activation;
-use mesh2d::{Activation, Coord, FaultSet, Mesh2D, Rect, Region};
+use fblock::LabelFrame;
+use mesh2d::{Coord, Mesh2D, Rect, Region};
 
 /// Centralized solution 1 (virtual faulty block + labelling schemes 1 and 2).
 #[derive(Clone, Copy, Debug, Default)]
@@ -43,34 +52,45 @@ pub struct ComponentSolution {
 }
 
 impl VirtualBlockSolver {
-    /// Solves a single component.
+    /// Solves a single component on a fresh window frame.
     pub fn solve(&self, _mesh: &Mesh2D, component: &FaultyComponent) -> ComponentSolution {
+        self.solve_with(component, &mut LabelFrame::new())
+    }
+
+    /// Solves a single component on a caller-provided window frame, which
+    /// is re-framed to the component's window.
+    pub fn solve_with(
+        &self,
+        component: &FaultyComponent,
+        frame: &mut LabelFrame,
+    ) -> ComponentSolution {
         let window = window_around(component.virtual_block());
         let offset = window.min();
-        let window_mesh = Mesh2D::mesh(window.width(), window.height());
-
-        // Translate the component's faults into window coordinates.
-        let local_faults = FaultSet::from_coords(
-            window_mesh,
-            component
-                .iter()
-                .map(|c| Coord::new(c.x - offset.x, c.y - offset.y)),
-        );
+        frame.reset(window.width() as i32, window.height() as i32);
+        for c in component.iter() {
+            frame.mark_fault(Coord::new(c.x - offset.x, c.y - offset.y));
+        }
 
         // Labelling scheme 1 grows the component into its virtual faulty
         // block; labelling scheme 2 shrinks it to the minimum polygon.
-        let (safety, rounds1) = label_safety(&window_mesh, &local_faults);
-        let (activation, rounds2) = label_activation(&window_mesh, &local_faults, &safety);
+        let rounds = frame.grow().then(frame.shrink());
 
-        let polygon = Region::from_coords(
-            activation
-                .coords_where(|&a| a == Activation::Disabled)
-                .map(|c| Coord::new(c.x + offset.x, c.y + offset.y)),
-        );
-        ComponentSolution {
-            polygon,
-            rounds: rounds1.then(rounds2),
-        }
+        let disabled = frame.excluded();
+        let translated = disabled
+            .iter()
+            .map(|c| Coord::new(c.x + offset.x, c.y + offset.y));
+        // Small polygons (most components are a fault or two) build cheaper
+        // by direct insertion than through the bulk path.
+        let polygon = if disabled.len() <= 16 {
+            let mut polygon = Region::new();
+            for c in translated {
+                polygon.insert(c);
+            }
+            polygon
+        } else {
+            Region::from_coords(translated)
+        };
+        ComponentSolution { polygon, rounds }
     }
 }
 

@@ -9,11 +9,6 @@
 use mesh2d::{BitGrid, BitScratch, Connectivity, Coord, FaultSet, Rect, Region};
 use serde::{Deserialize, Serialize};
 
-/// Size cap under which [`merge_components`] re-verifies against the
-/// scalar `Region::components` oracle in debug builds (larger fault sets
-/// are pinned by the property tests).
-const ORACLE_NODE_CAP: usize = 1024;
-
 /// A maximal set of mutually 8-adjacent faulty nodes, together with the
 /// bounding-box bookkeeping (`min_x`, `min_y`, `max_x`, `max_y`) the merge
 /// process maintains.
@@ -90,8 +85,10 @@ impl FaultyComponent {
 /// order (by their smallest node).
 ///
 /// Labelling runs as a word-scan flood over the packed fault bitmap
-/// (find-first-set seeds, whole-word frontier expansion); the scalar
-/// `Region::components` decomposition remains the debug oracle.
+/// (find-first-set seeds, whole-word frontier expansion), and each
+/// component's region is read straight off the flood buffer. The scalar
+/// `Region::components` decomposition is the oracle of the
+/// `construct_oracle` test.
 pub fn merge_components(faults: &FaultSet) -> Vec<FaultyComponent> {
     merge_components_with(faults, &mut BitScratch::new())
 }
@@ -99,24 +96,14 @@ pub fn merge_components(faults: &FaultSet) -> Vec<FaultyComponent> {
 /// [`merge_components`] with caller-provided flood scratch buffers, for
 /// allocation-free steady-state use by the sweep loops.
 pub fn merge_components_with(faults: &FaultSet, scratch: &mut BitScratch) -> Vec<FaultyComponent> {
-    let bits = BitGrid::from_coords(faults.in_insertion_order().iter().copied());
-    let components: Vec<FaultyComponent> = bits
-        .components_with(Connectivity::Eight, scratch)
-        .iter()
-        .map(|comp| FaultyComponent::new(comp.to_region()))
-        .collect();
-    debug_assert!(
-        faults.len() > ORACLE_NODE_CAP
-            || components
-                == faults
-                    .region()
-                    .components(Connectivity::Eight)
-                    .into_iter()
-                    .map(FaultyComponent::new)
-                    .collect::<Vec<_>>(),
-        "word-flood merge process diverged from the scalar oracle"
-    );
-    components
+    let mut bits = BitGrid::for_mesh(faults.mesh());
+    for &c in faults.in_insertion_order() {
+        bits.set(c);
+    }
+    bits.component_regions_with(Connectivity::Eight, scratch)
+        .into_iter()
+        .map(FaultyComponent::new)
+        .collect()
 }
 
 #[cfg(test)]

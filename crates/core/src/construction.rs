@@ -23,6 +23,7 @@ use crate::centralized::VirtualBlockSolver;
 use crate::component::FaultyComponent;
 use crate::concave::ConcaveSectionSolver;
 use distsim::RoundStats;
+use fblock::LabelFrame;
 use mesh2d::{BitGrid, BitScratch, Connectivity, Coord, Mesh2D, Rect, Region};
 
 /// Size cap under which the bit-parallel concave-section construction
@@ -30,8 +31,9 @@ use mesh2d::{BitGrid, BitScratch, Connectivity, Coord, Mesh2D, Rect, Region};
 const ORACLE_NODE_CAP: usize = 1024;
 
 /// Reusable buffers threaded through the construction entry points so the
-/// hull fixpoint and the callers' flood fills allocate nothing in steady
-/// state: one re-framable occupancy grid plus the flood/fill scratch set.
+/// hull fixpoint, the virtual-block labelling and the callers' flood fills
+/// allocate nothing in steady state: one re-framable occupancy grid, the
+/// flood/fill scratch set and one labelling window frame.
 ///
 /// One scratch serves a whole sweep (the batch models) or the entire
 /// lifetime of an incremental engine; [`grows`](Self::grows) exposes how
@@ -42,6 +44,8 @@ pub struct ConstructionScratch {
     grid: BitGrid,
     /// Flood / gap-fill working buffers.
     bits: BitScratch,
+    /// Packed window rows of the virtual-block solve.
+    frame: LabelFrame,
     /// Times `grid`'s backing storage grew.
     grid_grows: u64,
 }
@@ -55,7 +59,7 @@ impl ConstructionScratch {
     /// Total number of buffer growths since construction. Constant across
     /// calls ⇔ the construction ran allocation-free (steady state).
     pub fn grows(&self) -> u64 {
-        self.grid_grows + self.bits.grows()
+        self.grid_grows + self.bits.grows() + self.frame.grows()
     }
 
     /// The flood scratch, for callers that run their own component floods
@@ -143,17 +147,18 @@ pub fn construct_component(
 
 /// [`construct_component`] with caller-provided scratch buffers: the batch
 /// models thread one scratch across every component of a sweep, and the
-/// incremental engine threads one across its whole event stream, so the
-/// hull fixpoint allocates nothing in steady state.
+/// incremental engine threads one across its whole event stream, so
+/// neither formulation allocates anything but the output polygon in steady
+/// state.
 pub fn construct_component_with(
-    mesh: &Mesh2D,
+    _mesh: &Mesh2D,
     component: &FaultyComponent,
     solution: CentralizedSolution,
     scratch: &mut ConstructionScratch,
 ) -> ComponentPolygon {
     match solution {
         CentralizedSolution::VirtualBlock => {
-            let sol = VirtualBlockSolver.solve(mesh, component);
+            let sol = VirtualBlockSolver.solve_with(component, &mut scratch.frame);
             mocp_obs::counter!("construct.components").inc();
             mocp_obs::counter!("construct.labelling_rounds").add(sol.rounds.rounds as u64);
             ComponentPolygon {

@@ -14,7 +14,7 @@ use mesh2d::{FaultSet, Mesh2D, NodeStatus, Region, StatusMap};
 /// `polygons` are the per-component minimum faulty polygons (each containing
 /// that component's faults plus the forced non-faulty nodes).
 pub fn pile_polygons(mesh: &Mesh2D, faults: &FaultSet, polygons: &[Region]) -> StatusMap {
-    let mut status = StatusMap::from_faults(mesh, &faults.region());
+    let mut status = StatusMap::from_fault_list(mesh, faults.in_insertion_order());
     for polygon in polygons {
         for c in polygon.iter() {
             // The superseding rule keeps faulty (black) nodes faulty and

@@ -1,82 +1,87 @@
 //! Rectangular faulty block extraction and the FB fault model.
 
+use crate::bitlabel::LabelFrame;
 use crate::model::{FaultModel, ModelOutcome};
-use crate::scheme1::label_safety;
 use distsim::RoundStats;
 use mesh2d::{
-    BitGrid, Connectivity, FaultSet, Grid, Mesh2D, NodeStatus, Rect, Region, Safety, StatusMap,
+    BitGrid, BitScratch, Connectivity, Coord, FaultSet, Grid, Mesh2D, NodeStatus, Rect, Region,
+    Safety, StatusMap,
 };
 
 /// Extracts the rectangular faulty blocks from a scheme-1 safety labelling:
 /// the 4-connected components of unsafe nodes together with their bounding
-/// rectangles.
+/// rectangles, in x-major component order.
 ///
 /// At the fixpoint of labelling scheme 1 every such component *is* a
 /// rectangle; the returned pairs let callers verify that
 /// (`region.len() == rect.area()`).
 pub fn extract_faulty_blocks(safety: &Grid<Safety>) -> Vec<(Rect, Region)> {
-    let bits = BitGrid::from_coords(safety.coords_where(|&s| s == Safety::Unsafe));
-    let blocks: Vec<(Rect, Region)> = bits
-        .components(Connectivity::Four)
+    let mut unsafe_bits = BitGrid::with_bounds(
+        Coord::ORIGIN,
+        Coord::new(safety.width() - 1, safety.height() - 1),
+    );
+    for c in safety.coords_where(|&s| s == Safety::Unsafe) {
+        unsafe_bits.set(c);
+    }
+    unsafe_bits
+        .component_regions_with(Connectivity::Four, &mut BitScratch::new())
         .into_iter()
-        .map(|comp| {
-            let rect = comp
+        .map(|region| {
+            let rect = region
                 .bounding_rect()
                 .expect("non-empty component always has a bounding box");
-            (rect, comp.to_region())
+            (rect, region)
         })
-        .collect();
-    debug_assert!(
-        safety.len() > 1024 || {
-            let oracle: Vec<(Rect, Region)> =
-                Region::from_coords(safety.coords_where(|&s| s == Safety::Unsafe))
-                    .components(Connectivity::Four)
-                    .into_iter()
-                    .map(|comp| (comp.bounding_rect().expect("non-empty"), comp))
-                    .collect();
-            oracle == blocks
-        },
-        "word-flood block extraction diverged from the scalar oracle"
-    );
-    blocks
+        .collect()
+}
+
+/// The outcome a mesh-wide [`LabelFrame`] leaves behind: the faults of
+/// `faults` plus the frame's excluded bits as the status, and the excluded
+/// set's 4-connected components as the regions.
+pub(crate) fn outcome_from_frame(
+    model: &str,
+    mesh: &Mesh2D,
+    faults: &FaultSet,
+    frame: &LabelFrame,
+    rounds: RoundStats,
+) -> ModelOutcome {
+    let excluded = frame.excluded();
+    let mut status = StatusMap::from_fault_list(mesh, faults.in_insertion_order());
+    for c in excluded.iter() {
+        status.supersede(c, NodeStatus::Disabled);
+    }
+    ModelOutcome {
+        model: model.to_string(),
+        status,
+        regions: excluded.component_regions_with(Connectivity::Four, &mut BitScratch::new()),
+        rounds,
+    }
 }
 
 /// The classical rectangular faulty block model (FB).
 ///
 /// Every unsafe node — faulty or not — is excluded from routing, so the
-/// disabled set per block is the full rectangle minus the faults.
+/// disabled set per block is the full rectangle minus the faults. Scheme 1
+/// runs on a mesh-wide [`LabelFrame`], and the blocks are the 4-connected
+/// components of its unsafe rows.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FaultyBlockModel;
 
 impl FaultyBlockModel {
-    /// Runs labelling scheme 1 and returns the blocks alongside the outcome.
+    /// Runs labelling scheme 1 and returns the blocks' bounding rectangles
+    /// alongside the outcome, one per region and in region order.
     pub fn construct_with_blocks(
         &self,
         mesh: &Mesh2D,
         faults: &FaultSet,
     ) -> (ModelOutcome, Vec<Rect>) {
-        let (safety, rounds) = label_safety(mesh, faults);
-        let blocks = extract_faulty_blocks(&safety);
-
-        let mut status = StatusMap::from_faults(mesh, &faults.region());
-        for (_, region) in &blocks {
-            for c in region.iter() {
-                if !faults.is_faulty(c) {
-                    status.supersede(c, NodeStatus::Disabled);
-                }
-            }
-        }
-        let regions: Vec<Region> = blocks.iter().map(|(_, r)| r.clone()).collect();
-        let rects: Vec<Rect> = blocks.iter().map(|(r, _)| *r).collect();
-        (
-            ModelOutcome {
-                model: "FB".to_string(),
-                status,
-                regions,
-                rounds,
-            },
-            rects,
-        )
+        let outcome = self.construct(mesh, faults);
+        let rects = outcome
+            .regions
+            .iter()
+            .map(|r| r.bounding_rect().expect("blocks are never empty"))
+            .collect();
+        (outcome, rects)
     }
 }
 
@@ -86,20 +91,16 @@ impl FaultModel for FaultyBlockModel {
     }
 
     fn construct(&self, mesh: &Mesh2D, faults: &FaultSet) -> ModelOutcome {
-        self.construct_with_blocks(mesh, faults).0
+        let mut frame = LabelFrame::for_faults(mesh, faults);
+        let rounds = frame.grow();
+        outcome_from_frame("FB", mesh, faults, &frame, rounds)
     }
-}
-
-/// Convenience: the rounds a pure scheme-1 execution needs (used by the
-/// experiments when only the round count is of interest).
-pub fn faulty_block_rounds(mesh: &Mesh2D, faults: &FaultSet) -> RoundStats {
-    label_safety(mesh, faults).1
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mesh2d::Coord;
+    use crate::scheme1::label_safety;
 
     fn faults(mesh: Mesh2D, list: &[(i32, i32)]) -> FaultSet {
         FaultSet::from_coords(mesh, list.iter().map(|&(x, y)| Coord::new(x, y)))
@@ -174,8 +175,8 @@ mod tests {
         let small = faults(mesh, &[(2, 2), (3, 3)]);
         let chain: Vec<(i32, i32)> = (0..10).map(|i| (i + 2, i + 2)).collect();
         let large = faults(mesh, &chain);
-        let r_small = faulty_block_rounds(&mesh, &small);
-        let r_large = faulty_block_rounds(&mesh, &large);
+        let r_small = FaultyBlockModel.construct(&mesh, &small).rounds;
+        let r_large = FaultyBlockModel.construct(&mesh, &large).rounds;
         assert!(r_large.rounds > r_small.rounds);
     }
 }

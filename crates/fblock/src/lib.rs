@@ -12,14 +12,18 @@
 //!   polygons.
 //!
 //! Both schemes are *local rules* — every node updates from its own state and
-//! its 4-neighbors' states. The production path executes them
-//! **bit-parallel** (the crate-internal `bitlabel` kernels): each synchronous round is a
-//! shift-and-OR pass over word-packed node masks, 64 nodes per operation,
-//! with the identical round structure as the scalar execution on the
-//! synchronous round engine of the `distsim` crate — which remains the
-//! oracle (`label_safety_scalar` / `label_activation_scalar`) — so the
-//! round counts reported in Figure 11 still fall out of the construction
-//! itself.
+//! its 4-neighbors' states. Both models execute them **bit-parallel** on
+//! one packed [`LabelFrame`] (the [`bitlabel`] kernels): each synchronous
+//! round is a shift-and-OR pass over word-packed row masks, 64 nodes per
+//! operation, with the identical round structure as the scalar execution
+//! on the synchronous round engine of the `distsim` crate, so the round
+//! counts reported in Figure 11 still fall out of the construction itself.
+//! The outcome goes from the fault list to the status and the regions
+//! straight off the frame's excluded rows, with no label grid in between.
+//! The scalar rules (`label_safety_scalar` / `label_activation_scalar`)
+//! are the specification; `mocp_core`'s `construct_oracle` test holds the
+//! grid-based pipelines these models replaced and checks the two against
+//! each other up to the paper's scale.
 //!
 //! The crate also re-exports the dimension-generic [`FaultModel`] trait
 //! from `mocp_topology` (its topology parameter defaults to `Mesh2D`, so
@@ -32,13 +36,14 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub(crate) mod bitlabel;
+pub mod bitlabel;
 pub mod blocks;
 pub mod model;
 pub mod registry;
 pub mod scheme1;
 pub mod scheme2;
 
+pub use bitlabel::LabelFrame;
 pub use blocks::{extract_faulty_blocks, FaultyBlockModel};
 pub use model::{FaultModel, ModelOutcome, Outcome};
 pub use registry::{baseline_registry, BoxedModel, ModelRegistry, NamedRegistry, UnknownModel};

@@ -8,7 +8,14 @@
 //! The rule is monotone (a node never reverts to safe), so iterating it
 //! synchronously converges; the connected unsafe sets at the fixpoint are
 //! rectangles (verified by `blocks::tests` and by property tests).
+//!
+//! The constructions run the rule bit-parallel on packed rows
+//! ([`LabelFrame::grow`]) and never build a label grid. [`Scheme1Rule`] on
+//! the synchronous engine ([`label_safety_scalar`]) is the specification;
+//! [`label_safety`] unpacks a frame into a `Grid<Safety>` for the callers
+//! that want one (the tests and oracles).
 
+use crate::bitlabel::LabelFrame;
 use distsim::{run_local_rule, LocalRuleAutomaton, RoundStats};
 use mesh2d::{Coord, FaultSet, Grid, Mesh2D, Safety};
 
@@ -65,29 +72,21 @@ impl LocalRuleAutomaton for Scheme1Rule<'_> {
 /// information exchange the distributed execution needed — the FB round count
 /// of Figure 11.
 ///
-/// Executes bit-parallel (the rule is a shift-and-OR over word-packed node
-/// masks, 64 nodes at a time); the synchronous round structure — and so the
-/// returned [`RoundStats`] — is identical to the scalar
-/// [`label_safety_scalar`], which remains the oracle it is `debug_assert`ed
-/// and property-tested against.
+/// Unpacks the scheme-1 run of a mesh-wide [`LabelFrame`] into a label
+/// grid; the constructions themselves read the frame's packed rows. The
+/// synchronous round structure — and so the returned [`RoundStats`] — is
+/// identical to the scalar [`label_safety_scalar`], the oracle the property
+/// tests pin it to.
 pub fn label_safety(mesh: &Mesh2D, faults: &FaultSet) -> (Grid<Safety>, RoundStats) {
-    let packed = crate::bitlabel::PackedMesh::new(mesh);
-    let mut unsafe_rows = packed.pack_faults(faults);
-    let stats = crate::bitlabel::scheme1_fixpoint(&packed, &mut unsafe_rows);
+    let mut frame = LabelFrame::for_faults(mesh, faults);
+    let stats = frame.grow();
     let grid = Grid::from_fn(mesh.width() as u32, mesh.height() as u32, |c| {
-        if packed.bit(&unsafe_rows, c) {
+        if frame.excluded().contains(c) {
             Safety::Unsafe
         } else {
             Safety::Safe
         }
     });
-    debug_assert!(
-        mesh.node_count() > 1024 || {
-            let (oracle_grid, oracle_stats) = label_safety_scalar(mesh, faults);
-            oracle_grid == grid && oracle_stats == stats
-        },
-        "bit-parallel scheme 1 diverged from the local-rule oracle"
-    );
     (grid, stats)
 }
 

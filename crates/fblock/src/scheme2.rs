@@ -8,11 +8,18 @@
 //! Applied after labelling scheme 1, the remaining disabled sets are
 //! orthogonal convex polygons (Wu, IPDPS 2001) that still cover every fault
 //! but contain fewer healthy nodes than the rectangular blocks.
+//!
+//! [`SubMinimumPolygonModel`] runs both schemes bit-parallel on one packed
+//! [`LabelFrame`] and reads its outcome off the disabled rows.
+//! [`Scheme2Rule`] on the synchronous engine ([`label_activation_scalar`])
+//! is the specification; [`label_activation`] unpacks a frame into a
+//! `Grid<Activation>` for the callers that want one.
 
+use crate::bitlabel::LabelFrame;
+use crate::blocks::outcome_from_frame;
 use crate::model::{FaultModel, ModelOutcome};
-use crate::scheme1::label_safety;
 use distsim::{run_local_rule, LocalRuleAutomaton, RoundStats};
-use mesh2d::{Activation, Coord, FaultSet, Grid, Mesh2D, NodeStatus, Region, Safety, StatusMap};
+use mesh2d::{Activation, Coord, FaultSet, Grid, Mesh2D, Safety};
 
 /// Labelling scheme 2 as a local rule over [`Activation`] states.
 ///
@@ -67,42 +74,30 @@ impl LocalRuleAutomaton for Scheme2Rule<'_> {
 
 /// Runs labelling scheme 2 to its fixpoint on top of an existing scheme-1
 /// labelling. Returns the activation grid and the *additional* rounds the
-/// shrinking phase needed.
+/// shrinking phase needed. `safety` must mark every fault unsafe, as
+/// scheme 1 does.
 ///
-/// Executes bit-parallel (the 2-of-4 enabled-neighbor majority is a
-/// pairwise AND/OR over shifted word masks); the synchronous round
-/// structure — and so the returned [`RoundStats`] — is identical to the
-/// scalar [`label_activation_scalar`] oracle.
+/// Loads `safety` into a mesh-wide [`LabelFrame`], runs its bit-parallel
+/// [`shrink`](LabelFrame::shrink) and unpacks the result; the synchronous
+/// round structure — and so the returned [`RoundStats`] — is identical to
+/// the scalar [`label_activation_scalar`] oracle.
 pub fn label_activation(
     mesh: &Mesh2D,
     faults: &FaultSet,
     safety: &Grid<Safety>,
 ) -> (Grid<Activation>, RoundStats) {
-    let packed = crate::bitlabel::PackedMesh::new(mesh);
-    let faulty_rows = packed.pack_faults(faults);
-    // Initially enabled = the safe nodes of the scheme-1 labelling.
-    let ww = packed.width_words;
-    let mut enabled = vec![0u64; packed.words()];
-    for (c, &s) in safety.iter() {
-        if s == Safety::Safe {
-            enabled[(c.y as usize) * ww + (c.x as usize) / 64] |= 1u64 << (c.x as usize % 64);
-        }
+    let mut frame = LabelFrame::for_faults(mesh, faults);
+    for c in safety.coords_where(|&s| s == Safety::Unsafe) {
+        frame.mark_unsafe(c);
     }
-    let stats = crate::bitlabel::scheme2_fixpoint(&packed, &faulty_rows, &mut enabled);
+    let stats = frame.shrink();
     let grid = Grid::from_fn(mesh.width() as u32, mesh.height() as u32, |c| {
-        if packed.bit(&enabled, c) {
-            Activation::Enabled
-        } else {
+        if frame.excluded().contains(c) {
             Activation::Disabled
+        } else {
+            Activation::Enabled
         }
     });
-    debug_assert!(
-        mesh.node_count() > 1024 || {
-            let (oracle_grid, oracle_stats) = label_activation_scalar(mesh, faults, safety);
-            oracle_grid == grid && oracle_stats == stats
-        },
-        "bit-parallel scheme 2 diverged from the local-rule oracle"
-    );
     (grid, stats)
 }
 
@@ -120,37 +115,11 @@ pub fn label_activation_scalar(
 /// labelling scheme 2. The reported rounds are the sum of both phases, as in
 /// the paper's Figure 11 ("extra rounds are needed for applying labelling
 /// scheme 2").
+///
+/// Both schemes run on one mesh-wide [`LabelFrame`]; the status and the
+/// 4-connected polygons are read straight off the disabled rows it leaves.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SubMinimumPolygonModel;
-
-impl SubMinimumPolygonModel {
-    /// Runs both labelling schemes and also returns the raw label grids, used
-    /// by tests and by the minimum-polygon construction's virtual-block
-    /// emulation.
-    pub fn construct_detailed(
-        &self,
-        mesh: &Mesh2D,
-        faults: &FaultSet,
-    ) -> (ModelOutcome, Grid<Safety>, Grid<Activation>) {
-        let (safety, rounds1) = label_safety(mesh, faults);
-        let (activation, rounds2) = label_activation(mesh, faults, &safety);
-
-        let mut status = StatusMap::from_faults(mesh, &faults.region());
-        for (c, &a) in activation.iter() {
-            if a == Activation::Disabled && !faults.is_faulty(c) {
-                status.supersede(c, NodeStatus::Disabled);
-            }
-        }
-        let regions = ModelOutcome::regions_from_status(&status);
-        let outcome = ModelOutcome {
-            model: "FP".to_string(),
-            status,
-            regions,
-            rounds: rounds1.then(rounds2),
-        };
-        (outcome, safety, activation)
-    }
-}
 
 impl FaultModel for SubMinimumPolygonModel {
     fn name(&self) -> &'static str {
@@ -158,23 +127,10 @@ impl FaultModel for SubMinimumPolygonModel {
     }
 
     fn construct(&self, mesh: &Mesh2D, faults: &FaultSet) -> ModelOutcome {
-        self.construct_detailed(mesh, faults).0
+        let mut frame = LabelFrame::for_faults(mesh, faults);
+        let rounds = frame.grow().then(frame.shrink());
+        outcome_from_frame("FP", mesh, faults, &frame, rounds)
     }
-}
-
-/// Applies labelling schemes 1 and 2 to the nodes of a single *virtual faulty
-/// block*: the bounding box of one faulty component, treating only that
-/// component's nodes as faulty. This is the helper the centralized minimum
-/// faulty polygon construction (solution 1 in Section 3.1) builds on.
-///
-/// Returns the set of nodes that remain disabled (the component's minimum
-/// faulty polygon) and the rounds the per-component emulation used.
-pub fn shrink_component(mesh: &Mesh2D, component: &Region) -> (Region, RoundStats) {
-    let component_faults = FaultSet::from_coords(*mesh, component.iter());
-    let (safety, rounds1) = label_safety(mesh, &component_faults);
-    let (activation, rounds2) = label_activation(mesh, &component_faults, &safety);
-    let disabled = Region::from_coords(activation.coords_where(|&a| a == Activation::Disabled));
-    (disabled, rounds1.then(rounds2))
 }
 
 #[cfg(test)]
@@ -261,37 +217,33 @@ mod tests {
     }
 
     #[test]
-    fn shrink_component_of_u_shape_fills_notch_only() {
+    fn fp_polygon_of_u_shape_fills_notch_only() {
         let mesh = Mesh2D::square(8);
-        let u = Region::from_coords(
-            [(2, 2), (3, 2), (4, 2), (2, 3), (4, 3), (2, 4), (4, 4)]
-                .iter()
-                .map(|&(x, y)| Coord::new(x, y)),
-        );
-        let (polygon, rounds) = shrink_component(&mesh, &u);
+        let u = [(2, 2), (3, 2), (4, 2), (2, 3), (4, 3), (2, 4), (4, 4)];
+        let outcome = SubMinimumPolygonModel.construct(&mesh, &faults(mesh, &u));
+        assert_eq!(outcome.regions.len(), 1);
+        let polygon = &outcome.regions[0];
         assert!(polygon.is_orthogonally_convex());
-        assert!(u.is_subset(&polygon));
+        assert!(u.iter().all(|&(x, y)| polygon.contains(Coord::new(x, y))));
         assert_eq!(polygon.len(), 9, "U plus the two notch nodes");
-        assert!(rounds.rounds > 0);
+        assert!(outcome.rounds.rounds > 0);
     }
 
     #[test]
-    fn shrink_component_of_staircase_adds_nothing() {
+    fn fp_of_staircase_adds_nothing() {
         let mesh = Mesh2D::square(10);
-        let stairs = Region::from_coords(
-            [(2, 2), (3, 3), (4, 4), (5, 5)]
-                .iter()
-                .map(|&(x, y)| Coord::new(x, y)),
-        );
-        let (polygon, _) = shrink_component(&mesh, &stairs);
-        assert_eq!(polygon, stairs);
+        let stairs = [(2, 2), (3, 3), (4, 4), (5, 5)];
+        let outcome = SubMinimumPolygonModel.construct(&mesh, &faults(mesh, &stairs));
+        assert_eq!(outcome.disabled_nonfaulty(), 0);
+        assert_eq!(outcome.regions.len(), 4, "diagonal nodes are 4-separate");
     }
 
     #[test]
-    fn fp_detailed_exposes_label_grids() {
+    fn label_grids_of_a_diagonal_pair() {
         let mesh = Mesh2D::square(8);
         let fs = faults(mesh, &[(2, 2), (3, 3)]);
-        let (_, safety, activation) = SubMinimumPolygonModel.construct_detailed(&mesh, &fs);
+        let (safety, _) = crate::label_safety(&mesh, &fs);
+        let (activation, _) = label_activation(&mesh, &fs, &safety);
         assert_eq!(safety[Coord::new(2, 3)], Safety::Unsafe);
         assert_eq!(activation[Coord::new(2, 3)], Activation::Enabled);
         assert_eq!(activation[Coord::new(2, 2)], Activation::Disabled);

@@ -46,30 +46,6 @@ pub fn spread_row(src: &[u64], dst: &mut [u64]) {
     }
 }
 
-/// `dst = (src << 1)` across word boundaries: bit `x` of the result is bit
-/// `x - 1` of the source (the *west neighbor* mask).
-#[inline]
-pub fn shift_west_neighbor(src: &[u64], dst: &mut [u64]) {
-    debug_assert_eq!(src.len(), dst.len());
-    let mut carry = 0u64;
-    for j in 0..src.len() {
-        dst[j] = (src[j] << 1) | carry;
-        carry = src[j] >> 63;
-    }
-}
-
-/// `dst = (src >> 1)` across word boundaries: bit `x` of the result is bit
-/// `x + 1` of the source (the *east neighbor* mask).
-#[inline]
-pub fn shift_east_neighbor(src: &[u64], dst: &mut [u64]) {
-    debug_assert_eq!(src.len(), dst.len());
-    let mut carry = 0u64;
-    for j in (0..src.len()).rev() {
-        dst[j] = (src[j] >> 1) | carry;
-        carry = src[j] << 63;
-    }
-}
-
 /// `dst = (src << 1) | (src >> 1)` across word boundaries: the strict
 /// horizontal neighbors (west | east), *without* the source itself.
 #[inline]
@@ -337,6 +313,19 @@ impl BitGrid {
         self.width_words = width_words;
         self.height = height;
         grew
+    }
+
+    /// The packed frame rows, row-major from the frame's north edge, each
+    /// row a run of whole words; bit `b` of a row's word `j` is node
+    /// `x = origin_x + 64 j + b`.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// Mutable access to the packed frame rows, for word-parallel kernels
+    /// that run on the frame in place (the labelling-scheme fixpoints).
+    pub fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
     }
 
     /// Number of set bits.
@@ -641,6 +630,23 @@ impl BitGrid {
         self.for_each_component_with(adjacency, scratch, |view| out.push(view.to_grid()));
         out.sort_by_key(|g| g.min_coord_x_major().expect("components are non-empty"));
         out
+    }
+
+    /// The connected components under `adjacency` as scalar [`Region`]s,
+    /// in [`components`](Self::components)' x-major order. Each region is
+    /// built straight from its in-place [`ComponentRows`] view, so no
+    /// per-component grid is allocated.
+    pub fn component_regions_with(
+        &self,
+        adjacency: Connectivity,
+        scratch: &mut BitScratch,
+    ) -> Vec<Region> {
+        let mut keyed = Vec::new();
+        self.for_each_component_with(adjacency, scratch, |view| {
+            keyed.push((view.min_coord_x_major(), view.to_region()));
+        });
+        keyed.sort_unstable_by_key(|&(key, _)| key);
+        keyed.into_iter().map(|(_, region)| region).collect()
     }
 
     /// Visits every connected component **in place**: each component is
@@ -1293,6 +1299,8 @@ mod tests {
                     .map(BitGrid::to_region)
                     .collect();
                 assert_eq!(got, expected, "{adjacency:?} of {shape:?}");
+                let regions = g.component_regions_with(adjacency, &mut BitScratch::new());
+                assert_eq!(regions, expected, "{adjacency:?} of {shape:?} in place");
             }
         }
     }

@@ -135,6 +135,18 @@ impl StatusMap {
         map
     }
 
+    /// A map where exactly the listed nodes are faulty and everything else
+    /// is enabled — [`from_faults`](Self::from_faults) seeded straight from
+    /// a fault list (`FaultSet::in_insertion_order`), with no intermediate
+    /// [`Region`]. Duplicates and out-of-mesh nodes are ignored.
+    pub fn from_fault_list(mesh: &Mesh2D, faults: &[Coord]) -> Self {
+        let mut map = Self::all_enabled(mesh);
+        for &f in faults {
+            map.set(f, NodeStatus::Faulty);
+        }
+        map
+    }
+
     /// The status of node `c`.
     ///
     /// # Panics
@@ -387,6 +399,23 @@ mod tests {
         assert_eq!(map.status(Coord::new(1, 1)), NodeStatus::Faulty);
         assert_eq!(map.status(Coord::new(0, 0)), NodeStatus::Enabled);
         assert_eq!(map.faulty_region(), faults);
+    }
+
+    #[test]
+    fn from_fault_list_equals_from_faults() {
+        let mesh = Mesh2D::square(6);
+        let list = [
+            Coord::new(4, 2),
+            Coord::new(1, 1),
+            Coord::new(4, 2),
+            Coord::new(9, 9),
+        ];
+        let map = StatusMap::from_fault_list(&mesh, &list);
+        assert_eq!(
+            map,
+            StatusMap::from_faults(&mesh, &Region::from_coords(list))
+        );
+        assert_eq!(map.faulty_count(), 2, "duplicates and outsiders ignored");
     }
 
     #[test]

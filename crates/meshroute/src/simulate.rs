@@ -142,7 +142,7 @@ mod tests {
             mesh,
             [(4, 3), (4, 4), (4, 5), (3, 4)].map(|(x, y)| Coord::new(x, y)),
         );
-        let status = StatusMap::from_faults(&mesh, &faults.region());
+        let status = StatusMap::from_fault_list(&mesh, faults.in_insertion_order());
         let stats = RoutingExperiment::new(&mesh, &status, 4).run();
         assert_eq!(stats.unreachable, 0);
         assert!(stats.average_stretch >= 1.0);

@@ -4,7 +4,7 @@ use crate::bitmap::BitmapOps;
 use crate::mesh::MeshTopology;
 use crate::ops::{RegionOps, StatusOps};
 use distsim::RoundStats;
-use mesh2d::{BitGrid, Connectivity, Mesh2D, Region, StatusMap};
+use mesh2d::{BitGrid, BitScratch, Connectivity, Coord, Mesh2D, Region, StatusMap};
 use serde::{Deserialize, Serialize};
 
 /// Size cap under which the bit-parallel predicates re-verify against
@@ -140,21 +140,19 @@ impl Outcome<Mesh2D> {
     /// 2-D models whose construction produces a status map first and
     /// regions second.
     ///
-    /// Labelling runs as a word-scan flood on the packed excluded bitmap;
-    /// the scalar [`Region::components`] decomposition is the debug oracle.
+    /// Labelling runs as a word-scan flood on the packed excluded bitmap,
+    /// and each region is read straight off the flood buffer; the scalar
+    /// [`Region::components`] decomposition is the oracle of `mocp_core`'s
+    /// `construct_oracle` test.
     pub fn regions_from_status(status: &StatusMap) -> Vec<Region> {
-        let excluded = BitGrid::from_coords(status.grid().coords_where(|s| s.is_excluded()));
-        let regions: Vec<Region> = excluded
-            .components(Connectivity::Four)
-            .iter()
-            .map(BitGrid::to_region)
-            .collect();
-        debug_assert!(
-            excluded.len() > ORACLE_NODE_CAP
-                || regions == status.excluded_region().components(Connectivity::Four),
-            "word-flood regions_from_status diverged from the scalar oracle"
+        let mut excluded = BitGrid::with_bounds(
+            Coord::ORIGIN,
+            Coord::new(status.width() - 1, status.height() - 1),
         );
-        regions
+        for c in status.grid().coords_where(|s| s.is_excluded()) {
+            excluded.set(c);
+        }
+        excluded.component_regions_with(Connectivity::Four, &mut BitScratch::new())
     }
 }
 

@@ -178,7 +178,7 @@ mod tests {
         fn construct(&self, mesh: &Mesh2D, faults: &mesh2d::FaultSet) -> Outcome<Mesh2D> {
             Outcome {
                 model: self.name().to_string(),
-                status: StatusMap::from_faults(mesh, &faults.region()),
+                status: StatusMap::from_fault_list(mesh, faults.in_insertion_order()),
                 regions: faults
                     .region()
                     .components(mesh2d::Connectivity::Eight)

@@ -520,7 +520,7 @@ mod tests {
 
     fn faulty_status(mesh: &Mesh2D, faults: &[(i32, i32)]) -> StatusMap {
         let fs = FaultSet::from_coords(*mesh, faults.iter().map(|&(x, y)| Coord::new(x, y)));
-        StatusMap::from_faults(mesh, &fs.region())
+        StatusMap::from_fault_list(mesh, fs.in_insertion_order())
     }
 
     fn run(

@@ -16,7 +16,7 @@ fn main() {
     // --- Part 1: the paper's Figure 2 routing example -------------------
     let scenario = figure2_l_shape();
     let faults = scenario.fault_set();
-    let status = StatusMap::from_faults(&scenario.mesh, &faults.region());
+    let status = StatusMap::from_fault_list(&scenario.mesh, faults.in_insertion_order());
     let router = ExtendedECube::new(&scenario.mesh, &status);
 
     let src = Coord::new(1, 3);

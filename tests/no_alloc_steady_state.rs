@@ -1,7 +1,8 @@
 //! Steady-state allocation tests for the scratch-buffered kernels.
 //!
-//! The hull fixpoint, the incremental engine's localized re-flood and the
-//! distributed protocol replay run on reusable scratch buffers
+//! The hull fixpoint, the virtual-block labelling window, the incremental
+//! engine's localized re-flood and the distributed protocol replay run on
+//! reusable scratch buffers
 //! ([`mocp_core::ConstructionScratch`] / `mesh2d::BitScratch` /
 //! [`mocp_core::DmfpScratch`]). Once those buffers have grown to the
 //! working-set size, further constructions and events must not grow them
@@ -19,36 +20,34 @@ use mocp::mocp_incremental::IncrementalEngine;
 
 /// Repeated batch constructions must stop growing the threaded scratch
 /// once its buffers reach the working-set size (here: primed by one
-/// mesh-spanning component, the largest frame any construction can need).
+/// mesh-spanning component, the largest frame any construction can need)
+/// — for both formulations: the concave-section hull fixpoint and the
+/// virtual-block labelling window.
 #[test]
 fn batch_construction_scratch_reaches_steady_state() {
     let mesh = Mesh2D::square(48);
-    let mut scratch = ConstructionScratch::new();
-    // Warm-up: a diagonal chain spanning the whole mesh sizes every
-    // buffer to the mesh-wide maximum.
-    let diagonal = FaultyComponent::new(Region::from_coords((0..48).map(|i| Coord::new(i, i))));
-    construct_component_with(
-        &mesh,
-        &diagonal,
+    for solution in [
         CentralizedSolution::ConcaveSections,
-        &mut scratch,
-    );
-    let steady = scratch.grows();
-    for round in 0..6 {
-        let faults = generate_faults(mesh, 160, FaultDistribution::Clustered, round);
-        for component in &merge_components(&faults) {
-            construct_component_with(
-                &mesh,
-                component,
-                CentralizedSolution::ConcaveSections,
-                &mut scratch,
+        CentralizedSolution::VirtualBlock,
+    ] {
+        let mut scratch = ConstructionScratch::new();
+        // Warm-up: a diagonal chain spanning the whole mesh sizes every
+        // buffer to the mesh-wide maximum (for the virtual block, its
+        // window is the mesh plus the one-node margin).
+        let diagonal = FaultyComponent::new(Region::from_coords((0..48).map(|i| Coord::new(i, i))));
+        construct_component_with(&mesh, &diagonal, solution, &mut scratch);
+        let steady = scratch.grows();
+        for round in 0..6 {
+            let faults = generate_faults(mesh, 160, FaultDistribution::Clustered, round);
+            for component in &merge_components(&faults) {
+                construct_component_with(&mesh, component, solution, &mut scratch);
+            }
+            assert_eq!(
+                scratch.grows(),
+                steady,
+                "{solution:?}, round {round}: the construction allocated in steady state"
             );
         }
-        assert_eq!(
-            scratch.grows(),
-            steady,
-            "round {round}: the hull fixpoint allocated in steady state"
-        );
     }
 }
 
