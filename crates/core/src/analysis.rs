@@ -1,7 +1,24 @@
 //! High-level entry points: the CMFP fault model and the cross-model
 //! analysis helper.
+//!
+//! The virtual-block CMFP construction merges the faults into components
+//! and solves each one on its window (the virtual block plus an unclipped
+//! one-node margin). A batch construction creates one shape cache for its
+//! components: a component whose window has at most 64 cells is keyed on
+//! the window's size and member bits, solved once per distinct key, and
+//! every later component of that shape takes the stored rounds and
+//! polygon bits, placed at its own window. The solve reads nothing outside
+//! the window, so the cache is exact. In the paper's sweep nearly every
+//! component is a single fault or a tiny cluster, and over nine in ten
+//! repeat a shape already solved in the same construction. The cache
+//! lives only in [`CentralizedMfpModel::solve_components`]; the
+//! incremental engine's per-component entry points
+//! ([`construct_component_with`](crate::construct_component_with)) do not
+//! use one.
 
 use crate::component::{merge_components, FaultyComponent};
+use crate::construction::{construct_component_on, ComponentPolygon, ConstructionScratch};
+use crate::shape_cache::ShapeCache;
 use crate::superseding::pile_polygons;
 use distsim::RoundStats;
 use fblock::{FaultModel, FaultyBlockModel, ModelOutcome, SubMinimumPolygonModel};
@@ -61,50 +78,51 @@ impl CentralizedMfpModel {
     /// Each component is solved through the shared per-component entry point
     /// ([`construct_component`](crate::construction::construct_component)),
     /// the same path the incremental maintenance
-    /// engine uses for its dirty components.
+    /// engine uses for its dirty components. The virtual-block solution
+    /// also threads a shape cache through the components, so each
+    /// distinct small component shape is solved once per call.
     pub fn solve_components(
         &self,
-        mesh: &Mesh2D,
+        _mesh: &Mesh2D,
         components: &[FaultyComponent],
     ) -> (Vec<Region>, RoundStats) {
         use rayon::prelude::*;
+        let cached = self.solution == CentralizedSolution::VirtualBlock;
         // With a pool, independent components fan out across the workers,
-        // each chunk with its own scratch (no shared mutable scratch
-        // across tasks); sequentially one scratch serves every component:
-        // the hull fixpoint re-frames the same buffers instead of
-        // allocating per component. The ordered collect keeps component
-        // order, and the round composition (max rounds, summed events) is
-        // fold-order-independent, so both paths report identical stats.
-        let solutions: Vec<crate::construction::ComponentPolygon> =
-            if components.len() > 1 && rayon::current_num_threads() > 1 {
-                components
-                    .par_iter()
-                    .map_init(
-                        crate::construction::ConstructionScratch::new,
-                        |scratch, c| {
-                            crate::construction::construct_component_with(
-                                mesh,
-                                c,
-                                self.solution,
-                                scratch,
-                            )
-                        },
+        // each chunk with its own scratch and shape cache (nothing mutable
+        // is shared across tasks); sequentially one scratch and one cache
+        // serve every component: the solves re-frame the same buffers
+        // instead of allocating per component. The ordered collect keeps
+        // component order, and the round composition (max rounds, summed
+        // events) is fold-order-independent, so both paths report
+        // identical stats.
+        let solutions: Vec<ComponentPolygon> = if components.len() > 1
+            && rayon::current_num_threads() > 1
+        {
+            components
+                .par_iter()
+                .map_init(
+                    || (ConstructionScratch::new(), ShapeCache::new()),
+                    |(scratch, cache), c| {
+                        construct_component_on(c, self.solution, scratch, cached.then_some(cache))
+                    },
+                )
+                .collect()
+        } else {
+            let mut scratch = ConstructionScratch::new();
+            let mut cache = ShapeCache::new();
+            components
+                .iter()
+                .map(|c| {
+                    construct_component_on(
+                        c,
+                        self.solution,
+                        &mut scratch,
+                        cached.then_some(&mut cache),
                     )
-                    .collect()
-            } else {
-                let mut scratch = crate::construction::ConstructionScratch::new();
-                components
-                    .iter()
-                    .map(|c| {
-                        crate::construction::construct_component_with(
-                            mesh,
-                            c,
-                            self.solution,
-                            &mut scratch,
-                        )
-                    })
-                    .collect()
-            };
+                })
+                .collect()
+        };
         let mut polygons = Vec::with_capacity(components.len());
         let mut rounds = RoundStats::quiescent();
         for sol in solutions {

@@ -28,9 +28,11 @@
 //! their [`ConstructionScratch`](crate::ConstructionScratch), so the solve
 //! allocates only the output polygon. `mocp_core`'s `construct_oracle`
 //! test keeps the per-window `FaultSet`/`Grid` emulation this replaced as
-//! its oracle.
+//! its oracle. The batch model also solves through a shape cache, which
+//! answers a repeated small window from the first solve of its shape.
 
 use crate::component::FaultyComponent;
+use crate::shape_cache::{ShapeCache, ShapeKey};
 use distsim::RoundStats;
 use fblock::LabelFrame;
 use mesh2d::{Coord, Mesh2D, Rect, Region};
@@ -76,21 +78,69 @@ impl VirtualBlockSolver {
         let rounds = frame.grow().then(frame.shrink());
 
         let disabled = frame.excluded();
-        let translated = disabled
-            .iter()
-            .map(|c| Coord::new(c.x + offset.x, c.y + offset.y));
-        // Small polygons (most components are a fault or two) build cheaper
-        // by direct insertion than through the bulk path.
-        let polygon = if disabled.len() <= 16 {
-            let mut polygon = Region::new();
-            for c in translated {
-                polygon.insert(c);
-            }
-            polygon
-        } else {
-            Region::from_coords(translated)
-        };
+        let polygon = region_of(
+            disabled
+                .iter()
+                .map(|c| Coord::new(c.x + offset.x, c.y + offset.y)),
+            disabled.len(),
+        );
         ComponentSolution { polygon, rounds }
+    }
+
+    /// [`solve_with`](Self::solve_with) through a shape cache: a component
+    /// whose window holds at most 64 cells is solved once per distinct
+    /// shape, and later components of that shape are read off the cache
+    /// (rounds and polygon bits, placed at the component's window).
+    pub(crate) fn solve_cached(
+        &self,
+        component: &FaultyComponent,
+        frame: &mut LabelFrame,
+        cache: &mut ShapeCache<SolvedShape>,
+    ) -> ComponentSolution {
+        let window = window_around(component.virtual_block());
+        let Some(key) = ShapeKey::new(window, component.iter()) else {
+            return self.solve_with(component, frame);
+        };
+        if let Some(SolvedShape { rounds, polygon }) = cache.get(&key) {
+            mocp_obs::counter!("construct.shape_cache_hits").inc();
+            let polygon = region_of(
+                key.unpack(window.min(), polygon),
+                polygon.count_ones() as usize,
+            );
+            return ComponentSolution { polygon, rounds };
+        }
+        let sol = self.solve_with(component, frame);
+        cache.insert(
+            key,
+            SolvedShape {
+                rounds: sol.rounds,
+                polygon: key.pack(window.min(), sol.polygon.iter()),
+            },
+        );
+        sol
+    }
+}
+
+/// A cached virtual-block solve: its rounds and its polygon as window
+/// bits of the component's [`ShapeKey`].
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct SolvedShape {
+    rounds: RoundStats,
+    polygon: u64,
+}
+
+/// The region of `len` cells given in `Coord` order. Small polygons (most
+/// components are a fault or two) build cheaper by direct insertion than
+/// through the bulk path.
+fn region_of(cells: impl Iterator<Item = Coord>, len: usize) -> Region {
+    if len <= 16 {
+        let mut region = Region::new();
+        for c in cells {
+            region.insert(c);
+        }
+        region
+    } else {
+        Region::from_coords(cells)
     }
 }
 

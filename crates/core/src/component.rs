@@ -34,6 +34,11 @@ impl FaultyComponent {
         &self.region
     }
 
+    /// The faulty nodes of the component, by value.
+    pub fn into_region(self) -> Region {
+        self.region
+    }
+
     /// The component's virtual faulty block (bounding rectangle).
     pub fn virtual_block(&self) -> Rect {
         self.bbox

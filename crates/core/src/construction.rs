@@ -19,9 +19,10 @@
 //! benches and the incremental engine all share one construction path.
 
 use crate::analysis::CentralizedSolution;
-use crate::centralized::VirtualBlockSolver;
+use crate::centralized::{SolvedShape, VirtualBlockSolver};
 use crate::component::FaultyComponent;
 use crate::concave::ConcaveSectionSolver;
+use crate::shape_cache::ShapeCache;
 use distsim::RoundStats;
 use fblock::LabelFrame;
 use mesh2d::{BitGrid, BitScratch, Connectivity, Coord, Mesh2D, Rect, Region};
@@ -156,9 +157,26 @@ pub fn construct_component_with(
     solution: CentralizedSolution,
     scratch: &mut ConstructionScratch,
 ) -> ComponentPolygon {
+    construct_component_on(component, solution, scratch, None)
+}
+
+/// [`construct_component_with`], with the virtual-block solve going
+/// through `shapes` when given (the batch models' per-construction shape
+/// cache; the concave-section solution does not use it).
+pub(crate) fn construct_component_on(
+    component: &FaultyComponent,
+    solution: CentralizedSolution,
+    scratch: &mut ConstructionScratch,
+    shapes: Option<&mut ShapeCache<SolvedShape>>,
+) -> ComponentPolygon {
     match solution {
         CentralizedSolution::VirtualBlock => {
-            let sol = VirtualBlockSolver.solve_with(component, &mut scratch.frame);
+            let sol = match shapes {
+                Some(shapes) => {
+                    VirtualBlockSolver.solve_cached(component, &mut scratch.frame, shapes)
+                }
+                None => VirtualBlockSolver.solve_with(component, &mut scratch.frame),
+            };
             mocp_obs::counter!("construct.components").inc();
             mocp_obs::counter!("construct.labelling_rounds").add(sol.rounds.rounds as u64);
             ComponentPolygon {

@@ -132,6 +132,19 @@ pub fn ring_walks(mesh: &Mesh2D, component: &FaultyComponent) -> Vec<RingWalk> {
     walks
 }
 
+/// A component's protocol window: its virtual block plus a one-node
+/// margin, clipped to the mesh.
+pub(crate) fn protocol_window(mesh: &Mesh2D, component: &FaultyComponent) -> Rect {
+    let block = component.virtual_block();
+    Rect::new(
+        Coord::new((block.min().x - 1).max(0), (block.min().y - 1).max(0)),
+        Coord::new(
+            (block.max().x + 1).min(mesh.width() - 1),
+            (block.max().y + 1).min(mesh.height() - 1),
+        ),
+    )
+}
+
 /// Cell flags of a [`RingFrame`].
 const MEMBER: u8 = 1;
 const RING: u8 = 1 << 1;
@@ -221,15 +234,7 @@ impl RingFrame {
     /// ring node, and the free space outside the component is one
     /// 4-connected region inside it.
     pub(crate) fn load_component(&mut self, mesh: &Mesh2D, component: &FaultyComponent) {
-        let block = component.virtual_block();
-        let window = Rect::new(
-            Coord::new((block.min().x - 1).max(0), (block.min().y - 1).max(0)),
-            Coord::new(
-                (block.max().x + 1).min(mesh.width() - 1),
-                (block.max().y + 1).min(mesh.height() - 1),
-            ),
-        );
-        self.load(window, component.iter());
+        self.load(protocol_window(mesh, component), component.iter());
     }
 
     /// Re-frames over `window` with `members` (which must lie inside it) as

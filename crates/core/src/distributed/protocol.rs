@@ -24,22 +24,31 @@
 //! per-component trace so that fidelity regressions are visible to tests.
 //!
 //! A construction threads one [`DmfpScratch`] through its components: the
-//! ring frame, the boundary array, the detected-section list and the
-//! notification search grid are re-framed per component, not reallocated.
+//! labelling flood buffers, the ring frame, the boundary array, the
+//! detected-section list and the notification search grid are re-framed
+//! per component, not reallocated.
+//!
+//! The scratch also holds a shape cache (see `shape_cache`). A component
+//! whose protocol window has at most 64 cells is keyed on that window's
+//! size and member bits. A replay that planned no notification, ran one
+//! pass and left the polygon equal to the component read nothing but its
+//! frame, so its rounds are a function of that key: they are stored, and
+//! every later component of the same shape takes them without a replay.
+//! Replays with notifications are never stored, because a notification
+//! consults the global fault set for blocking polygons. That the protocol
+//! polygon is the minimum polygon is checked by the `dmfp_oracle` test,
+//! not here.
 
-use crate::component::{merge_components, FaultyComponent};
-use crate::distributed::boundary::RingFrame;
+use crate::component::{merge_components_with, FaultyComponent};
+use crate::distributed::boundary::{protocol_window, RingFrame};
 use crate::distributed::notify::{plan_notification_with, Notification, SectionBfs};
 use crate::distributed::ring::{replay_walk, BoundaryArray, DetectedSection};
 use crate::hull::minimum_polygon;
+use crate::shape_cache::{ShapeCache, ShapeKey};
 use crate::superseding::pile_polygons;
 use distsim::RoundStats;
 use fblock::{FaultModel, ModelOutcome};
-use mesh2d::{FaultSet, Mesh2D, Region};
-
-/// Size cap under which a convex protocol polygon is re-verified against
-/// [`minimum_polygon`] in debug builds.
-const ORACLE_NODE_CAP: usize = 1024;
+use mesh2d::{BitScratch, FaultSet, Mesh2D, Region};
 
 /// Per-component record of what the distributed protocol did.
 #[derive(Clone, Debug)]
@@ -66,6 +75,10 @@ pub struct ComponentTrace {
 /// the no-allocation tests pin.
 #[derive(Clone, Debug, Default)]
 pub struct DmfpScratch {
+    /// Flood buffers of the component labelling.
+    flood: BitScratch,
+    /// Rounds of the frame-only replays, by component shape.
+    shapes: ShapeCache<RoundStats>,
     /// The component's window, re-framed per component.
     frame: RingFrame,
     /// The boundary array, reset per walk.
@@ -87,14 +100,21 @@ impl DmfpScratch {
     /// Total number of buffer growths since construction. Constant across
     /// calls ⇔ the replay ran without growing its scratch (steady state).
     pub fn grows(&self) -> u64 {
-        self.frame.grows() + self.array.grows() + self.bfs.grows() + self.detected_grows
+        self.flood.grows()
+            + self.shapes.grows()
+            + self.frame.grows()
+            + self.array.grows()
+            + self.bfs.grows()
+            + self.detected_grows
     }
 }
 
 /// What one component's replay produced (a [`ComponentTrace`] without the
 /// component and the notifications).
 struct ComponentRun {
-    polygon: Region,
+    /// The polygon; `None` when it is the component's faults alone (a
+    /// shape-cache hit).
+    polygon: Option<Region>,
     rounds: RoundStats,
     iterations: u32,
     faithful: bool,
@@ -120,7 +140,7 @@ impl DistributedMfpModel {
             &mut DmfpScratch::new(),
             &mut notifications,
         );
-        run.into_trace(component, notifications)
+        run.into_trace(component.clone(), notifications)
     }
 
     /// Runs the full construction and returns both the model outcome and the
@@ -148,27 +168,51 @@ impl DistributedMfpModel {
 }
 
 /// Replays the protocol for every component with one scratch, in component
-/// order, recording a trace per component when `traces` is given.
+/// order, recording a trace per component when `traces` is given. A
+/// component whose shape is in the scratch's shape cache takes its rounds
+/// from there; its polygon is the component itself.
 fn construct_on(
     mesh: &Mesh2D,
     faults: &FaultSet,
     scratch: &mut DmfpScratch,
     mut traces: Option<&mut Vec<ComponentTrace>>,
 ) -> ModelOutcome {
-    let components = merge_components(faults);
+    let components = merge_components_with(faults, &mut scratch.flood);
     let mut rounds = RoundStats::quiescent();
     let mut polygons = Vec::with_capacity(components.len());
     let mut notifications = Vec::new();
-    for component in &components {
-        let run = replay(mesh, faults, component, scratch, &mut notifications);
+    for component in components {
+        mocp_obs::counter!("dmfp.components").inc();
+        let key = ShapeKey::new(protocol_window(mesh, &component), component.iter());
+        let run = match key.and_then(|key| scratch.shapes.get(&key)) {
+            Some(rounds) => {
+                mocp_obs::counter!("dmfp.shape_cache_hits").inc();
+                ComponentRun {
+                    polygon: None,
+                    rounds,
+                    iterations: 1,
+                    faithful: true,
+                }
+            }
+            None => {
+                let run = replay(mesh, faults, &component, scratch, &mut notifications);
+                if let Some(key) = key {
+                    if run.reads_only_its_frame(&component, &notifications) {
+                        scratch.shapes.insert(key, run.rounds);
+                    }
+                }
+                run
+            }
+        };
         rounds = rounds.in_parallel_with(run.rounds);
         match traces.as_deref_mut() {
             Some(traces) => {
-                polygons.push(run.polygon.clone());
-                traces.push(run.into_trace(component, std::mem::take(&mut notifications)));
+                let trace = run.into_trace(component, std::mem::take(&mut notifications));
+                polygons.push(trace.polygon.clone());
+                traces.push(trace);
             }
             None => {
-                polygons.push(run.polygon);
+                polygons.push(run.polygon.unwrap_or_else(|| component.into_region()));
                 notifications.clear();
             }
         }
@@ -183,14 +227,32 @@ fn construct_on(
 }
 
 impl ComponentRun {
+    /// True when the replay read nothing but its frame: it planned no
+    /// notification, ran one pass, stayed faithful and left the polygon
+    /// equal to the component. Its rounds are then a function of the
+    /// component's shape in its protocol window.
+    fn reads_only_its_frame(
+        &self,
+        component: &FaultyComponent,
+        notifications: &[Notification],
+    ) -> bool {
+        notifications.is_empty()
+            && self.iterations == 1
+            && self.faithful
+            && self
+                .polygon
+                .as_ref()
+                .is_some_and(|polygon| polygon.len() == component.len())
+    }
+
     fn into_trace(
         self,
-        component: &FaultyComponent,
+        component: FaultyComponent,
         notifications: Vec<Notification>,
     ) -> ComponentTrace {
         ComponentTrace {
-            component: component.clone(),
-            polygon: self.polygon,
+            polygon: self.polygon.unwrap_or_else(|| component.region().clone()),
+            component,
             rounds: self.rounds,
             notifications,
             iterations: self.iterations,
@@ -214,6 +276,7 @@ fn replay(
         detected,
         bfs,
         detected_grows,
+        ..
     } = scratch;
     frame.load_component(mesh, component);
     // Phase 1: boundary classification costs one round of neighbor
@@ -292,18 +355,13 @@ fn replay(
     // therefore *is* the hull (the minimum polygon) exactly when it is
     // orthogonally convex, and only a non-convex result needs the
     // specification.
-    if convex {
-        debug_assert!(
-            component.len() > ORACLE_NODE_CAP || polygon == minimum_polygon(component),
-            "a convex protocol polygon differs from the minimum polygon"
-        );
-    } else {
+    if !convex {
         faithful = false;
         polygon = polygon.union(&minimum_polygon(component));
     }
 
     ComponentRun {
-        polygon,
+        polygon: Some(polygon),
         rounds,
         iterations,
         faithful,

@@ -64,6 +64,7 @@ pub mod distributed;
 pub mod extension3d;
 pub mod hull;
 pub mod registry;
+mod shape_cache;
 pub mod superseding;
 pub mod verify;
 

@@ -10,7 +10,9 @@
 //! `BTreeMap`/`BTreeSet` BFS per blocked section.
 //!
 //! Both must agree on every ring walk, every detected section (in order),
-//! every boundary-array entry and every field of every component trace.
+//! every boundary-array entry and every field of every component trace,
+//! and every protocol polygon must be its component's minimum polygon
+//! (the specification, `minimum_polygon`).
 
 use distsim::RoundStats;
 use faultgen::{generate_faults, FaultDistribution};
@@ -424,6 +426,12 @@ fn check(mesh: &Mesh2D, faults: &FaultSet) -> usize {
         check_component(mesh, component);
     }
     let (outcome, traces) = DistributedMfpModel.construct_detailed(mesh, faults);
+    for (i, trace) in traces.iter().enumerate() {
+        assert!(
+            trace.polygon == minimum_polygon(&trace.component),
+            "trace {i}: the protocol polygon is not the minimum polygon"
+        );
+    }
     let expected: Vec<ComponentTrace> = components
         .iter()
         .map(|c| oracle_run_component(mesh, faults, c))

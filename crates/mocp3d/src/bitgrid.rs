@@ -483,56 +483,11 @@ impl BitGrid3 {
     /// neighboring lines. Components come out in first-seen (x-major
     /// storage) order, each framed by its own bounding box — the same
     /// order the scalar index-scan flood produces.
-    ///
-    /// With an active thread pool and enough z-extent, the grid is cut
-    /// into contiguous z-slabs flooded in parallel and stitched back
-    /// together (`components26_parallel`);
-    /// the result order is identical because both paths order components
-    /// by their lexicographically minimal `(z, y, x)` cell — which is
-    /// exactly the first-seen storage order of the sequential scan.
     pub fn components26(&self) -> Vec<BitGrid3> {
-        let threads = rayon::current_num_threads();
-        if threads > 1 && self.dim_z >= 4 {
-            // One slab per thread, but keep slabs at least 2 rows thick
-            // so the flood does real work between the stitch boundaries.
-            let slabs = threads.min(self.dim_z / 2);
-            if slabs > 1 {
-                let parallel = self.components26_parallel(slabs);
-                #[cfg(debug_assertions)]
-                if self.words.len() <= 4096 {
-                    let sequential: Vec<BitGrid3> = self
-                        .components26_range(0, self.dim_z)
-                        .into_iter()
-                        .map(|(grid, _)| grid)
-                        .collect();
-                    debug_assert_eq!(parallel.len(), sequential.len());
-                    for (p, s) in parallel.iter().zip(&sequential) {
-                        debug_assert!(
-                            p.len() == s.len() && p.is_subset_of(s),
-                            "slab-parallel components diverged from the sequential flood"
-                        );
-                    }
-                }
-                return parallel;
-            }
-        }
-        self.components26_range(0, self.dim_z)
-            .into_iter()
-            .map(|(grid, _)| grid)
-            .collect()
-    }
-
-    /// The flood of [`components26`](Self::components26) restricted to
-    /// grid-relative z rows `band_lo..band_hi`: connectivity never
-    /// crosses the band boundary, so each band can run independently.
-    /// Returns each in-band component piece with its lexicographically
-    /// minimal `(z, y, x)` cell (= its seed, since the seed scan walks
-    /// storage order).
-    fn components26_range(&self, band_lo: usize, band_hi: usize) -> Vec<(BitGrid3, Coord3)> {
         let ww = self.width_words;
         let total = self.words.len();
         let mut out = Vec::new();
-        if total == 0 || band_lo >= band_hi {
+        if total == 0 {
             return out;
         }
         let mut visited = vec![0u64; total];
@@ -543,7 +498,7 @@ impl BitGrid3 {
         let line_of = |word: usize| word / ww;
         let yz = |line: usize| (line % self.dim_y, line / self.dim_y);
 
-        for seed_word in band_lo * self.dim_y * ww..band_hi * self.dim_y * ww {
+        for seed_word in 0..total {
             loop {
                 let avail = self.words[seed_word] & !visited[seed_word];
                 if avail == 0 {
@@ -553,11 +508,6 @@ impl BitGrid3 {
                 let seed_bit = 1u64 << seed_bit_index;
                 let seed_line = line_of(seed_word);
                 let (sy, sz) = yz(seed_line);
-                let min_cell = Coord3::new(
-                    self.origin_x + ((seed_word % ww) * 64) as i32 + seed_bit_index as i32,
-                    self.origin_y + sy as i32,
-                    self.origin_z + sz as i32,
-                );
                 comp[seed_word] = seed_bit;
                 frontier[seed_word] = seed_bit;
                 // Frontier (y, z) ranges and overall component ranges.
@@ -572,8 +522,8 @@ impl BitGrid3 {
                     }
                     let sylo = ylo.saturating_sub(1);
                     let syhi = (yhi + 1).min(self.dim_y - 1);
-                    let szlo = zlo.saturating_sub(1).max(band_lo);
-                    let szhi = (zhi + 1).min(band_hi - 1);
+                    let szlo = zlo.saturating_sub(1);
+                    let szhi = (zhi + 1).min(self.dim_z - 1);
                     let mut any = false;
                     let (mut nylo, mut nyhi, mut nzlo, mut nzhi) =
                         (usize::MAX, 0usize, usize::MAX, 0usize);
@@ -626,12 +576,12 @@ impl BitGrid3 {
                     czhi = czhi.max(zhi);
                 }
 
-                out.push((self.extract_lines(&comp, cylo, cyhi, czlo, czhi), min_cell));
+                out.push(self.extract_lines(&comp, cylo, cyhi, czlo, czhi));
 
                 let sylo = cylo.saturating_sub(1);
                 let syhi = (cyhi + 1).min(self.dim_y - 1);
-                let szlo = czlo.saturating_sub(1).max(band_lo);
-                let szhi = (czhi + 1).min(band_hi - 1);
+                let szlo = czlo.saturating_sub(1);
+                let szhi = (czhi + 1).min(self.dim_z - 1);
                 for z in szlo..=szhi {
                     for y in sylo..=syhi {
                         let l = (z * self.dim_y + y) * ww;
@@ -647,72 +597,6 @@ impl BitGrid3 {
             }
         }
         out
-    }
-
-    /// Slab decomposition of [`components26`](Self::components26): cut
-    /// the z rows into `slabs` contiguous bands, flood each band on the
-    /// pool, then stitch pieces that touch across a band boundary with a
-    /// union-find (26-connectivity means a component's z-extent is
-    /// contiguous, so only pieces in *adjacent* bands can belong to the
-    /// same component). The stitched components are sorted by their
-    /// minimal `(z, y, x)` cell, reproducing the sequential flood's
-    /// first-seen order bit for bit.
-    ///
-    /// `pub(crate)` so the test suite can drive specific slab counts
-    /// directly, independent of the ambient pool size.
-    pub(crate) fn components26_parallel(&self, slabs: usize) -> Vec<BitGrid3> {
-        use rayon::prelude::*;
-
-        let slabs = slabs.clamp(1, self.dim_z.max(1));
-        // Contiguous band boundaries: band `b` covers rows
-        // `bounds[b]..bounds[b + 1]`.
-        let bounds: Vec<usize> = (0..=slabs).map(|b| b * self.dim_z / slabs).collect();
-        let band_pieces: Vec<Vec<(BitGrid3, Coord3)>> = (0..slabs)
-            .into_par_iter()
-            .map(|b| self.components26_range(bounds[b], bounds[b + 1]))
-            .collect();
-
-        // Flatten, remembering each piece's band.
-        let mut bands: Vec<usize> = Vec::new();
-        let mut pieces: Vec<Piece> = Vec::new();
-        for (band, list) in band_pieces.into_iter().enumerate() {
-            for (grid, min_cell) in list {
-                let bbox = grid.bounding_box().expect("components are non-empty");
-                bands.push(band);
-                pieces.push(Piece {
-                    grid,
-                    bbox,
-                    min_cell,
-                });
-            }
-        }
-
-        // Union-find over pieces, stitching across each band boundary.
-        let mut classes = UnionFind::new(pieces.len());
-        for a in 0..pieces.len() {
-            let boundary_z = self.origin_z + bounds[bands[a] + 1] as i32 - 1;
-            if pieces[a].bbox.1.z != boundary_z {
-                continue; // does not reach its band's top row
-            }
-            // Lazily dilate the boundary-touching piece once.
-            let mut dilated: Option<BitGrid3> = None;
-            for b in 0..pieces.len() {
-                if bands[b] != bands[a] + 1 || pieces[b].bbox.0.z != boundary_z + 1 {
-                    continue;
-                }
-                if !boxes_touch(pieces[a].bbox, pieces[b].bbox) {
-                    continue;
-                }
-                let dilated = dilated.get_or_insert_with(|| pieces[a].grid.dilate26());
-                if pieces[b].grid.intersects(dilated) {
-                    classes.union(a, b);
-                }
-            }
-        }
-        merge_classes(pieces, &mut classes)
-            .into_iter()
-            .map(|(piece, _)| piece.grid)
-            .collect()
     }
 
     /// Copies the set bits of `bits` within the given `(y, z)` line ranges
@@ -922,8 +806,8 @@ pub(crate) fn boxes_touch(a: (Coord3, Coord3), b: (Coord3, Coord3)) -> bool {
         && blo.z <= ahi.z + 1
 }
 
-/// A union-find over `0..n` with path halving: the slab flood's stitch,
-/// and the fault labelling and regrouping steps of the 3-D merge process.
+/// A union-find over `0..n` with path halving: the fault labelling and
+/// regrouping steps of the 3-D merge process.
 pub(crate) struct UnionFind {
     parent: Vec<usize>,
 }
@@ -1262,62 +1146,5 @@ mod tests {
         assert_eq!(added, 1);
         assert!(u.contains(Coord3::new(1, 1, 0)));
         assert!(u.is_orthogonally_convex());
-    }
-
-    /// Content-and-order equality between two component lists (frames
-    /// may differ: the slab merge leaves word-padded frames).
-    fn assert_same_components(parallel: &[BitGrid3], sequential: &[BitGrid3]) {
-        assert_eq!(parallel.len(), sequential.len());
-        for (p, s) in parallel.iter().zip(sequential) {
-            assert_eq!(p.len(), s.len());
-            assert!(p.is_subset_of(s), "component content or order diverged");
-        }
-    }
-
-    /// Every slab count must reproduce the sequential flood exactly —
-    /// including components that snake across several slab boundaries.
-    #[test]
-    fn slab_parallel_components_match_sequential_at_any_slab_count() {
-        // A z-spanning diagonal chain (crosses every boundary), a flat
-        // plate confined to one slab, two singletons in the same word,
-        // and a second chain that merges with the plate mid-grid.
-        let mut cells = Vec::new();
-        for z in 0..16 {
-            cells.push((z, z, z)); // diagonal chain through all z
-        }
-        for x in 30..34 {
-            for y in 0..3 {
-                cells.push((x, y, 7)); // plate inside one slab
-            }
-        }
-        cells.push((30, 3, 8)); // touches the plate across z=7/8
-        cells.push((60, 0, 0));
-        cells.push((62, 0, 0)); // same word, separate components
-        let g = grid(&cells);
-
-        let sequential = g.components26_parallel(1);
-        assert_same_components(&g.components26(), &sequential);
-        for slabs in 2..=8 {
-            assert_same_components(&g.components26_parallel(slabs), &sequential);
-        }
-    }
-
-    /// The stitched order is the sequential first-seen order: ascending
-    /// minimal (z, y, x) cell.
-    #[test]
-    fn slab_parallel_component_order_is_min_cell_order() {
-        let g = grid(&[
-            (5, 5, 9), // late in storage order
-            (0, 0, 4),
-            (1, 0, 4), // middle component
-            (7, 7, 0), // first in storage order
-        ]);
-        for slabs in [1, 2, 3, 5] {
-            let comps = g.components26_parallel(slabs);
-            assert_eq!(comps.len(), 3);
-            assert!(comps[0].contains(Coord3::new(7, 7, 0)));
-            assert!(comps[1].contains(Coord3::new(0, 0, 4)));
-            assert!(comps[2].contains(Coord3::new(5, 5, 9)));
-        }
     }
 }
