@@ -22,7 +22,7 @@ use crate::shape_cache::ShapeCache;
 use crate::superseding::pile_polygons;
 use distsim::RoundStats;
 use fblock::{FaultModel, FaultyBlockModel, ModelOutcome, SubMinimumPolygonModel};
-use mesh2d::{BitGrid, BitScratch, Connectivity, FaultSet, Mesh2D, NodeStatus, Region, StatusMap};
+use mesh2d::{BitGrid, BitScratch, Connectivity, FaultSet, Mesh2D, Region};
 use serde::{Deserialize, Serialize};
 
 /// Size cap under which the fused construction re-verifies against the
@@ -88,31 +88,18 @@ impl CentralizedMfpModel {
     ) -> (Vec<Region>, RoundStats) {
         use rayon::prelude::*;
         let cached = self.solution == CentralizedSolution::VirtualBlock;
-        // With a pool, independent components fan out across the workers,
-        // each chunk with its own scratch and shape cache (nothing mutable
-        // is shared across tasks); sequentially one scratch and one cache
-        // serve every component: the solves re-frame the same buffers
-        // instead of allocating per component. The ordered collect keeps
-        // component order, and the round composition (max rounds, summed
-        // events) is fold-order-independent, so both paths report
-        // identical stats.
-        let solutions: Vec<ComponentPolygon> = if components.len() > 1
-            && rayon::current_num_threads() > 1
-        {
-            components
-                .par_iter()
-                .map_init(
-                    || (ConstructionScratch::new(), ShapeCache::new()),
-                    |(scratch, cache), c| {
-                        construct_component_on(c, self.solution, scratch, cached.then_some(cache))
-                    },
-                )
-                .collect()
-        } else {
+        // One contiguous run of components per worker, each run solved on
+        // one scratch and one shape cache (nothing mutable is shared across
+        // tasks): the solves re-frame the same buffers instead of
+        // allocating per component, and a shape met anywhere in the run is
+        // solved once. Without a pool the single run is every component.
+        // The ordered collect keeps component order, and the round
+        // composition (max rounds, summed events) is fold-order-independent,
+        // so every thread count reports identical stats.
+        let solve_run = |run: &[FaultyComponent]| {
             let mut scratch = ConstructionScratch::new();
             let mut cache = ShapeCache::new();
-            components
-                .iter()
+            run.iter()
                 .map(|c| {
                     construct_component_on(
                         c,
@@ -121,11 +108,18 @@ impl CentralizedMfpModel {
                         cached.then_some(&mut cache),
                     )
                 })
-                .collect()
+                .collect::<Vec<ComponentPolygon>>()
         };
+        let run_len = components
+            .len()
+            .div_ceil(rayon::current_num_threads())
+            .max(1);
+        let runs: Vec<&[FaultyComponent]> = components.chunks(run_len).collect();
+        let solutions: Vec<Vec<ComponentPolygon>> =
+            runs.par_iter().map(|run| solve_run(run)).collect();
         let mut polygons = Vec::with_capacity(components.len());
         let mut rounds = RoundStats::quiescent();
-        for sol in solutions {
+        for sol in solutions.into_iter().flatten() {
             rounds = rounds.in_parallel_with(sol.rounds);
             polygons.push(sol.polygon);
         }
@@ -201,43 +195,17 @@ impl FaultModel for CentralizedMfpModel {
 }
 
 /// The fused concave-section CMFP construction: one packed fault bitmap,
-/// word-flood component labelling, the bit-parallel hull fixpoint in each
-/// component's own grid, and the superseding pile applied straight from
+/// word-flood component labelling, the bit-parallel hull fixpoint run on
+/// each component inside the flood buffer, and the superseding pile of
 /// the packed polygons.
 fn construct_concave_fused(mesh: &Mesh2D, faults: &FaultSet) -> ModelOutcome {
-    let mut scratch = BitScratch::new();
     let mut rounds = RoundStats::quiescent();
-    let mut status = StatusMap::all_enabled(mesh);
-    // One pass marks the faults and finds their bounding box; a second
-    // packs them — no intermediate coordinate vector.
-    let mut bounds: Option<(mesh2d::Coord, mesh2d::Coord)> = None;
-    for &c in faults.in_insertion_order() {
-        status.set(c, NodeStatus::Faulty);
-        bounds = Some(match bounds {
-            None => (c, c),
-            Some((lo, hi)) => (
-                mesh2d::Coord::new(lo.x.min(c.x), lo.y.min(c.y)),
-                mesh2d::Coord::new(hi.x.max(c.x), hi.y.max(c.y)),
-            ),
-        });
-    }
-    let bits = match bounds {
-        None => BitGrid::empty(),
-        Some((lo, hi)) => {
-            let mut bits = BitGrid::with_bounds(lo, hi);
-            for &c in faults.in_insertion_order() {
-                bits.set(c);
-            }
-            bits
-        }
-    };
-    // Hull-fill each component in place inside the shared flood buffer —
-    // no per-component grid is ever allocated — then sort the extracted
-    // polygons into the merge process's x-major component order (the
-    // round composition is order-independent: max rounds, summed events).
-    let mut polygons: Vec<(mesh2d::Coord, Region)> = Vec::new();
-    bits.for_each_component_with(Connectivity::Eight, &mut scratch, |view| {
-        let key = view.min_coord_x_major();
+    let bits = BitGrid::from_coords(faults.in_insertion_order().iter().copied());
+    // Hull-fill each component in place inside the shared flood buffer
+    // and copy the polygon's rows out; the polygons come back in the merge
+    // process's x-major component order (the round composition is
+    // order-independent: max rounds, summed events).
+    let polygons = bits.component_regions_by(Connectivity::Eight, &mut BitScratch::new(), |view| {
         let (iterations, added) = view.hull_fixpoint();
         mocp_obs::counter!("construct.components").inc();
         mocp_obs::counter!("construct.fixpoint_rounds").add(iterations as u64);
@@ -248,16 +216,11 @@ fn construct_concave_fused(mesh: &Mesh2D, faults: &FaultSet) -> ModelOutcome {
             events: added,
             converged: true,
         });
-        for c in view.iter() {
-            status.supersede(c, NodeStatus::Disabled);
-        }
-        polygons.push((key, view.to_region()));
     });
-    polygons.sort_by_key(|&(key, _)| key);
     ModelOutcome {
         model: "CMFP".to_string(),
-        status,
-        regions: polygons.into_iter().map(|(_, region)| region).collect(),
+        status: pile_polygons(mesh, faults, &polygons),
+        regions: polygons,
         rounds,
     }
 }

@@ -35,7 +35,7 @@ use crate::component::FaultyComponent;
 use crate::shape_cache::{ShapeCache, ShapeKey};
 use distsim::RoundStats;
 use fblock::LabelFrame;
-use mesh2d::{Coord, Mesh2D, Rect, Region};
+use mesh2d::{BitGrid, Coord, Mesh2D, Rect, Region};
 
 /// Centralized solution 1 (virtual faulty block + labelling schemes 1 and 2).
 #[derive(Clone, Copy, Debug, Default)]
@@ -77,12 +77,12 @@ impl VirtualBlockSolver {
         // block; labelling scheme 2 shrinks it to the minimum polygon.
         let rounds = frame.grow().then(frame.shrink());
 
-        let disabled = frame.excluded();
-        let polygon = region_of(
-            disabled
+        let polygon = polygon_in(
+            component.virtual_block(),
+            frame
+                .excluded()
                 .iter()
                 .map(|c| Coord::new(c.x + offset.x, c.y + offset.y)),
-            disabled.len(),
         );
         ComponentSolution { polygon, rounds }
     }
@@ -103,10 +103,7 @@ impl VirtualBlockSolver {
         };
         if let Some(SolvedShape { rounds, polygon }) = cache.get(&key) {
             mocp_obs::counter!("construct.shape_cache_hits").inc();
-            let polygon = region_of(
-                key.unpack(window.min(), polygon),
-                polygon.count_ones() as usize,
-            );
+            let polygon = polygon_in(component.virtual_block(), key.unpack(window.min(), polygon));
             return ComponentSolution { polygon, rounds };
         }
         let sol = self.solve_with(component, frame);
@@ -114,7 +111,7 @@ impl VirtualBlockSolver {
             key,
             SolvedShape {
                 rounds: sol.rounds,
-                polygon: key.pack(window.min(), sol.polygon.iter()),
+                polygon: key.pack(window.min(), sol.polygon.bits().iter()),
             },
         );
         sol
@@ -129,19 +126,14 @@ pub(crate) struct SolvedShape {
     polygon: u64,
 }
 
-/// The region of `len` cells given in `Coord` order. Small polygons (most
-/// components are a fault or two) build cheaper by direct insertion than
-/// through the bulk path.
-fn region_of(cells: impl Iterator<Item = Coord>, len: usize) -> Region {
-    if len <= 16 {
-        let mut region = Region::new();
-        for c in cells {
-            region.insert(c);
-        }
-        region
-    } else {
-        Region::from_coords(cells)
+/// The polygon of `cells`, framed on the component's virtual block (which
+/// is the polygon's bounding box).
+fn polygon_in(block: Rect, cells: impl Iterator<Item = Coord>) -> Region {
+    let mut bits = BitGrid::with_bounds(block.min(), block.max());
+    for c in cells {
+        bits.set(c);
     }
+    Region::from_bits(bits)
 }
 
 /// The virtual block expanded by a one-node margin in every direction.

@@ -21,15 +21,10 @@
 use crate::analysis::CentralizedSolution;
 use crate::centralized::{SolvedShape, VirtualBlockSolver};
 use crate::component::FaultyComponent;
-use crate::concave::ConcaveSectionSolver;
 use crate::shape_cache::ShapeCache;
 use distsim::RoundStats;
 use fblock::LabelFrame;
 use mesh2d::{BitGrid, BitScratch, Connectivity, Coord, Mesh2D, Rect, Region};
-
-/// Size cap under which the bit-parallel concave-section construction
-/// re-verifies against the scalar [`ConcaveSectionSolver`] in debug builds.
-const ORACLE_NODE_CAP: usize = 1024;
 
 /// Reusable buffers threaded through the construction entry points so the
 /// hull fixpoint, the virtual-block labelling and the callers' flood fills
@@ -72,16 +67,16 @@ impl ConstructionScratch {
     /// Word-flood decomposition of `cells` (which must lie inside `bbox`)
     /// into its 8-connected components on the scratch buffers — the
     /// incremental engine's localized re-flood after a repair. Only the
-    /// returned component grids are allocated.
-    pub fn flood_components(&mut self, cells: &Region, bbox: Rect) -> Vec<BitGrid> {
+    /// returned components are allocated.
+    pub fn flood_components(&mut self, cells: &Region, bbox: Rect) -> Vec<Region> {
         if self.grid.reset_frame(bbox.min(), bbox.max()) {
             self.grid_grows += 1;
         }
-        for c in cells.iter() {
+        for c in cells.bits().iter() {
             self.grid.set(c);
         }
         self.grid
-            .components_with(Connectivity::Eight, &mut self.bits)
+            .component_regions_with(Connectivity::Eight, &mut self.bits)
     }
 }
 
@@ -90,8 +85,10 @@ impl ConstructionScratch {
 /// the bit-parallel hull fixpoint inside the component's bounding box.
 ///
 /// `cells` must be the nodes of one 8-connected component and `bbox` its
-/// bounding rectangle. The returned iteration count matches the scalar
-/// [`ConcaveSectionSolver`]'s scan-then-fill rounds exactly.
+/// bounding rectangle. The returned iteration count equals the scan-then-
+/// fill rounds of the scalar
+/// [`ConcaveSectionSolver`](crate::concave::ConcaveSectionSolver), as the
+/// `construct_oracle` test checks.
 pub(crate) fn concave_polygon_with(
     cells: impl Iterator<Item = Coord>,
     cell_count: usize,
@@ -105,7 +102,7 @@ pub(crate) fn concave_polygon_with(
         scratch.grid.set(c);
     }
     let (iterations, added) = scratch.grid.hull_fixpoint(&mut scratch.bits);
-    let polygon = scratch.grid.to_region();
+    let polygon = Region::from_bits(scratch.grid.clone());
     debug_assert_eq!(polygon.len(), cell_count + added as usize);
     mocp_obs::counter!("construct.components").inc();
     mocp_obs::counter!("construct.fixpoint_rounds").add(iterations as u64);
@@ -184,22 +181,12 @@ pub(crate) fn construct_component_on(
                 rounds: sol.rounds,
             }
         }
-        CentralizedSolution::ConcaveSections => {
-            let sol = concave_polygon_with(
-                component.iter(),
-                component.len(),
-                component.virtual_block(),
-                scratch,
-            );
-            debug_assert!(
-                component.len() > ORACLE_NODE_CAP || {
-                    let (oracle_polygon, oracle_iterations) = ConcaveSectionSolver.solve(component);
-                    oracle_polygon == sol.polygon && oracle_iterations == sol.rounds.rounds
-                },
-                "bit-parallel concave-section construction diverged from the scalar solver"
-            );
-            sol
-        }
+        CentralizedSolution::ConcaveSections => concave_polygon_with(
+            component.region().bits().iter(),
+            component.len(),
+            component.virtual_block(),
+            scratch,
+        ),
     }
 }
 
@@ -229,16 +216,7 @@ pub fn construct_cells_with(
             scratch,
         ),
         CentralizedSolution::ConcaveSections => {
-            let sol = concave_polygon_with(cells.iter(), cells.len(), bbox, scratch);
-            debug_assert!(
-                cells.len() > ORACLE_NODE_CAP
-                    || sol.polygon
-                        == ConcaveSectionSolver
-                            .solve(&FaultyComponent::new(cells.clone()))
-                            .0,
-                "bit-parallel cell-set construction diverged from the scalar solver"
-            );
-            sol
+            concave_polygon_with(cells.bits().iter(), cells.len(), bbox, scratch)
         }
     }
 }

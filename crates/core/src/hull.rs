@@ -8,31 +8,20 @@
 //! tested against.
 
 use crate::component::FaultyComponent;
-use mesh2d::{BitGrid, BitScratch, Region};
-
-/// Size cap under which the bit-parallel hull re-verifies against the
-/// scalar [`Region::orthogonal_convex_hull`] in debug builds.
-const ORACLE_NODE_CAP: usize = 1024;
+use mesh2d::Region;
 
 /// The minimum orthogonal convex polygon covering `component`: the
 /// component's faults plus every node forced by Definition 1.
 ///
-/// Computed by the bit-parallel hull fixpoint (per-row occupied spans from
-/// leading/trailing-zero counts, word-parallel column fills); the scalar
-/// specification — iterated row/column gap filling on a [`Region`]
-/// ([`Region::orthogonal_convex_hull`]) — remains the oracle this and the
-/// production solvers in [`centralized`](crate::centralized),
-/// [`concave`](crate::concave) and [`distributed`](crate::distributed)
-/// are verified against.
+/// Computed by the bit-parallel hull fixpoint of
+/// [`Region::orthogonal_convex_hull`] (per-row occupied spans from
+/// leading/trailing-zero counts, word-parallel column fills). This is the
+/// specification the production solvers in
+/// [`centralized`](crate::centralized), [`concave`](crate::concave) and
+/// [`distributed`](crate::distributed) are verified against; the scalar
+/// iterated gap fill it replaced is the `region_oracle` test's.
 pub fn minimum_polygon(component: &FaultyComponent) -> Region {
-    let mut bits = BitGrid::from_region(component.region());
-    bits.hull_fixpoint(&mut BitScratch::new());
-    let hull = bits.to_region();
-    debug_assert!(
-        component.len() > ORACLE_NODE_CAP || hull == component.region().orthogonal_convex_hull(),
-        "bit-parallel minimum polygon diverged from the scalar hull"
-    );
-    hull
+    component.region().orthogonal_convex_hull()
 }
 
 /// Number of non-faulty nodes the minimum polygon of `component` contains.

@@ -16,9 +16,10 @@ use mesh2d::{FaultSet, Mesh2D, NodeStatus, Region, StatusMap};
 pub fn pile_polygons(mesh: &Mesh2D, faults: &FaultSet, polygons: &[Region]) -> StatusMap {
     let mut status = StatusMap::from_fault_list(mesh, faults.in_insertion_order());
     for polygon in polygons {
-        for c in polygon.iter() {
+        for c in polygon.bits().iter() {
             // The superseding rule keeps faulty (black) nodes faulty and
-            // upgrades enabled (white) nodes to disabled (gray).
+            // upgrades enabled (white) nodes to disabled (gray), in any
+            // visiting order, so the storage order serves.
             status.supersede(c, NodeStatus::Disabled);
         }
     }

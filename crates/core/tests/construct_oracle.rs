@@ -10,7 +10,9 @@
 //!   `StatusMap::from_faults` plus the superseding rule;
 //! * FP: the same path through `Grid<Activation>`;
 //! * CMFP: each component's window emulated as its own `FaultSet` and
-//!   `Mesh2D`, labelled into grids;
+//!   `Mesh2D`, labelled into grids, and the scalar `ConcaveSectionSolver`
+//!   for the packed hull of the concave-section solution (polygon and
+//!   iteration count);
 //! * the merge: per-component `BitGrid`s (`components()` + `to_region`)
 //!   and the scalar `Region::components`;
 //! * DMFP: the per-component protocol runs piled with `from_faults`.
@@ -30,6 +32,8 @@ use mesh2d::{
     StatusMap,
 };
 use mocp_core::centralized::VirtualBlockSolver;
+use mocp_core::concave::ConcaveSectionSolver;
+use mocp_core::construction::construct_cells_with;
 use mocp_core::{
     construct_component_with, merge_components, minimum_polygon, CentralizedMfpModel,
     CentralizedSolution, ConstructionScratch, DistributedMfpModel, FaultyComponent,
@@ -209,6 +213,32 @@ fn check_windows(mesh: &Mesh2D, components: &[FaultyComponent]) {
         assert_eq!(shared.polygon, polygon, "scratch polygon of {component:?}");
         assert_eq!(shared.rounds, rounds, "scratch rounds of {component:?}");
         assert_eq!(polygon, minimum_polygon(component), "hull of {component:?}");
+        let (concave_polygon, iterations) = ConcaveSectionSolver.solve(component);
+        assert_eq!(
+            concave_polygon, polygon,
+            "concave sections of {component:?}"
+        );
+        for concave in [
+            construct_component_with(
+                mesh,
+                component,
+                CentralizedSolution::ConcaveSections,
+                &mut scratch,
+            ),
+            construct_cells_with(
+                mesh,
+                component.region(),
+                component.virtual_block(),
+                CentralizedSolution::ConcaveSections,
+                &mut scratch,
+            ),
+        ] {
+            assert_eq!(concave.polygon, polygon, "packed hull of {component:?}");
+            assert_eq!(
+                concave.rounds.rounds, iterations,
+                "hull rounds of {component:?}"
+            );
+        }
     }
 }
 

@@ -80,7 +80,17 @@ fn main() {
                     FaultDistribution::from_label(&label).unwrap_or_else(|| usage());
             }
             "--rate" => scenario.injection_rate = parse(args.next()),
-            "--vc-capacity" => scenario.vc_capacity = parse(args.next()),
+            "--vc-capacity" => {
+                scenario.vc_capacity = parse(args.next());
+                if scenario.vc_capacity > mocp_traffic::MAX_VC_CAPACITY {
+                    eprintln!(
+                        "traffic_sim: --vc-capacity {} is above the largest buffer, {}",
+                        scenario.vc_capacity,
+                        mocp_traffic::MAX_VC_CAPACITY
+                    );
+                    std::process::exit(2);
+                }
+            }
             "--max-cycles" => scenario.max_cycles = parse(args.next()),
             "--seed" => scenario.base_seed = parse(args.next()),
             "--threads" => {

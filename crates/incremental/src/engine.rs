@@ -1,16 +1,12 @@
 //! The event-driven maintenance engine.
 
 use mesh2d::{
-    BitGrid, Connectivity, Coord, FaultEvent, FaultSet, Grid, Mesh2D, NodeStatus, Rect, Region,
-    StatusDelta, StatusMap,
+    BitGrid, Coord, FaultEvent, FaultSet, Grid, Mesh2D, NodeStatus, Rect, Region, StatusDelta,
+    StatusMap,
 };
 use mocp_core::construction::{construct_cells_with, ConstructionScratch};
 use mocp_core::CentralizedSolution;
 use serde::{Deserialize, Serialize};
-
-/// Size cap under which the localized re-flood re-verifies against the
-/// scalar `Region::components` oracle in debug builds.
-const ORACLE_NODE_CAP: usize = 1024;
 
 /// Sentinel component id for healthy nodes.
 const NO_COMPONENT: u32 = u32::MAX;
@@ -22,11 +18,11 @@ struct Component {
     cells: Region,
     /// The virtual faulty block (bounding box) the merge process maintains.
     bbox: Rect,
-    /// Cached minimum orthogonal convex polygon of `cells`, word-packed:
-    /// O(1) membership for the cache-hit shortcut, word-speed iteration
-    /// for the cover-count install/retire, and an allocation reused
+    /// Cached minimum orthogonal convex polygon of `cells`: O(1)
+    /// membership for the cache-hit shortcut, word-speed iteration for the
+    /// cover-count install/retire, and a grid whose allocation is reused
     /// across recomputes (`reset_frame`).
-    polygon: BitGrid,
+    polygon: Region,
 }
 
 /// Counters describing how much work the engine actually did — the evidence
@@ -209,7 +205,7 @@ impl IncrementalEngine {
             let comp = self.components[id as usize]
                 .as_ref()
                 .expect("faulty nodes map to live components");
-            return Some(comp.polygon.to_region());
+            return Some(comp.polygon.clone());
         }
         if self.cover.get(c).copied().unwrap_or(0) == 0 {
             return None;
@@ -227,7 +223,7 @@ impl IncrementalEngine {
                     .next()
                     .expect("components are never empty")
             })
-            .map(|comp| comp.polygon.to_region())
+            .map(|comp| comp.polygon.clone())
     }
 
     /// Number of non-faulty nodes currently disabled (Figure 9 metric).
@@ -249,7 +245,7 @@ impl IncrementalEngine {
     /// cell — the same deterministic order the batch construction
     /// ([`mocp_core::merge_components`]) produces.
     pub fn polygons(&self) -> Vec<Region> {
-        let mut with_key: Vec<(Coord, &BitGrid)> = self
+        let mut with_key: Vec<(Coord, &Region)> = self
             .components
             .iter()
             .flatten()
@@ -263,7 +259,7 @@ impl IncrementalEngine {
             })
             .collect();
         with_key.sort_by_key(|&(key, _)| key);
-        with_key.into_iter().map(|(_, p)| p.to_region()).collect()
+        with_key.into_iter().map(|(_, p)| p.clone()).collect()
     }
 
     /// The maintained virtual faulty blocks (per-component bounding boxes),
@@ -362,7 +358,7 @@ impl IncrementalEngine {
         self.components
             .get(id as usize)
             .and_then(|comp| comp.as_ref())
-            .map(|comp| &comp.polygon)
+            .map(|comp| comp.polygon.bits())
     }
 
     fn inject(&mut self, c: Coord) -> StatusDelta {
@@ -410,10 +406,12 @@ impl IncrementalEngine {
         }
 
         let keep = if adjacent.is_empty() {
+            let mut cells = Region::new();
+            cells.insert(c);
             let id = self.alloc(Component {
-                cells: Region::from_coords([c]),
+                cells,
                 bbox: Rect::single(c),
-                polygon: BitGrid::empty(),
+                polygon: Region::new(),
             });
             self.live += 1;
             id
@@ -435,13 +433,13 @@ impl IncrementalEngine {
                 self.retire_polygon(&absorbed.polygon, &mut touched);
                 // Only the absorbed (smaller) component's cells are
                 // relabelled — the small-into-large bound.
-                for cell in absorbed.cells.iter() {
+                for cell in absorbed.cells.bits().iter() {
                     self.comp_id.set(cell, keep);
                 }
                 let comp = self.components[keep as usize]
                     .as_mut()
                     .expect("keep is live");
-                for cell in absorbed.cells.iter() {
+                for cell in absorbed.cells.bits().iter() {
                     comp.cells.insert(cell);
                 }
                 comp.bbox = comp
@@ -458,7 +456,7 @@ impl IncrementalEngine {
                     .polygon,
             );
             self.retire_polygon(&old, &mut touched);
-            self.spare_polygon = old;
+            self.spare_polygon = old.into_bits();
             let comp = self.components[keep as usize]
                 .as_mut()
                 .expect("keep is live");
@@ -498,7 +496,7 @@ impl IncrementalEngine {
         touched.clear();
         touched.push(c);
         self.retire_polygon(&comp.polygon, &mut touched);
-        self.spare_polygon = std::mem::take(&mut comp.polygon);
+        self.spare_polygon = std::mem::take(&mut comp.polygon).into_bits();
 
         if comp.cells.is_empty() {
             self.free.push(id);
@@ -506,16 +504,9 @@ impl IncrementalEngine {
         } else {
             // Localized re-flood: only this component's surviving cells are
             // visited, as a word-scan flood over the component's bounding
-            // box (the scalar decomposition remains the debug oracle). The
-            // largest piece keeps the id (and so most labels).
+            // box. The largest piece keeps the id (and so most labels).
             mocp_obs::counter!("engine.refloods").inc();
-            let piece_grids = self.scratch.flood_components(&comp.cells, comp.bbox);
-            let mut pieces: Vec<Region> = piece_grids.iter().map(BitGrid::to_region).collect();
-            debug_assert!(
-                comp.cells.len() > ORACLE_NODE_CAP
-                    || pieces == comp.cells.components(Connectivity::Eight),
-                "word-flood repair re-flood diverged from the scalar oracle"
-            );
+            let mut pieces = self.scratch.flood_components(&comp.cells, comp.bbox);
             if pieces.len() > 1 {
                 self.stats.splits += 1;
                 mocp_obs::counter!("engine.splits").inc();
@@ -533,7 +524,7 @@ impl IncrementalEngine {
                 let piece = Component {
                     cells,
                     bbox,
-                    polygon: BitGrid::empty(),
+                    polygon: Region::new(),
                 };
                 let piece_id = if i == 0 {
                     // The largest piece reclaims the old id; its cells are
@@ -543,13 +534,11 @@ impl IncrementalEngine {
                 } else {
                     let pid = self.alloc(piece);
                     self.live += 1;
-                    for cell in self.components[pid as usize]
+                    let cells = &self.components[pid as usize]
                         .as_ref()
                         .expect("just inserted")
-                        .cells
-                        .clone()
-                        .iter()
-                    {
+                        .cells;
+                    for cell in cells.bits().iter() {
                         self.comp_id.set(cell, pid);
                     }
                     pid
@@ -578,7 +567,7 @@ impl IncrementalEngine {
         // fixpoint in place — no per-event region or buffer allocation.
         // Components without a buffer yet (fresh, post-merge, split
         // pieces) recycle the grid the last merge/repair retired.
-        let mut polygon = std::mem::take(&mut comp.polygon);
+        let mut polygon = std::mem::take(&mut comp.polygon).into_bits();
         if polygon.is_empty() {
             // No bits ⇒ this component has no buffer yet (fresh singleton,
             // post-merge survivor, or split piece — live polygons always
@@ -588,23 +577,10 @@ impl IncrementalEngine {
         match self.solution {
             CentralizedSolution::ConcaveSections => {
                 polygon.reset_frame(comp.bbox.min(), comp.bbox.max());
-                for cell in comp.cells.iter() {
+                for cell in comp.cells.bits().iter() {
                     polygon.set(cell);
                 }
                 polygon.hull_fixpoint(self.scratch.flood_scratch());
-                debug_assert!(
-                    comp.cells.len() > ORACLE_NODE_CAP
-                        || polygon.to_region()
-                            == construct_cells_with(
-                                &self.mesh,
-                                &comp.cells,
-                                comp.bbox,
-                                self.solution,
-                                &mut ConstructionScratch::new(),
-                            )
-                            .polygon,
-                    "in-place hull diverged from the construction entry point"
-                );
             }
             CentralizedSolution::VirtualBlock => {
                 let sol = construct_cells_with(
@@ -614,7 +590,7 @@ impl IncrementalEngine {
                     self.solution,
                     &mut self.scratch,
                 );
-                polygon = BitGrid::from_region(&sol.polygon);
+                polygon = sol.polygon.into_bits();
             }
         }
         let mut size = 0usize;
@@ -633,14 +609,12 @@ impl IncrementalEngine {
         self.components[id as usize]
             .as_mut()
             .expect("dirty ids are live")
-            .polygon = polygon;
+            .polygon = Region::from_bits(polygon);
     }
 
     /// Removes one polygon's contribution to the cover counts.
-    fn retire_polygon(&mut self, polygon: &BitGrid, touched: &mut Vec<Coord>) {
-        let mut size = 0usize;
-        for n in polygon.iter() {
-            size += 1;
+    fn retire_polygon(&mut self, polygon: &Region, touched: &mut Vec<Coord>) {
+        for n in polygon.bits().iter() {
             let w = self
                 .cover
                 .get_mut(n)
@@ -651,7 +625,7 @@ impl IncrementalEngine {
                 touched.push(n);
             }
         }
-        self.polygon_total -= size;
+        self.polygon_total -= polygon.len();
     }
 
     /// Recomputes the derived status of one node, recording any change.
@@ -697,6 +671,7 @@ impl IncrementalEngine {
 mod tests {
     use super::*;
     use fblock::FaultModel;
+    use mesh2d::Connectivity;
     use mocp_core::CentralizedMfpModel;
 
     fn batch(mesh: &Mesh2D, faults: &FaultSet) -> fblock::ModelOutcome {

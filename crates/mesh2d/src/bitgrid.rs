@@ -21,10 +21,13 @@
 //! share the same bit phase: binary operations between frames are pure
 //! word-at-a-time loops (a word-index offset, never a bit shift).
 //!
-//! The scalar [`Region`] implementations of the same queries remain the
-//! specification; the property tests pin every kernel here to them.
+//! [`Region`] is a grid of this type plus its node count; the scalar
+//! ordered-set implementations these kernels replaced are the oracle of
+//! the `region_oracle` test.
 
 use crate::{Connectivity, Coord, Mesh2D, Rect, Region};
+use std::fmt;
+use std::ops::{Deref, DerefMut};
 
 /// Rounds `x` down to a multiple of 64 (the word phase anchor).
 #[inline]
@@ -83,6 +86,28 @@ pub fn row_span_mask(src: &[u64], dst: &mut [u64]) -> bool {
     true
 }
 
+/// The smallest and largest x offset (from the rows' first bit) of a set
+/// bit in packed rows of `ww` words each, which hold at least one.
+fn x_extent(rows: &[u64], ww: usize) -> (i32, i32) {
+    let (mut first, mut last) = (ww, 0);
+    for row in rows.chunks_exact(ww) {
+        if let Some(j) = row.iter().position(|&w| w != 0) {
+            first = first.min(j);
+            last = last.max(row.iter().rposition(|&w| w != 0).expect("non-empty"));
+        }
+    }
+    assert!(first < ww, "the rows hold a set bit");
+    let (mut first_or, mut last_or) = (0u64, 0u64);
+    for row in rows.chunks_exact(ww) {
+        first_or |= row[first];
+        last_or |= row[last];
+    }
+    (
+        (first * 64) as i32 + first_or.trailing_zeros() as i32,
+        (last * 64) as i32 + 63 - last_or.leading_zeros() as i32,
+    )
+}
+
 /// Reusable buffers for the flood / hull kernels, so steady-state callers
 /// (the incremental engine, the batch construction loop) allocate nothing
 /// once the buffers have grown to the working-set size.
@@ -136,6 +161,84 @@ impl BitScratch {
     }
 }
 
+/// Word count a [`BitGrid`] keeps in place before its rows move to the
+/// heap: the frames of most fault components and polygons fit, so their
+/// regions are built without allocating.
+const INLINE_WORDS: usize = 4;
+
+/// The packed rows of a [`BitGrid`]: in place up to [`INLINE_WORDS`]
+/// words (the count in the first field), on the heap beyond.
+#[derive(Clone)]
+enum Words {
+    Inline(u8, [u64; INLINE_WORDS]),
+    Heap(Vec<u64>),
+}
+
+impl Words {
+    fn zeroed(n: usize) -> Words {
+        if n <= INLINE_WORDS {
+            Words::Inline(n as u8, [0; INLINE_WORDS])
+        } else {
+            Words::Heap(vec![0; n])
+        }
+    }
+
+    fn capacity(&self) -> usize {
+        match self {
+            Words::Inline(..) => INLINE_WORDS,
+            Words::Heap(v) => v.capacity(),
+        }
+    }
+
+    /// Re-sizes to `n` zeroed words in the present storage when it holds
+    /// them; returns `true` when it had to grow.
+    fn reset_zeroed(&mut self, n: usize) -> bool {
+        let grew = n > self.capacity();
+        match self {
+            Words::Heap(v) if !grew => {
+                v.clear();
+                v.resize(n, 0);
+            }
+            _ => *self = Words::zeroed(n),
+        }
+        grew
+    }
+}
+
+impl Default for Words {
+    fn default() -> Self {
+        Words::zeroed(0)
+    }
+}
+
+impl Deref for Words {
+    type Target = [u64];
+
+    #[inline]
+    fn deref(&self) -> &[u64] {
+        match self {
+            Words::Inline(n, buf) => &buf[..*n as usize],
+            Words::Heap(v) => v,
+        }
+    }
+}
+
+impl DerefMut for Words {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [u64] {
+        match self {
+            Words::Inline(n, buf) => &mut buf[..*n as usize],
+            Words::Heap(v) => v,
+        }
+    }
+}
+
+impl fmt::Debug for Words {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// A word-packed occupancy bitmap over a rectangular frame of the 2-D
 /// coordinate plane (one bit per node, row-major `u64` words).
 #[derive(Clone, Debug)]
@@ -149,7 +252,7 @@ pub struct BitGrid {
     /// Number of rows.
     height: usize,
     /// Row-major packed occupancy, `height * width_words` words.
-    words: Vec<u64>,
+    words: Words,
 }
 
 impl Default for BitGrid {
@@ -166,7 +269,7 @@ impl BitGrid {
             origin_y: 0,
             width_words: 0,
             height: 0,
-            words: Vec::new(),
+            words: Words::default(),
         }
     }
 
@@ -183,7 +286,7 @@ impl BitGrid {
             origin_y: min.y,
             width_words,
             height,
-            words: vec![0; width_words * height],
+            words: Words::zeroed(width_words * height),
         }
     }
 
@@ -213,14 +316,14 @@ impl BitGrid {
         grid
     }
 
-    /// Builds a grid from a scalar [`Region`].
+    /// A copy of `region`'s grid.
     pub fn from_region(region: &Region) -> Self {
-        BitGrid::from_coords(region.iter())
+        region.bits().clone()
     }
 
-    /// Converts back to a scalar [`Region`].
+    /// A copy of this grid as a [`Region`].
     pub fn to_region(&self) -> Region {
-        Region::from_coords(self.iter())
+        Region::from_bits(self.clone())
     }
 
     /// True when the frame covers `c` (regardless of the bit value).
@@ -261,19 +364,28 @@ impl BitGrid {
     }
 
     /// Inserts `c`, growing the frame when necessary. Returns `true` when
-    /// newly set. Growth reallocates; hot loops should size the frame up
+    /// newly set. Growth reallocates, past `c` by the frame's current
+    /// extent on each side that moves, so a run of inserts walking outward
+    /// re-frames O(log n) times; hot loops should still size the frame up
     /// front via [`with_bounds`](Self::with_bounds).
     pub fn insert(&mut self, c: Coord) -> bool {
         if self.words.is_empty() {
             *self = BitGrid::with_bounds(c, c);
-            return self.set(c);
-        }
-        if !self.in_frame(c) {
+        } else if !self.in_frame(c) {
             let (lo, hi) = self.frame_bounds();
-            self.regrow(
-                Coord::new(lo.x.min(c.x), lo.y.min(c.y)),
-                Coord::new(hi.x.max(c.x), hi.y.max(c.y)),
-            );
+            let (w, h) = (hi.x - lo.x + 1, hi.y - lo.y + 1);
+            let grow = |v: i32, lo: i32, hi: i32, slack: i32| {
+                if v < lo {
+                    (v.saturating_sub(slack), hi)
+                } else if v > hi {
+                    (lo, v.saturating_add(slack))
+                } else {
+                    (lo, hi)
+                }
+            };
+            let (x0, x1) = grow(c.x, lo.x, hi.x, w);
+            let (y0, y1) = grow(c.y, lo.y, hi.y, h);
+            self.regrow(Coord::new(x0, y0), Coord::new(x1, y1));
         }
         self.set(c)
     }
@@ -304,10 +416,7 @@ impl BitGrid {
         let origin_x = word_align(min.x);
         let width_words = ((max.x - origin_x) as usize) / 64 + 1;
         let height = (max.y - min.y + 1) as usize;
-        let needed = width_words * height;
-        let grew = needed > self.words.capacity();
-        self.words.clear();
-        self.words.resize(needed, 0);
+        let grew = self.words.reset_zeroed(width_words * height);
         self.origin_x = origin_x;
         self.origin_y = min.y;
         self.width_words = width_words;
@@ -385,6 +494,17 @@ impl BitGrid {
         })
     }
 
+    /// Iterates set bits in the **x-major** order of [`Coord`]'s `Ord`
+    /// (by `x`, then `y`) — [`Region`]'s iteration order.
+    pub fn iter_x_major(&self) -> XMajor<'_> {
+        XMajor {
+            grid: self,
+            word: 0,
+            pending: 0,
+            row: 0,
+        }
+    }
+
     /// The smallest set coordinate in the **x-major** order of [`Coord`]'s
     /// `Ord` (smallest `x`, then smallest `y`) — the key [`Region`]
     /// components are sorted by.
@@ -420,29 +540,15 @@ impl BitGrid {
 
     /// The tight bounding rectangle of the set bits, or `None` when empty.
     pub fn bounding_rect(&self) -> Option<Rect> {
-        let mut min_y = None;
-        let mut max_y = 0usize;
-        let mut col_or = vec![0u64; self.width_words];
-        for row in 0..self.height {
-            let slice = &self.words[row * self.width_words..(row + 1) * self.width_words];
-            let mut any = false;
-            for (acc, &w) in col_or.iter_mut().zip(slice) {
-                *acc |= w;
-                any |= w != 0;
-            }
-            if any {
-                min_y.get_or_insert(row);
-                max_y = row;
-            }
-        }
-        let min_y = min_y?;
-        let first = col_or.iter().position(|&w| w != 0).expect("non-empty");
-        let last = col_or.iter().rposition(|&w| w != 0).expect("non-empty");
-        let min_x = self.origin_x + (first * 64) as i32 + col_or[first].trailing_zeros() as i32;
-        let max_x = self.origin_x + (last * 64) as i32 + 63 - col_or[last].leading_zeros() as i32;
+        let ww = self.width_words;
+        let occupied = |row: &[u64]| row.iter().any(|&w| w != 0);
+        let min_y = self.words.chunks_exact(ww.max(1)).position(occupied)?;
+        let max_y = self.height - 1 - self.words.chunks_exact(ww).rev().position(occupied)?;
+        let rows = &self.words[min_y * ww..(max_y + 1) * ww];
+        let (x0, x1) = x_extent(rows, ww);
         Some(Rect::new(
-            Coord::new(min_x, self.origin_y + min_y as i32),
-            Coord::new(max_x, self.origin_y + max_y as i32),
+            Coord::new(self.origin_x + x0, self.origin_y + min_y as i32),
+            Coord::new(self.origin_x + x1, self.origin_y + max_y as i32),
         ))
     }
 
@@ -494,6 +600,18 @@ impl BitGrid {
                 *w = f(*w, ow);
             }
         }
+    }
+
+    /// Number of set bits shared with `other`.
+    pub(crate) fn intersection_len(&self, other: &BitGrid) -> usize {
+        let mut n = 0;
+        self.zip_words(other, |a, b| n += (a & b).count_ones() as usize);
+        n
+    }
+
+    /// `self &= other` — a whole-word AND over the frame overlap.
+    pub(crate) fn intersect_with(&mut self, other: &BitGrid) {
+        self.zip_words_mut(other, |a, b| a & b);
     }
 
     /// True when the two grids share at least one set bit — a whole-word
@@ -615,38 +733,49 @@ impl BitGrid {
     /// x-major order. Each component's grid is framed by its own bounding
     /// box.
     pub fn components(&self, adjacency: Connectivity) -> Vec<BitGrid> {
-        let mut scratch = BitScratch::new();
-        self.components_with(adjacency, &mut scratch)
+        self.component_regions_with(adjacency, &mut BitScratch::new())
+            .into_iter()
+            .map(Region::into_bits)
+            .collect()
     }
 
-    /// [`components`](Self::components) with caller-provided scratch
-    /// buffers, for allocation-free steady-state use.
-    pub fn components_with(
-        &self,
-        adjacency: Connectivity,
-        scratch: &mut BitScratch,
-    ) -> Vec<BitGrid> {
-        let mut out = Vec::new();
-        self.for_each_component_with(adjacency, scratch, |view| out.push(view.to_grid()));
-        out.sort_by_key(|g| g.min_coord_x_major().expect("components are non-empty"));
-        out
-    }
-
-    /// The connected components under `adjacency` as scalar [`Region`]s,
-    /// in [`components`](Self::components)' x-major order. Each region is
-    /// built straight from its in-place [`ComponentRows`] view, so no
-    /// per-component grid is allocated.
+    /// The connected components under `adjacency` as [`Region`]s, in
+    /// [`components`](Self::components)' x-major order.
     pub fn component_regions_with(
         &self,
         adjacency: Connectivity,
         scratch: &mut BitScratch,
     ) -> Vec<Region> {
-        let mut keyed = Vec::new();
+        self.component_regions_by(adjacency, scratch, |_| {})
+    }
+
+    /// [`component_regions_with`](Self::component_regions_with), with
+    /// `prepare` run on each component's in-place [`ComponentRows`] view
+    /// before its rows are copied out (the fused CMFP construction hulls
+    /// it there). The regions are ordered by sorting the components' keys,
+    /// not the regions; `prepare` must keep each component's smallest
+    /// x-major node, as the hull does.
+    pub fn component_regions_by(
+        &self,
+        adjacency: Connectivity,
+        scratch: &mut BitScratch,
+        mut prepare: impl FnMut(&mut ComponentRows<'_>),
+    ) -> Vec<Region> {
+        let mut found = Vec::new();
+        let mut keys = Vec::new();
         self.for_each_component_with(adjacency, scratch, |view| {
-            keyed.push((view.min_coord_x_major(), view.to_region()));
+            prepare(view);
+            let grid = view.to_grid();
+            keys.push((
+                grid.min_coord_x_major().expect("components are non-empty"),
+                keys.len(),
+            ));
+            found.push(Some(Region::from_bits(grid)));
         });
-        keyed.sort_unstable_by_key(|&(key, _)| key);
-        keyed.into_iter().map(|(_, region)| region).collect()
+        keys.sort_unstable();
+        keys.into_iter()
+            .map(|(_, i)| found[i].take().expect("each index is taken once"))
+            .collect()
     }
 
     /// Visits every connected component **in place**: each component is
@@ -657,17 +786,17 @@ impl BitGrid {
     /// extracting whatever it needs.
     ///
     /// Components are visited in **discovery order** (row-major by first
-    /// cell); callers needing the x-major component order of
-    /// [`Region::components`] sort by
-    /// [`ComponentRows::min_coord_x_major`].
-    pub fn for_each_component_with(
+    /// cell); [`component_regions_by`](Self::component_regions_by) puts
+    /// them in x-major order.
+    fn for_each_component_with(
         &self,
         adjacency: Connectivity,
         scratch: &mut BitScratch,
         mut f: impl FnMut(&mut ComponentRows<'_>),
     ) {
         let ww = self.width_words;
-        let total = self.words.len();
+        let words: &[u64] = &self.words;
+        let total = words.len();
         if total == 0 {
             return;
         }
@@ -685,7 +814,7 @@ impl BitGrid {
 
         for seed_word in 0..total {
             loop {
-                let avail = self.words[seed_word] & !visited[seed_word];
+                let avail = words[seed_word] & !visited[seed_word];
                 if avail == 0 {
                     break;
                 }
@@ -699,12 +828,12 @@ impl BitGrid {
                 if seed_bit & (1 | 1 << 63) == 0 {
                     let mask3 = (seed_bit << 1) | seed_bit | (seed_bit >> 1);
                     let j = seed_word % ww;
-                    let mut nb = self.words[seed_word] & mask3 & !seed_bit;
+                    let mut nb = words[seed_word] & mask3 & !seed_bit;
                     if seed_row > 0 {
-                        nb |= self.words[(seed_row - 1) * ww + j] & mask3;
+                        nb |= words[(seed_row - 1) * ww + j] & mask3;
                     }
                     if seed_row + 1 < self.height {
-                        nb |= self.words[(seed_row + 1) * ww + j] & mask3;
+                        nb |= words[(seed_row + 1) * ww + j] & mask3;
                     }
                     if nb == 0 {
                         visited[seed_word] |= seed_bit;
@@ -782,7 +911,7 @@ impl BitGrid {
                                 // 4-spread is the strict west/east mask.
                                 nb |= spread[y * ww + j];
                             }
-                            let grow = nb & self.words[y * ww + j] & !comp[y * ww + j];
+                            let grow = nb & words[y * ww + j] & !comp[y * ww + j];
                             next[y * ww + j] = grow;
                             if grow != 0 {
                                 comp[y * ww + j] |= grow;
@@ -949,8 +1078,59 @@ impl BitGrid {
     }
 }
 
+/// The set bits of a [`BitGrid`] in x-major order (by `x`, then `y`):
+/// one word column at a time, the x positions its rows occupy come from
+/// the OR of the column, and each is read down the rows. See
+/// [`BitGrid::iter_x_major`].
+#[derive(Clone, Debug)]
+pub struct XMajor<'a> {
+    grid: &'a BitGrid,
+    /// Next word column to load.
+    word: usize,
+    /// The loaded word column's occupied x bits not yet finished; the
+    /// lowest is the current x.
+    pending: u64,
+    /// Next row to test at the current x.
+    row: usize,
+}
+
+impl Iterator for XMajor<'_> {
+    type Item = Coord;
+
+    fn next(&mut self) -> Option<Coord> {
+        let g = self.grid;
+        let ww = g.width_words;
+        loop {
+            if self.pending == 0 {
+                if self.word >= ww {
+                    return None;
+                }
+                let j = self.word;
+                self.word += 1;
+                self.pending = g.words[j..].iter().step_by(ww).fold(0, |acc, &w| acc | w);
+                self.row = 0;
+                continue;
+            }
+            let j = self.word - 1;
+            let bit = self.pending & self.pending.wrapping_neg();
+            while self.row < g.height {
+                let row = self.row;
+                self.row += 1;
+                if g.words[row * ww + j] & bit != 0 {
+                    return Some(Coord::new(
+                        g.origin_x + (j * 64) as i32 + bit.trailing_zeros() as i32,
+                        g.origin_y + row as i32,
+                    ));
+                }
+            }
+            self.pending &= self.pending - 1;
+            self.row = 0;
+        }
+    }
+}
+
 /// One connected component, viewed in place inside the shared flood
-/// buffer of [`BitGrid::for_each_component_with`]: the component's bits
+/// buffer of [`BitGrid::component_regions_by`]: the component's bits
 /// live in `comp` within rows `row_lo..=row_hi` of the parent grid's
 /// frame, and `fill`/`aux` are working buffers for the in-place hull.
 pub struct ComponentRows<'a> {
@@ -965,108 +1145,21 @@ pub struct ComponentRows<'a> {
 }
 
 impl ComponentRows<'_> {
-    /// Number of set bits.
-    pub fn len(&self) -> usize {
-        self.comp[self.row_lo * self.ww..(self.row_hi + 1) * self.ww]
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum()
-    }
-
-    /// Components are never empty.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Iterates the set bits in row-major order.
-    pub fn iter(&self) -> impl Iterator<Item = Coord> + '_ {
-        (self.row_lo..=self.row_hi).flat_map(move |row| {
-            let y = self.origin_y + row as i32;
-            (0..self.ww).flat_map(move |j| {
-                let mut w = self.comp[row * self.ww + j];
-                let base_x = self.origin_x + (j * 64) as i32;
-                std::iter::from_fn(move || {
-                    if w == 0 {
-                        return None;
-                    }
-                    let b = w.trailing_zeros();
-                    w &= w - 1;
-                    Some(Coord::new(base_x + b as i32, y))
-                })
-            })
-        })
-    }
-
-    /// The component as a scalar [`Region`].
-    pub fn to_region(&self) -> Region {
-        // Small sets build cheaper by direct insertion (one tree node, no
-        // intermediate vector); larger ones go through the bulk path.
-        if self.len() <= 16 {
-            let mut region = Region::new();
-            for c in self.iter() {
-                region.insert(c);
-            }
-            region
-        } else {
-            Region::from_coords(self.iter())
-        }
-    }
-
-    /// The smallest set coordinate in `Coord`'s x-major order — the key
-    /// that reproduces [`Region::components`]'s deterministic ordering.
-    pub fn min_coord_x_major(&self) -> Coord {
-        for j in 0..self.ww {
-            let mut column_or = 0u64;
-            for row in self.row_lo..=self.row_hi {
-                column_or |= self.comp[row * self.ww + j];
-            }
-            if column_or == 0 {
-                continue;
-            }
-            let bit = 1u64 << column_or.trailing_zeros();
-            for row in self.row_lo..=self.row_hi {
-                if self.comp[row * self.ww + j] & bit != 0 {
-                    return Coord::new(
-                        self.origin_x + (j * 64) as i32 + bit.trailing_zeros() as i32,
-                        self.origin_y + row as i32,
-                    );
-                }
-            }
-        }
-        unreachable!("components are never empty")
-    }
-
-    /// Extracts the component into its own tightly-framed [`BitGrid`].
+    /// Extracts the component into its own tightly-framed [`BitGrid`]:
+    /// rows `row_lo..=row_hi` (the first and last hold bits), cut to the
+    /// words between the leftmost and rightmost set bit.
     pub fn to_grid(&self) -> BitGrid {
         let ww = self.ww;
-        let mut col_or = vec![0u64; ww];
-        let (mut min_row, mut max_row) = (usize::MAX, 0usize);
-        for y in self.row_lo..=self.row_hi {
-            let mut any = false;
-            for (j, acc) in col_or.iter_mut().enumerate() {
-                let w = self.comp[y * ww + j];
-                *acc |= w;
-                any |= w != 0;
-            }
-            if any {
-                min_row = min_row.min(y);
-                max_row = max_row.max(y);
-            }
-        }
-        assert!(min_row != usize::MAX, "components are never empty");
-        let first = col_or.iter().position(|&w| w != 0).expect("non-empty");
-        let last = col_or.iter().rposition(|&w| w != 0).expect("non-empty");
-        let min_x = self.origin_x + (first * 64) as i32 + col_or[first].trailing_zeros() as i32;
-        let max_x = self.origin_x + (last * 64) as i32 + 63 - col_or[last].leading_zeros() as i32;
+        let rows = &self.comp[self.row_lo * ww..(self.row_hi + 1) * ww];
+        let (x0, x1) = x_extent(rows, ww);
         let mut out = BitGrid::with_bounds(
-            Coord::new(min_x, self.origin_y + min_row as i32),
-            Coord::new(max_x, self.origin_y + max_row as i32),
+            Coord::new(self.origin_x + x0, self.origin_y + self.row_lo as i32),
+            Coord::new(self.origin_x + x1, self.origin_y + self.row_hi as i32),
         );
-        let dw = ((out.origin_x - self.origin_x) / 64) as usize;
-        for y in min_row..=max_row {
-            let dst_row = y - min_row;
-            let dst = &mut out.words[dst_row * out.width_words..(dst_row + 1) * out.width_words];
-            dst.copy_from_slice(&self.comp[y * ww + dw..y * ww + dw + dst.len()]);
+        let first = (x0 / 64) as usize;
+        let n = out.width_words;
+        for (dst, row) in out.words.chunks_exact_mut(n).zip(rows.chunks_exact(ww)) {
+            dst.copy_from_slice(&row[first..first + n]);
         }
         out
     }
@@ -1351,10 +1444,10 @@ mod tests {
     fn scratch_reuse_stops_growing() {
         let mut scratch = BitScratch::new();
         let g = BitGrid::from_coords(coords(&[(0, 0), (1, 1), (40, 40)]));
-        g.components_with(Connectivity::Eight, &mut scratch);
+        g.component_regions_with(Connectivity::Eight, &mut scratch);
         let grows = scratch.grows();
         for _ in 0..5 {
-            g.components_with(Connectivity::Eight, &mut scratch);
+            g.component_regions_with(Connectivity::Eight, &mut scratch);
             let mut h = g.clone();
             h.hull_fixpoint(&mut scratch);
         }

@@ -44,7 +44,7 @@ pub mod render;
 pub mod status;
 pub mod topology;
 
-pub use bitgrid::{BitGrid, BitScratch};
+pub use bitgrid::{BitGrid, BitScratch, XMajor};
 pub use coord::Coord;
 pub use direction::{Direction, Turn};
 pub use fault::{FaultEvent, FaultSet};

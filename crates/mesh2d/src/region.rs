@@ -8,10 +8,16 @@
 //! * the (iterated) orthogonal convex hull — the minimum orthogonal convex
 //!   superset of a region,
 //! * bounding boxes and membership tests.
+//!
+//! Every query runs on the region's word-packed [`BitGrid`]; the scalar
+//! ordered-set implementation they replaced is the oracle of the
+//! `region_oracle` test.
 
-use crate::{Coord, Rect};
+use crate::bitgrid::XMajor;
+use crate::{BitGrid, BitScratch, Coord, Rect};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeMap;
+use std::fmt;
 
 /// Which adjacency relation to use when decomposing a region into connected
 /// components.
@@ -26,12 +32,17 @@ pub enum Connectivity {
 
 /// A set of mesh nodes.
 ///
-/// The set is kept in a `BTreeSet` so iteration order is deterministic, which
-/// keeps the distributed protocol simulation and the experiments
-/// reproducible.
-#[derive(Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+/// The set is a word-packed [`BitGrid`] window (64 nodes per `u64`) framed
+/// by the nodes' bounding box, plus its node count, so `len` is O(1) and the
+/// set algebra runs whole words at a time. Memory follows the bounding box,
+/// not the node count. The frame is a representation detail: equality is
+/// set equality, and iteration is in x-major, then y order whatever the
+/// frame, which keeps the distributed protocol simulation and the
+/// experiments reproducible.
+#[derive(Clone, Default, Serialize, Deserialize)]
 pub struct Region {
-    nodes: BTreeSet<Coord>,
+    bits: BitGrid,
+    len: usize,
 }
 
 impl Region {
@@ -42,9 +53,13 @@ impl Region {
 
     /// Builds a region from any coordinate collection.
     pub fn from_coords(coords: impl IntoIterator<Item = Coord>) -> Self {
-        Region {
-            nodes: coords.into_iter().collect(),
-        }
+        Region::from_bits(BitGrid::from_coords(coords))
+    }
+
+    /// Wraps a word-packed node set, whatever its frame.
+    pub fn from_bits(bits: BitGrid) -> Self {
+        let len = bits.len();
+        Region { bits, len }
     }
 
     /// Builds a region containing every node of `rect`.
@@ -52,100 +67,100 @@ impl Region {
         Self::from_coords(rect.nodes())
     }
 
+    /// The region's word-packed node set.
+    pub fn bits(&self) -> &BitGrid {
+        &self.bits
+    }
+
+    /// The region's word-packed node set, by value.
+    pub fn into_bits(self) -> BitGrid {
+        self.bits
+    }
+
     /// Number of nodes in the region.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.len
     }
 
     /// True when the region contains no node.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.len == 0
     }
 
     /// True when `c` belongs to the region.
     pub fn contains(&self, c: Coord) -> bool {
-        self.nodes.contains(&c)
+        self.bits.contains(c)
     }
 
-    /// Inserts a node; returns `true` if it was not present.
+    /// Inserts a node; returns `true` if it was not present. A node outside
+    /// the frame re-frames the region with room to spare, so a run of
+    /// inserts growing outward costs amortised O(1) each.
     pub fn insert(&mut self, c: Coord) -> bool {
-        self.nodes.insert(c)
+        let newly = self.bits.insert(c);
+        self.len += usize::from(newly);
+        newly
     }
 
     /// Removes a node; returns `true` if it was present.
     pub fn remove(&mut self, c: Coord) -> bool {
-        self.nodes.remove(&c)
+        let was = self.bits.remove(c);
+        self.len -= usize::from(was);
+        was
     }
 
     /// Iterates over nodes in deterministic (x-major, then y) order.
-    pub fn iter(&self) -> impl Iterator<Item = Coord> + '_ {
-        self.nodes.iter().copied()
+    pub fn iter(&self) -> XMajor<'_> {
+        self.bits.iter_x_major()
     }
 
     /// The union of two regions.
     pub fn union(&self, other: &Region) -> Region {
-        Region {
-            nodes: self.nodes.union(&other.nodes).copied().collect(),
-        }
+        let (big, small) = if self.len >= other.len {
+            (self, other)
+        } else {
+            (other, self)
+        };
+        let mut bits = big.bits.clone();
+        bits.union_with(&small.bits);
+        Region::from_bits(bits)
     }
 
     /// The set difference `self \ other`.
     pub fn difference(&self, other: &Region) -> Region {
-        Region {
-            nodes: self.nodes.difference(&other.nodes).copied().collect(),
-        }
+        let mut bits = self.bits.clone();
+        bits.subtract(&other.bits);
+        Region::from_bits(bits)
     }
 
     /// The intersection of two regions.
     pub fn intersection(&self, other: &Region) -> Region {
-        Region {
-            nodes: self.nodes.intersection(&other.nodes).copied().collect(),
-        }
+        let mut bits = self.bits.clone();
+        bits.intersect_with(&other.bits);
+        Region::from_bits(bits)
     }
 
     /// True when the two regions share no node.
     pub fn is_disjoint(&self, other: &Region) -> bool {
-        self.nodes.is_disjoint(&other.nodes)
+        !self.bits.intersects(&other.bits)
     }
 
     /// True when every node of `self` is in `other`.
     pub fn is_subset(&self, other: &Region) -> bool {
-        self.nodes.is_subset(&other.nodes)
+        self.len <= other.len && self.bits.is_subset_of(&other.bits)
     }
 
     /// The bounding box `[(min_x, min_y), (max_x, max_y)]`, or `None` for the
     /// empty region.
     pub fn bounding_rect(&self) -> Option<Rect> {
-        Rect::bounding(self.iter())
+        self.bits.bounding_rect()
     }
 
     /// Decomposes the region into connected components under the given
     /// adjacency. Components are returned in deterministic order (by their
     /// smallest node).
     pub fn components(&self, connectivity: Connectivity) -> Vec<Region> {
-        let mut unvisited: BTreeSet<Coord> = self.nodes.clone();
-        let mut out = Vec::new();
-        while let Some(&start) = unvisited.iter().next() {
-            unvisited.remove(&start);
-            let mut comp = BTreeSet::new();
-            comp.insert(start);
-            let mut queue = VecDeque::new();
-            queue.push_back(start);
-            while let Some(c) = queue.pop_front() {
-                let neighbors: Vec<Coord> = match connectivity {
-                    Connectivity::Four => c.neighbors4().to_vec(),
-                    Connectivity::Eight => c.neighbors8().to_vec(),
-                };
-                for n in neighbors {
-                    if unvisited.remove(&n) {
-                        comp.insert(n);
-                        queue.push_back(n);
-                    }
-                }
-            }
-            out.push(Region { nodes: comp });
-        }
-        out
+        self.bits
+            .component_regions_with(connectivity, &mut BitScratch::new())
     }
 
     /// True when the region is connected under the given adjacency.
@@ -161,18 +176,15 @@ impl Region {
     /// Equivalently, the region's intersection with every row and every
     /// column is a contiguous run.
     pub fn is_orthogonally_convex(&self) -> bool {
-        self.rows().values().all(|xs| is_contiguous(xs))
-            && self.columns().values().all(|ys| is_contiguous(ys))
+        self.bits.is_orthogonally_convex()
     }
 
     /// Nodes grouped by row: `y -> sorted x coordinates`.
     pub fn rows(&self) -> BTreeMap<i32, Vec<i32>> {
         let mut rows: BTreeMap<i32, Vec<i32>> = BTreeMap::new();
-        for c in self.iter() {
+        // Row-major storage order: ascending x within each row.
+        for c in self.bits.iter() {
             rows.entry(c.y).or_default().push(c.x);
-        }
-        for xs in rows.values_mut() {
-            xs.sort_unstable();
         }
         rows
     }
@@ -183,61 +195,54 @@ impl Region {
         for c in self.iter() {
             cols.entry(c.x).or_default().push(c.y);
         }
-        for ys in cols.values_mut() {
-            ys.sort_unstable();
-        }
         cols
     }
 
     /// The minimum orthogonal convex superset of this region: repeatedly fill
     /// every gap between two region nodes that share a row or a column until
-    /// a fixpoint is reached.
+    /// a fixpoint is reached (the bit-parallel hull fixpoint).
     ///
     /// For an 8-connected region a single fill pass already reaches the
     /// fixpoint, but iterating keeps the result correct for arbitrary input
     /// and makes the convexity of the output self-evident.
     pub fn orthogonal_convex_hull(&self) -> Region {
-        let mut hull = self.clone();
-        loop {
-            let mut added = Vec::new();
-            for (&y, xs) in hull.rows().iter() {
-                for gap in gaps(xs) {
-                    added.push(Coord::new(gap, y));
-                }
-            }
-            for (&x, ys) in hull.columns().iter() {
-                for gap in gaps(ys) {
-                    added.push(Coord::new(x, gap));
-                }
-            }
-            if added.is_empty() {
-                break;
-            }
-            for c in added {
-                hull.insert(c);
-            }
+        let mut bits = self.bits.clone();
+        let (_, added) = bits.hull_fixpoint(&mut BitScratch::new());
+        Region {
+            bits,
+            len: self.len + added as usize,
         }
-        hull
     }
 
     /// The nodes of `self` that do **not** belong to `other`.
     pub fn minus_count(&self, other: &Region) -> usize {
-        self.nodes.iter().filter(|c| !other.contains(**c)).count()
+        self.len - self.bits.intersection_len(&other.bits)
     }
 
     /// The boundary nodes of the region's complement that are 4-adjacent to
     /// the region — i.e. the non-member nodes hugging the region. Used by the
     /// distributed boundary-ring construction.
     pub fn outer_boundary4(&self) -> Region {
-        let mut b = BTreeSet::new();
-        for c in self.iter() {
-            for n in c.neighbors4() {
-                if !self.contains(n) {
-                    b.insert(n);
-                }
-            }
-        }
-        Region { nodes: b }
+        Region::from_coords(
+            self.bits
+                .iter()
+                .flat_map(|c| c.neighbors4())
+                .filter(|&n| !self.contains(n)),
+        )
+    }
+}
+
+impl PartialEq for Region {
+    fn eq(&self, other: &Region) -> bool {
+        self.len == other.len && self.bits.is_subset_of(&other.bits)
+    }
+}
+
+impl Eq for Region {}
+
+impl fmt::Debug for Region {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
     }
 }
 
@@ -247,28 +252,12 @@ impl FromIterator<Coord> for Region {
     }
 }
 
-impl IntoIterator for &Region {
+impl<'a> IntoIterator for &'a Region {
     type Item = Coord;
-    type IntoIter = std::vec::IntoIter<Coord>;
+    type IntoIter = XMajor<'a>;
     fn into_iter(self) -> Self::IntoIter {
-        self.iter().collect::<Vec<_>>().into_iter()
+        self.iter()
     }
-}
-
-/// True when the sorted values form a contiguous integer run.
-fn is_contiguous(sorted: &[i32]) -> bool {
-    sorted.windows(2).all(|w| w[1] == w[0] + 1)
-}
-
-/// Integer values strictly between consecutive entries of a sorted list.
-fn gaps(sorted: &[i32]) -> Vec<i32> {
-    let mut out = Vec::new();
-    for w in sorted.windows(2) {
-        for v in (w[0] + 1)..w[1] {
-            out.push(v);
-        }
-    }
-    out
 }
 
 #[cfg(test)]

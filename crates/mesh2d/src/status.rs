@@ -16,7 +16,7 @@
 //! capture that final, per-node outcome, together with the *superseding rule*
 //! used when piling per-component diagrams (faulty ⟶ gray ⟶ white).
 
-use crate::{Coord, Grid, Mesh2D, Region};
+use crate::{BitGrid, Coord, Grid, Mesh2D, Region};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -197,18 +197,42 @@ impl StatusMap {
 
     /// All faulty (black) nodes.
     pub fn faulty_region(&self) -> Region {
-        Region::from_coords(self.grid.coords_where(|&s| s == NodeStatus::Faulty))
+        self.region_where(|s| s == NodeStatus::Faulty)
     }
 
     /// All non-faulty but disabled (gray) nodes.
     pub fn disabled_region(&self) -> Region {
-        Region::from_coords(self.grid.coords_where(|&s| s == NodeStatus::Disabled))
+        self.region_where(|s| s == NodeStatus::Disabled)
     }
 
     /// All excluded nodes (faulty or disabled) — the union of the faulty
     /// polygons.
     pub fn excluded_region(&self) -> Region {
-        Region::from_coords(self.grid.coords_where(|s| s.is_excluded()))
+        self.region_where(NodeStatus::is_excluded)
+    }
+
+    /// The nodes whose status satisfies `pred`, packed over the map's frame
+    /// 64 statuses to a word.
+    fn region_where(&self, pred: impl Fn(NodeStatus) -> bool) -> Region {
+        let width = self.width() as usize;
+        let mut bits = BitGrid::with_bounds(
+            Coord::ORIGIN,
+            Coord::new(self.width() - 1, self.height() - 1),
+        );
+        let ww = bits.words().len() / self.height() as usize;
+        let rows = self.grid.as_slice().chunks_exact(width);
+        for (dst, row) in bits.words_mut().chunks_exact_mut(ww).zip(rows) {
+            for (word, statuses) in dst.iter_mut().zip(row.chunks(64)) {
+                // Most words match nothing: a branch-free test first.
+                if statuses.iter().fold(false, |any, &s| any | pred(s)) {
+                    *word = statuses
+                        .iter()
+                        .enumerate()
+                        .fold(0, |w, (b, &s)| w | u64::from(pred(s)) << b);
+                }
+            }
+        }
+        Region::from_bits(bits)
     }
 
     /// Number of non-faulty nodes the model disables (the paper's headline

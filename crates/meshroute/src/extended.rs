@@ -109,7 +109,8 @@ pub struct RegionMap {
 
 impl RegionMap {
     /// Labels the excluded components of `status` (4-connected, the
-    /// adjacency a blocked e-cube hop experiences).
+    /// adjacency a blocked e-cube hop experiences) with the word-packed
+    /// flood over the excluded set.
     pub fn from_status(mesh: &Mesh2D, status: &StatusMap) -> Self {
         let regions = status.excluded_region().components(Connectivity::Four);
         Self::from_regions(mesh, regions)
@@ -120,7 +121,7 @@ impl RegionMap {
     pub fn from_regions(mesh: &Mesh2D, regions: Vec<Region>) -> Self {
         let mut region_id = Grid::for_mesh(mesh, NO_REGION);
         for (idx, region) in regions.iter().enumerate() {
-            for c in region.iter() {
+            for c in region.bits().iter() {
                 region_id.set(c, idx as u32);
             }
         }

@@ -60,10 +60,10 @@ impl BitmapOps for BitGrid3 {
         BitGrid3::from_coords(coords.iter().copied())
     }
 
-    fn framed_over(parts: &[Self]) -> Self {
+    fn framed_over(parts: &[&Self]) -> Self {
         parts
             .iter()
-            .filter_map(BitGrid3::bounding_box)
+            .filter_map(|part| part.bounding_box())
             .reduce(|(alo, ahi), (blo, bhi)| {
                 (
                     Coord3::new(alo.x.min(blo.x), alo.y.min(blo.y), alo.z.min(blo.z)),
@@ -151,8 +151,8 @@ impl RegionOps for Region3 {
         Region3::is_orthogonally_convex(self)
     }
 
-    fn to_bitmap(&self) -> BitGrid3 {
-        self.bits().clone()
+    fn bitmap(&self) -> &BitGrid3 {
+        self.bits()
     }
 }
 

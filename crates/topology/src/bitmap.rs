@@ -10,9 +10,9 @@
 //! scan of Definition 1).
 //!
 //! A new topology joins the bit-parallel fast path by implementing this
-//! one trait next to its `MeshTopology` impl; the scalar
-//! [`RegionOps`](crate::RegionOps) implementations remain the
-//! specification every bitmap kernel is property-tested against.
+//! one trait next to its `MeshTopology` impl. Each dimension's region
+//! type is a bitmap of this kind ([`RegionOps::bitmap`](crate::RegionOps::bitmap)
+//! borrows it); the scalar sets they replaced are the test oracles.
 
 use std::fmt::Debug;
 
@@ -35,7 +35,7 @@ pub trait BitmapOps: Clone + Debug + Default + Send + Sync + 'static {
 
     /// An empty bitmap framed over the joint bounding box of the set
     /// nodes of `parts`, so that unioning them all in never regrows it.
-    fn framed_over(parts: &[Self]) -> Self;
+    fn framed_over(parts: &[&Self]) -> Self;
 
     /// Number of set nodes.
     fn len(&self) -> usize;
@@ -88,10 +88,10 @@ impl BitmapOps for mesh2d::BitGrid {
         mesh2d::BitGrid::from_coords(coords.iter().copied())
     }
 
-    fn framed_over(parts: &[Self]) -> Self {
+    fn framed_over(parts: &[&Self]) -> Self {
         parts
             .iter()
-            .filter_map(mesh2d::BitGrid::bounding_rect)
+            .filter_map(|part| part.bounding_rect())
             .reduce(|a, b| a.union(&b))
             .map_or_else(mesh2d::BitGrid::empty, |r| {
                 mesh2d::BitGrid::with_bounds(r.min(), r.max())

@@ -45,7 +45,7 @@ pub trait MeshTopology: Copy + PartialEq + Debug + Send + Sync + 'static {
 
     /// Word-packed bitmap type (64 nodes per `u64`) carrying the
     /// dimension's bit-parallel kernels; shared with
-    /// [`Region::to_bitmap`](RegionOps::to_bitmap) so regions and meshes
+    /// [`Region::bitmap`](RegionOps::bitmap) so regions and meshes
     /// speak the same fast-path type.
     type Bitmap: BitmapOps<Coord = Self::Coord> + Send + Sync;
 

@@ -4,14 +4,8 @@ use crate::bitmap::BitmapOps;
 use crate::mesh::MeshTopology;
 use crate::ops::{RegionOps, StatusOps};
 use distsim::RoundStats;
-use mesh2d::{BitGrid, BitScratch, Connectivity, Coord, Mesh2D, Region, StatusMap};
+use mesh2d::{Connectivity, Mesh2D, Region, StatusMap};
 use serde::{Deserialize, Serialize};
-
-/// Size cap under which the bit-parallel predicates re-verify against
-/// their scalar specifications in debug builds. Larger instances are
-/// covered by the dedicated property tests instead, so debug test runs do
-/// not pay the scalar cost on full-size sweeps.
-const ORACLE_NODE_CAP: usize = 1024;
 
 /// The outcome of running a fault-model construction on a faulty mesh,
 /// for any [`MeshTopology`].
@@ -63,75 +57,42 @@ impl<T: MeshTopology> Outcome<T> {
     ///
     /// Runs as a whole-word bitmap subtraction: the faults not yet covered
     /// shrink region by region, and the final emptiness test is one word
-    /// scan. The scalar any-region-contains loop remains the debug oracle.
+    /// scan.
     pub fn covers_all_faults(&self) -> bool {
-        let faults = self.status.faulty_coords();
-        let mut uncovered = T::Bitmap::from_coords(&faults);
+        let mut uncovered = T::Bitmap::from_coords(&self.status.faulty_coords());
         for r in &self.regions {
             if uncovered.is_empty() {
                 break;
             }
-            uncovered.subtract(&r.to_bitmap());
+            uncovered.subtract(r.bitmap());
         }
-        let covered = uncovered.is_empty();
-        debug_assert!(
-            faults.len() > ORACLE_NODE_CAP
-                || covered
-                    == faults
-                        .iter()
-                        .all(|&c| self.regions.iter().any(|r| r.contains(c))),
-            "bitmap covers_all_faults diverged from the scalar oracle"
-        );
-        covered
+        uncovered.is_empty()
     }
 
     /// True when every produced region is orthogonally convex
     /// (Definition 1, generalized per dimension) — the word-parallel
-    /// span/run scan of the region's bitmap, with the scalar
-    /// [`RegionOps::is_orthogonally_convex`] as the debug oracle.
+    /// span/run scan of the region's bitmap.
     pub fn all_regions_convex(&self) -> bool {
-        self.regions.iter().all(|r| {
-            let convex = r.to_bitmap().is_orthogonally_convex();
-            debug_assert!(
-                r.len() > ORACLE_NODE_CAP || convex == r.is_orthogonally_convex(),
-                "bitmap convexity diverged from the scalar oracle"
-            );
-            convex
-        })
+        self.regions
+            .iter()
+            .all(|r| r.bitmap().is_orthogonally_convex())
     }
 
     /// True when the produced regions are pairwise disjoint — one running
     /// union bitmap and a whole-word intersection test per region instead
-    /// of the scalar all-pairs scan (which remains the debug oracle). The
-    /// running union is framed once over the regions' joint bounding box,
-    /// so each region's test and union walk only that region's frame.
+    /// of an all-pairs scan. The running union is framed once over the
+    /// regions' joint bounding box, so each region's test and union walk
+    /// only that region's frame.
     pub fn regions_disjoint(&self) -> bool {
-        let bitmaps: Vec<T::Bitmap> = self.regions.iter().map(RegionOps::to_bitmap).collect();
+        let bitmaps: Vec<&T::Bitmap> = self.regions.iter().map(RegionOps::bitmap).collect();
         let mut seen = T::Bitmap::framed_over(&bitmaps);
-        let mut disjoint = true;
-        for bits in &bitmaps {
+        for bits in bitmaps {
             if bits.intersects(&seen) {
-                disjoint = false;
-                break;
+                return false;
             }
             seen.union_with(bits);
         }
-        debug_assert!(
-            self.regions.iter().map(RegionOps::len).sum::<usize>() > ORACLE_NODE_CAP || {
-                let mut oracle = true;
-                'outer: for (i, a) in self.regions.iter().enumerate() {
-                    for b in &self.regions[i + 1..] {
-                        if !a.is_disjoint(b) {
-                            oracle = false;
-                            break 'outer;
-                        }
-                    }
-                }
-                oracle == disjoint
-            },
-            "bitmap regions_disjoint diverged from the scalar oracle"
-        );
-        disjoint
+        true
     }
 }
 
@@ -140,19 +101,10 @@ impl Outcome<Mesh2D> {
     /// 2-D models whose construction produces a status map first and
     /// regions second.
     ///
-    /// Labelling runs as a word-scan flood on the packed excluded bitmap,
-    /// and each region is read straight off the flood buffer; the scalar
-    /// [`Region::components`] decomposition is the oracle of `mocp_core`'s
-    /// `construct_oracle` test.
+    /// Labelling runs as a word-scan flood on the packed excluded set, and
+    /// each region is copied straight off the flood buffer.
     pub fn regions_from_status(status: &StatusMap) -> Vec<Region> {
-        let mut excluded = BitGrid::with_bounds(
-            Coord::ORIGIN,
-            Coord::new(status.width() - 1, status.height() - 1),
-        );
-        for c in status.grid().coords_where(|s| s.is_excluded()) {
-            excluded.set(c);
-        }
-        excluded.component_regions_with(Connectivity::Four, &mut BitScratch::new())
+        status.excluded_region().components(Connectivity::Four)
     }
 }
 

@@ -45,7 +45,7 @@ pub trait RegionOps: Clone + PartialEq + Debug + Send + Sync + 'static {
 
     /// True when the two regions share no node. Implementations should
     /// override the default scan when they can do better (the 2-D region
-    /// delegates to its ordered-set disjointness test).
+    /// delegates to its whole-word intersection test).
     fn is_disjoint(&self, other: &Self) -> bool {
         self.coords().into_iter().all(|c| !other.contains(c))
     }
@@ -59,9 +59,9 @@ pub trait RegionOps: Clone + PartialEq + Debug + Send + Sync + 'static {
     /// every axis-parallel line the region's nodes form one contiguous run.
     fn is_orthogonally_convex(&self) -> bool;
 
-    /// The region as a word-packed bitmap (framed by its bounding box) —
-    /// the entry ticket to the whole-word predicates of [`BitmapOps`].
-    fn to_bitmap(&self) -> Self::Bitmap;
+    /// The region's word-packed bitmap — the entry ticket to the
+    /// whole-word predicates of [`BitmapOps`].
+    fn bitmap(&self) -> &Self::Bitmap;
 }
 
 impl RegionOps for Region {
@@ -100,8 +100,8 @@ impl RegionOps for Region {
         Region::is_orthogonally_convex(self)
     }
 
-    fn to_bitmap(&self) -> BitGrid {
-        BitGrid::from_region(self)
+    fn bitmap(&self) -> &BitGrid {
+        self.bits()
     }
 }
 
@@ -133,7 +133,9 @@ impl StatusOps for StatusMap {
     }
 
     fn faulty_coords(&self) -> Vec<Coord> {
-        self.faulty_region().iter().collect()
+        self.grid()
+            .coords_where(|&s| s == mesh2d::NodeStatus::Faulty)
+            .collect()
     }
 }
 

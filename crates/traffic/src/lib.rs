@@ -40,5 +40,5 @@ pub mod stats;
 
 pub use pattern::{pattern_by_name, Hotspot, TrafficPattern, Transpose, Uniform, PATTERN_NAMES};
 pub use reroute::{BatchOutcome, LiveReroute, RerouteIndex, RerouteStats};
-pub use sim::{simulate, SimConfig};
+pub use sim::{simulate, SimConfig, MAX_VC_CAPACITY};
 pub use stats::{LatencySummary, ReachableStats, TrafficReport, VcOccupancy};

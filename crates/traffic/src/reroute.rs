@@ -104,20 +104,19 @@ impl RerouteIndex {
     }
 
     /// Builds the index from a live engine's maintained comp-id state: the
-    /// excluded set is assembled from the engine's **borrowed** per-component
+    /// excluded set is the union of the engine's **borrowed** per-component
     /// polygon bitmaps (no `polygons()` clones), then labelled into router
     /// regions.
     pub fn from_engine(engine: &IncrementalEngine, sample: &PairSample) -> Self {
         let mesh = engine.mesh();
-        let mut excluded = Region::new();
+        let mut excluded = BitGrid::for_mesh(mesh);
         for id in engine.component_ids() {
-            let polygon = engine.component_polygon(id).expect("live id has a polygon");
-            for c in polygon.iter() {
-                excluded.insert(c);
-            }
+            excluded.union_with(engine.component_polygon(id).expect("live id has a polygon"));
         }
-        let regions =
-            RegionMap::from_regions(mesh, excluded.components(mesh2d::Connectivity::Four));
+        let regions = RegionMap::from_regions(
+            mesh,
+            Region::from_bits(excluded).components(mesh2d::Connectivity::Four),
+        );
         Self::with_regions(mesh, engine.status().clone(), regions, sample)
     }
 

@@ -63,6 +63,10 @@ const RR_SHIFT: u32 = 32;
 /// Shift of a link word's request-table slot (1 + index, 0 = none).
 const SLOT_SHIFT: u32 = 34;
 
+/// Largest [`SimConfig::vc_capacity`]: a link word holds each virtual
+/// channel's occupancy in 8 bits.
+pub const MAX_VC_CAPACITY: usize = u8::MAX as usize;
+
 /// Configuration of one traffic run.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SimConfig {
@@ -72,7 +76,8 @@ pub struct SimConfig {
     pub seed: u64,
     /// Messages entering their source queues per cycle (the offered load).
     pub injection_rate: usize,
-    /// Buffer slots per (link, virtual channel).
+    /// Buffer slots per (link, virtual channel); `0` counts as 1, and at
+    /// most [`MAX_VC_CAPACITY`].
     pub vc_capacity: usize,
     /// Hard cycle horizon; `0` picks a bound that lets a non-saturated run
     /// drain (saturated runs report the remainder as stranded).
@@ -234,6 +239,12 @@ pub fn simulate(
         cfg.messages < 1 << (64 - SLOT_SHIFT),
         "a cycle's requests must fit a link word's request slot"
     );
+    let cap = u8::try_from(cfg.vc_capacity.max(1)).unwrap_or_else(|_| {
+        panic!(
+            "vc_capacity {} exceeds the {MAX_VC_CAPACITY} packets a link word's occupancy field holds",
+            cfg.vc_capacity
+        )
+    });
 
     // ---- message generation (seeded, deterministic) --------------------
     let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -267,7 +278,6 @@ pub fn simulate(
 
     // ---- network state --------------------------------------------------
     let nodes = mesh.node_count();
-    let cap = cfg.vc_capacity.max(1) as u8;
     let mut links = Links::new(mesh);
     let mut requests: Vec<Request> = Vec::new();
     let mut arena: Vec<Coord> = Vec::new();
