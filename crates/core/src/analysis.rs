@@ -23,7 +23,6 @@ use crate::superseding::pile_polygons;
 use distsim::RoundStats;
 use fblock::{FaultModel, FaultyBlockModel, ModelOutcome, SubMinimumPolygonModel};
 use mesh2d::{BitGrid, BitScratch, Connectivity, FaultSet, Mesh2D, Region};
-use serde::{Deserialize, Serialize};
 
 /// Size cap under which the fused construction re-verifies against the
 /// staged merge/solve/pile pipeline in debug builds.
@@ -36,7 +35,7 @@ const ORACLE_NODE_CAP: usize = 1024;
 const PARALLEL_FAULT_THRESHOLD: usize = 128;
 
 /// Which centralized formulation computes the per-component polygons.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum CentralizedSolution {
     /// Solution 1: emulate labelling schemes 1 and 2 on each component's
     /// virtual faulty block. Round counts are the per-component labelling

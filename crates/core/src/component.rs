@@ -7,12 +7,11 @@
 //! *virtual faulty block*.
 
 use mesh2d::{BitGrid, BitScratch, Connectivity, Coord, FaultSet, Rect, Region};
-use serde::{Deserialize, Serialize};
 
 /// A maximal set of mutually 8-adjacent faulty nodes, together with the
 /// bounding-box bookkeeping (`min_x`, `min_y`, `max_x`, `max_y`) the merge
 /// process maintains.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FaultyComponent {
     /// The faulty nodes of the component.
     region: Region,

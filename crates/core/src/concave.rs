@@ -13,10 +13,9 @@
 
 use crate::component::FaultyComponent;
 use mesh2d::{Coord, Region};
-use serde::{Deserialize, Serialize};
 
 /// Whether a concave section runs along a row or a column.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Orientation {
     /// A horizontal run of non-component nodes between two component nodes of
     /// the same row.
@@ -27,7 +26,7 @@ pub enum Orientation {
 }
 
 /// One maximal concave row or column section.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ConcaveSection {
     /// Row or column section.
     pub orientation: Orientation,

@@ -24,10 +24,9 @@
 
 use crate::component::FaultyComponent;
 use mesh2d::{Coord, Mesh2D, Rect, Region};
-use serde::{Deserialize, Serialize};
 
 /// The boundary roles a node can play with respect to one component.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct BoundaryKind {
     /// The node sits directly north of a component node.
     pub north: bool,

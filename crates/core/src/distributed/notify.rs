@@ -15,10 +15,9 @@
 
 use crate::concave::{ConcaveSection, Orientation};
 use mesh2d::{Coord, FaultSet, Mesh2D};
-use serde::{Deserialize, Serialize};
 
 /// The planned delivery of disable notifications for one concave section.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Notification {
     /// The section being notified.
     pub section: ConcaveSection,

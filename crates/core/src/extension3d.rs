@@ -9,11 +9,10 @@
 //! the 2-D grid machinery) and is exercised by its own unit tests and by the
 //! `extension_3d` example.
 
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// A node address in a 3-D mesh.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct Coord3 {
     /// X coordinate.
     pub x: i32,

@@ -1,16 +1,11 @@
-//! Round and message accounting.
+//! Round and event accounting.
 //!
 //! [`RoundStats`] is the *per-execution* result value (it is what the
-//! sweeps serialize and what Figure 11 plots), so it stays. What this
-//! module no longer does is keep its own process-wide totals: those now
-//! live in the shared [`mocp_obs`] registry, exported by the engines
-//! through the crate-private `export_local_rule` / `export_message`
-//! helpers below under the
-//! `distsim.local_rule.*` and `distsim.message.*` names. The engines'
-//! public accessors (`MessageEngine::stats`, the returned `RoundStats`)
-//! are thin wrappers over that same accounting.
+//! sweeps record and what Figure 11 plots). Process-wide totals live in
+//! the shared [`mocp_obs`] registry instead, exported by the local-rule
+//! engine through the crate-private `export_local_rule` helper below
+//! under the `distsim.local_rule.*` names.
 
-use serde::{Deserialize, Serialize};
 use std::ops::Add;
 
 /// Statistics produced by one protocol execution.
@@ -18,13 +13,13 @@ use std::ops::Add;
 /// `rounds` is the quantity plotted in Figure 11 of the paper: how many
 /// synchronous rounds of neighbor information exchange were needed before the
 /// construction stabilised.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct RoundStats {
     /// Number of synchronous rounds executed (excluding the final quiescent
     /// round in which nothing changed).
     pub rounds: u32,
-    /// Total number of point-to-point messages delivered (message engine) or
-    /// node state changes applied (local-rule engine).
+    /// Total number of events: point-to-point messages delivered by a
+    /// message protocol, or node state changes applied by a local rule.
     pub events: u64,
     /// True when the execution stopped because it reached a fixpoint /
     /// quiescence rather than a round limit.
@@ -72,18 +67,6 @@ pub(crate) fn export_local_rule(stats: &RoundStats) {
     mocp_obs::histogram!("distsim.local_rule.rounds_per_run").record(stats.rounds as u64);
     if !stats.converged {
         mocp_obs::counter!("distsim.local_rule.round_limit_hits").inc();
-    }
-}
-
-/// Exports one message-engine execution into the global metric registry
-/// (`distsim.message.*`).
-pub(crate) fn export_message(stats: &RoundStats) {
-    mocp_obs::counter!("distsim.message.runs").inc();
-    mocp_obs::counter!("distsim.message.rounds").add(stats.rounds as u64);
-    mocp_obs::counter!("distsim.message.events").add(stats.events);
-    mocp_obs::histogram!("distsim.message.rounds_per_run").record(stats.rounds as u64);
-    if !stats.converged {
-        mocp_obs::counter!("distsim.message.round_limit_hits").inc();
     }
 }
 

@@ -20,14 +20,13 @@ use crate::sweep::{ModelPoint, SweepConfig};
 use crate::table::Series;
 use faultgen::{FaultDistribution, FaultInjector};
 use mocp_topology::{BoxedModel, MeshTopology, ModelRegistry, UnknownModel};
-use serde::{Deserialize, Serialize};
 
 /// A declarative description of one sweep experiment.
 ///
 /// The description is dimension-agnostic: the same struct drives the 2-D
 /// and 3-D sweeps, and which dimension runs is decided by the registry
 /// handed to [`run_scenario`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Scenario {
     /// Human-readable name, used in reported series titles.
     pub name: String,
@@ -130,7 +129,7 @@ pub fn paper_model_names_3d() -> Vec<String> {
 }
 
 /// Which [`ModelPoint`] metric a figure plots.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Metric {
     /// Non-faulty nodes the model disabled (Figure 9).
     DisabledNonfaulty,
@@ -162,7 +161,7 @@ impl Metric {
 
 /// One x-axis point: per-model metrics at one fault count, parallel to
 /// the scenario's model list.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ScenarioPoint {
     /// Number of faults injected.
     pub fault_count: usize,
@@ -172,7 +171,7 @@ pub struct ScenarioPoint {
 
 /// The averaged outcome of running a scenario (in either dimension — the
 /// result shape is dimension-free).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ScenarioResult {
     /// The scenario that was run.
     pub scenario: Scenario,

@@ -20,10 +20,9 @@ use crate::table::Series;
 use faultgen::FaultInjector;
 use mesh2d::Mesh2D;
 use mocp_incremental::IncrementalEngine;
-use serde::{Deserialize, Serialize};
 
 /// The streaming engine's Figure 9/10 metrics at one fault count.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct StreamingPoint {
     /// Number of faults injected.
     pub fault_count: usize,
@@ -47,7 +46,7 @@ impl StreamingPoint {
 
 /// The averaged outcome of one streaming sweep (MFP curve only — the other
 /// paper models have no incremental formulation).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct StreamingResult {
     /// The scenario that was run (its `models` list is ignored; streaming
     /// always maintains the minimum-polygon model).

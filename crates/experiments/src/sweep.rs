@@ -10,10 +10,9 @@
 
 use fblock::Outcome;
 use mocp_topology::MeshTopology;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of one sweep (one curve family of Figures 9–11).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SweepConfig {
     /// Mesh side length (the paper uses 100).
     pub mesh_size: u32,
@@ -58,7 +57,7 @@ impl SweepConfig {
 }
 
 /// The per-model metrics extracted from one construction.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ModelPoint {
     /// Non-faulty nodes the model disabled (Figure 9).
     pub disabled_nonfaulty: f64,

@@ -1,11 +1,10 @@
 //! Plain-text and CSV rendering of figure series.
 
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// A figure rendered as columns: one x column (fault count) and one y column
 /// per curve.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Series {
     /// Figure title (e.g. "Figure 9(a) ...").
     pub title: String,

@@ -20,10 +20,9 @@ use mesh2d::{Mesh2D, StatusMap};
 use meshroute::RegionMap;
 use mocp_topology::{ModelRegistry, UnknownModel};
 use mocp_traffic::{pattern_by_name, simulate, SimConfig, TrafficReport, VcOccupancy};
-use serde::{Deserialize, Serialize};
 
 /// A declarative description of one traffic sweep.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TrafficScenario {
     /// Human-readable name (reported in summaries, not in the CSV).
     pub name: String,
@@ -104,7 +103,7 @@ impl TrafficScenario {
 }
 
 /// One (model × pattern) cell: the per-trial reports, in trial order.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TrafficCell {
     /// Fault-model name.
     pub model: String,
@@ -115,7 +114,7 @@ pub struct TrafficCell {
 }
 
 /// The outcome of one traffic sweep.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TrafficResult {
     /// The scenario that was run.
     pub scenario: TrafficScenario,

@@ -15,14 +15,13 @@ use mesh2d::{FaultEvent, Mesh2D};
 use mocp_topology::{FaultStore, MeshTopology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Which of the paper's two fault distribution models to use.
 ///
 /// The enum is shared by every dimension — 2-D and 3-D sweeps spell their
 /// `--distribution` flags and series labels identically — and only the
 /// meaning of *adjacent* (the topology's cluster neighborhood) differs.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FaultDistribution {
     /// Every healthy node is equally likely to fail next.
     Random,

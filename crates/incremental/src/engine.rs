@@ -6,7 +6,6 @@ use mesh2d::{
 };
 use mocp_core::construction::{construct_cells_with, ConstructionScratch};
 use mocp_core::CentralizedSolution;
-use serde::{Deserialize, Serialize};
 
 /// Sentinel component id for healthy nodes.
 const NO_COMPONENT: u32 = u32::MAX;
@@ -27,7 +26,7 @@ struct Component {
 
 /// Counters describing how much work the engine actually did — the evidence
 /// that maintenance is incremental rather than a hidden batch recompute.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Events consumed (including out-of-mesh / duplicate no-ops).
     pub events: u64,

@@ -6,14 +6,13 @@
 //! Definition 2) never underflows; the topology layer decides which
 //! coordinates are actually inside the network.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A node address `(x, y)` in a 2-D mesh or torus.
 ///
 /// `x` selects the column, `y` selects the row, matching the paper's
 /// convention where routing "along the row" changes `x` first.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Coord {
     /// Column index (dimension X).
     pub x: i32,

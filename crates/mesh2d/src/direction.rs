@@ -5,14 +5,13 @@
 //! clockwise / counterclockwise traversal around fault regions, which this
 //! module makes explicit.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One of the four cardinal directions on the mesh.
 ///
 /// `East` increases `x`, `North` increases `y` — i.e. the mesh is drawn with
 /// the origin at the south-west corner, matching the figures in the paper.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Direction {
     /// Towards larger `x`.
     East,
@@ -25,7 +24,7 @@ pub enum Direction {
 }
 
 /// A relative turn used when walking around a fault-region boundary.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Turn {
     /// Rotate 90° clockwise.
     Clockwise,

@@ -7,7 +7,6 @@
 //! the unit consumed by streaming fault-monitoring engines.
 
 use crate::{Coord, Grid, Mesh2D, Region};
-use serde::{Deserialize, Serialize};
 
 /// One change to the fault population of a mesh.
 ///
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// every mesh dimension (the generic fault injector in `faultgen` emits
 /// `FaultEvent<T::Coord>`); it defaults to the 2-D [`Coord`], so 2-D code
 /// reads `FaultEvent` unchanged.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum FaultEvent<C = Coord> {
     /// Node `.0` fails.
     Inject(C),
@@ -48,7 +47,7 @@ impl<C: Copy> FaultEvent<C> {
 }
 
 /// The set of faulty nodes of a particular mesh.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct FaultSet {
     mesh: Mesh2D,
     faulty: Grid<bool>,

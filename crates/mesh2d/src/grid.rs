@@ -6,11 +6,10 @@
 //! overhead on the hot fixpoint loops of the labelling schemes.
 
 use crate::{Coord, Mesh2D};
-use serde::{Deserialize, Serialize};
 use std::ops::{Index, IndexMut};
 
 /// A dense `width × height` array of `T`, indexed by node coordinate.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Grid<T> {
     width: i32,
     height: i32,

@@ -8,11 +8,10 @@
 //! paper.
 
 use crate::Coord;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An inclusive axis-aligned rectangle `[(min_x, min_y), (max_x, max_y)]`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Rect {
     min: Coord,
     max: Coord,

@@ -15,7 +15,6 @@
 
 use crate::bitgrid::XMajor;
 use crate::{BitGrid, BitScratch, Coord, Rect};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -39,7 +38,7 @@ pub enum Connectivity {
 /// set equality, and iteration is in x-major, then y order whatever the
 /// frame, which keeps the distributed protocol simulation and the
 /// experiments reproducible.
-#[derive(Clone, Default, Serialize, Deserialize)]
+#[derive(Clone, Default)]
 pub struct Region {
     bits: BitGrid,
     len: usize,

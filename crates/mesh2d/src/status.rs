@@ -17,11 +17,10 @@
 //! used when piling per-component diagrams (faulty ⟶ gray ⟶ white).
 
 use crate::{BitGrid, Coord, Grid, Mesh2D, Region};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Physical node health.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Health {
     /// The node operates normally.
     Healthy,
@@ -30,7 +29,7 @@ pub enum Health {
 }
 
 /// The label assigned by labelling scheme 1.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Safety {
     /// The node does not cause routing difficulties.
     Safe,
@@ -39,7 +38,7 @@ pub enum Safety {
 }
 
 /// The label assigned by labelling scheme 2.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Activation {
     /// The node participates in routing.
     Enabled,
@@ -51,7 +50,7 @@ pub enum Activation {
 /// paper's figure color-coding: black (faulty), gray (non-faulty but
 /// disabled) and white (non-faulty, enabled, possibly after having been part
 /// of a faulty block).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum NodeStatus {
     /// A faulty node ("black").
     Faulty,
@@ -105,7 +104,7 @@ impl fmt::Display for NodeStatus {
 }
 
 /// The outcome of a fault-model construction: one [`NodeStatus`] per node.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct StatusMap {
     grid: Grid<NodeStatus>,
     /// Maintained count of non-faulty disabled (gray) nodes, so the
@@ -277,7 +276,7 @@ impl StatusMap {
 /// apply a delta instead of rescanning the whole mesh: each entry records the
 /// node, the status it had before the step and the status it has after.
 /// Entries with `old == new` are never recorded.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StatusDelta {
     changes: Vec<(Coord, NodeStatus, NodeStatus)>,
 }

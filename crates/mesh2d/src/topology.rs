@@ -7,10 +7,9 @@
 //! in exactly one dimension, with wraparound links added in a torus.
 
 use crate::{Coord, Direction};
-use serde::{Deserialize, Serialize};
 
 /// Whether wraparound links are present.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Topology {
     /// A plain 2-D mesh: boundary nodes have degree 2 or 3.
     Mesh,
@@ -19,7 +18,7 @@ pub enum Topology {
 }
 
 /// A `width × height` 2-D mesh or torus.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Mesh2D {
     width: i32,
     height: i32,

@@ -24,7 +24,6 @@
 use crate::ecube::ecube_next_hop;
 use crate::message::{MessageClass, VirtualChannel};
 use mesh2d::{Connectivity, Coord, Grid, Mesh2D, Region, StatusMap};
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -32,7 +31,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 const NO_REGION: u32 = u32::MAX;
 
 /// Why a route could not be produced.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RouteError {
     /// The source node is faulty or disabled.
     SourceExcluded,
@@ -43,7 +42,7 @@ pub enum RouteError {
 }
 
 /// A complete route produced by the extended e-cube router.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RoutePath {
     /// Every node the message visits, source first, destination last.
     pub hops: Vec<Coord>,

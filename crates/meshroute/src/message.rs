@@ -8,10 +8,9 @@
 //! deadlock-free.
 
 use mesh2d::Coord;
-use serde::{Deserialize, Serialize};
 
 /// The four message classes of the extended e-cube routing.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum MessageClass {
     /// Travelling east along the row.
     WEBound,
@@ -24,7 +23,7 @@ pub enum MessageClass {
 }
 
 /// A virtual channel index (`vc0`–`vc3`).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct VirtualChannel(pub u8);
 
 impl MessageClass {

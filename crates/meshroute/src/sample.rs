@@ -8,10 +8,9 @@
 
 use mesh2d::{Coord, Mesh2D};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A deterministic sample of `(source, destination)` pairs.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PairSample {
     pairs: Vec<(Coord, Coord)>,
 }

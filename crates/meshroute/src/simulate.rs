@@ -4,17 +4,16 @@
 //! disabled nodes means more usable sources/destinations and shorter detours.
 //! [`RoutingExperiment`] routes a deterministic sample of node pairs over a
 //! given status map and reports delivery rate, average stretch, and abnormal
-//! hops — the metrics the `ablation_routing` benchmark compares between FB
-//! and MFP regions.
+//! hops — the metrics `examples/fault_tolerant_routing.rs` and the models
+//! integration tests compare between FB and MFP regions.
 
 use crate::deadlock::ChannelDependencyGraph;
 use crate::extended::{ExtendedECube, RouteError};
 use crate::sample::PairSample;
 use mesh2d::{Mesh2D, StatusMap};
-use serde::{Deserialize, Serialize};
 
 /// Aggregate statistics of one routing experiment.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct RoutingStats {
     /// Node pairs attempted.
     pub attempted: usize,

@@ -1,13 +1,12 @@
 //! The 3-D mesh topology: bounds, flattened indexing and neighborhoods.
 
 use mocp_core::extension3d::Coord3;
-use serde::{Deserialize, Serialize};
 
 /// A `width × height × depth` 3-D mesh of nodes addressed by [`Coord3`].
 ///
 /// The 3-D analogue of `mesh2d::Mesh2D`, restricted to the mesh topology
 /// (no torus wrap): the paper's future-work extension concerns 3-D meshes.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Mesh3D {
     width: i32,
     height: i32,

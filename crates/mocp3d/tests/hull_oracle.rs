@@ -4,9 +4,11 @@
 //! dense, bitmap-backed construction must produce exactly its polyhedra on
 //! arbitrary small regions, and the hull must be idempotent, orthogonally
 //! convex and *minimal* — removing any non-fault node breaks convexity (no
-//! added node is optional).
+//! added node is optional). The clustered sweep draws below repeat the
+//! polyhedron comparison at the 3-D sweep's scale.
 
-use mocp_3d::{minimum_polyhedra, Coord3, Region3};
+use faultgen::FaultDistribution;
+use mocp_3d::{generate_faults_3d, minimum_polyhedra, Coord3, Mesh3D, Region3};
 use mocp_core::extension3d as oracle;
 use proptest::prelude::*;
 
@@ -29,6 +31,32 @@ fn normalize(polyhedra: Vec<Vec<Coord3>>) -> Vec<Vec<Coord3>> {
     out
 }
 
+/// The dense and the prototype `minimum_polyhedra` of `faults`, normalized.
+fn both_polyhedra(faults: &[Coord3]) -> (Vec<Vec<Coord3>>, Vec<Vec<Coord3>>) {
+    let dense = minimum_polyhedra(&Region3::from_coords(faults.iter().copied()));
+    let proto = oracle::minimum_polyhedra(&oracle::Region3::from_coords(faults.iter().copied()));
+    (
+        normalize(dense.iter().map(|p| p.iter().collect()).collect()),
+        normalize(proto.iter().map(|p| p.iter().collect()).collect()),
+    )
+}
+
+/// Clustered seed-2004 draws: a 20³ mesh at ~7% faults, and the 3-D
+/// sweep's 32³ mesh at its top fault count.
+#[test]
+fn dense_construction_matches_the_prototype_on_clustered_sweep_draws() {
+    for (side, count) in [(20, 600), (32, 800)] {
+        let faults = generate_faults_3d(
+            Mesh3D::cube(side),
+            count,
+            FaultDistribution::Clustered,
+            2004,
+        );
+        let (dense, proto) = both_polyhedra(faults.in_insertion_order());
+        assert_eq!(dense, proto, "{side}^3 mesh, {count} clustered faults");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -38,13 +66,8 @@ proptest! {
     fn dense_construction_matches_the_prototype_oracle(
         pts in prop::collection::vec((0..6i32, 0..6i32, 0..6i32), 0..36)
     ) {
-        let cs = coords(&pts);
-        let dense = minimum_polyhedra(&Region3::from_coords(cs.iter().copied()));
-        let proto = oracle::minimum_polyhedra(&oracle::Region3::from_coords(cs.iter().copied()));
-        prop_assert_eq!(
-            normalize(dense.iter().map(|p| p.iter().collect()).collect()),
-            normalize(proto.iter().map(|p| p.iter().collect()).collect())
-        );
+        let (dense, proto) = both_polyhedra(&coords(&pts));
+        prop_assert_eq!(dense, proto);
     }
 
     /// Idempotence, convexity, containment, and minimality of the hull on

@@ -21,7 +21,7 @@
 //!   ([`trace::write_chrome_trace`] serializes them for
 //!   `chrome://tracing` / Perfetto);
 //! * [`snapshot`] / [`reset_all`] scope measurements (per workload, per
-//!   run), and [`render_table`] / [`render_json`] format them.
+//!   run), and [`render_table`] formats them.
 //!
 //! # The `enabled` feature
 //!
@@ -47,7 +47,7 @@
 
 mod report;
 
-pub use report::{render_json, render_table, HistogramSnapshot, MetricSample, MetricValue};
+pub use report::{render_table, HistogramSnapshot, MetricSample, MetricValue};
 
 #[cfg(feature = "enabled")]
 mod metrics;

@@ -81,7 +81,7 @@ pub fn histogram(name: &'static str) -> &'static Histogram {
 }
 
 /// Samples every registered metric, sorted by name (the registry is a
-/// `BTreeMap`, so the order — and any JSON rendered from it — is
+/// `BTreeMap`, so the order — and any table rendered from it — is
 /// deterministic).
 pub fn snapshot() -> Vec<MetricSample> {
     let map = registry().lock().unwrap_or_else(|e| e.into_inner());

@@ -5,7 +5,6 @@ use crate::mesh::MeshTopology;
 use crate::ops::{RegionOps, StatusOps};
 use distsim::RoundStats;
 use mesh2d::{Connectivity, Mesh2D, Region, StatusMap};
-use serde::{Deserialize, Serialize};
 
 /// The outcome of running a fault-model construction on a faulty mesh,
 /// for any [`MeshTopology`].
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// safety predicates below are written once, against the topology's
 /// [`RegionOps`] / [`StatusOps`], instead of the two hand-duplicated
 /// per-dimension impl blocks they replace.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Outcome<T: MeshTopology> {
     /// Short model name ("FB", "FP", "CMFP", "DMFP", "FB3D", "MFP3D").
     pub model: String,

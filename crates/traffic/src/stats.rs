@@ -5,12 +5,10 @@
 //! reports — the property the golden-fixture and thread-determinism tests
 //! pin.
 
-use serde::{Deserialize, Serialize};
-
 /// Latency distribution over delivered messages (cycles from injection to
 /// arrival, source queueing included). Percentiles are nearest-rank over
 /// the exact latency population, not an approximation.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct LatencySummary {
     /// Mean latency in cycles.
     pub mean: f64,
@@ -45,7 +43,7 @@ impl LatencySummary {
 
 /// Occupancy of one virtual channel across the whole run: how many
 /// messages sat in that channel's link buffers, sampled once per cycle.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct VcOccupancy {
     /// Mean buffered messages per cycle.
     pub mean: f64,
@@ -94,7 +92,7 @@ impl VcOccupancy {
 /// Reachability of a shared pair sample under the run's status map —
 /// the static counterpart of the dynamic delivery statistics, measured
 /// with the extended e-cube router directly.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ReachableStats {
     /// Pairs probed.
     pub sampled: usize,
@@ -118,7 +116,7 @@ impl ReachableStats {
 }
 
 /// The full report of one simulated traffic run.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TrafficReport {
     /// Pattern that generated the messages.
     pub pattern: String,
