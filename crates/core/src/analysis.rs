@@ -14,25 +14,16 @@
 //! lives only in [`CentralizedMfpModel::solve_components`]; the
 //! incremental engine's per-component entry points
 //! ([`construct_component_with`](crate::construct_component_with)) do not
-//! use one.
+//! use one. The concave-section solution runs the same merge → solve →
+//! pile pipeline, each component hulled by the bit-parallel fixpoint on
+//! its bounding box, with no cache.
 
 use crate::component::{merge_components, FaultyComponent};
 use crate::construction::{construct_component_on, ComponentPolygon, ConstructionScratch};
 use crate::shape_cache::ShapeCache;
 use crate::superseding::pile_polygons;
-use distsim::RoundStats;
-use fblock::{FaultModel, FaultyBlockModel, ModelOutcome, SubMinimumPolygonModel};
-use mesh2d::{BitGrid, BitScratch, Connectivity, FaultSet, Mesh2D, Region};
-
-/// Size cap under which the fused construction re-verifies against the
-/// staged merge/solve/pile pipeline in debug builds.
-const ORACLE_NODE_CAP: usize = 1024;
-
-/// Fault count from which the concave-section CMFP construction prefers
-/// the staged pipeline (whose per-component solves fan out over the
-/// thread pool) over the fused single-pass construction. Below this the
-/// fused path's zero-materialization wins even against several cores.
-const PARALLEL_FAULT_THRESHOLD: usize = 128;
+use fblock::{FaultModel, FaultyBlockModel, ModelOutcome, RoundStats, SubMinimumPolygonModel};
+use mesh2d::{FaultSet, Mesh2D, Region};
 
 /// Which centralized formulation computes the per-component polygons.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -43,8 +34,8 @@ pub enum CentralizedSolution {
     #[default]
     VirtualBlock,
     /// Solution 2: disable every node on a concave row/column section.
-    /// Reported "rounds" are scan iterations (an algorithmic metric used by
-    /// the ablation benchmark, not neighbor exchanges).
+    /// Reported "rounds" are scan-then-fill iterations (an algorithmic
+    /// metric, not neighbor exchanges).
     ConcaveSections,
 }
 
@@ -131,96 +122,18 @@ impl FaultModel for CentralizedMfpModel {
         "CMFP"
     }
 
+    /// Both solutions run the same pipeline: the merge process, the
+    /// per-component solves of [`solve_components`](Self::solve_components)
+    /// and the superseding pile of the polygons.
     fn construct(&self, mesh: &Mesh2D, faults: &FaultSet) -> ModelOutcome {
-        match self.solution {
-            // The concave-section construction runs fully fused on the
-            // packed fault bitmap: word-flood labelling straight into the
-            // per-component hull fixpoint, materializing only the output
-            // polygons — no intermediate component regions at all.
-            CentralizedSolution::ConcaveSections => {
-                // With an active pool and enough faults, the staged
-                // pipeline wins: its per-component solves run on the
-                // workers, while the fused pass is inherently serial.
-                // Both produce identical outcomes (the debug oracles
-                // below and in the fused branch pin the equivalence from
-                // both directions).
-                if rayon::current_num_threads() > 1 && faults.len() >= PARALLEL_FAULT_THRESHOLD {
-                    let components = merge_components(faults);
-                    let (polygons, rounds) = self.solve_components(mesh, &components);
-                    let status = pile_polygons(mesh, faults, &polygons);
-                    let outcome = ModelOutcome {
-                        model: "CMFP".to_string(),
-                        status,
-                        regions: polygons,
-                        rounds,
-                    };
-                    debug_assert!(
-                        faults.len() > ORACLE_NODE_CAP || {
-                            let fused = construct_concave_fused(mesh, faults);
-                            fused.regions == outcome.regions
-                                && fused.rounds == outcome.rounds
-                                && fused.status == outcome.status
-                        },
-                        "staged parallel construction diverged from the fused pass"
-                    );
-                    return outcome;
-                }
-                let outcome = construct_concave_fused(mesh, faults);
-                debug_assert!(
-                    faults.len() > ORACLE_NODE_CAP || {
-                        let components = merge_components(faults);
-                        let (polygons, rounds) = self.solve_components(mesh, &components);
-                        polygons == outcome.regions
-                            && rounds == outcome.rounds
-                            && pile_polygons(mesh, faults, &polygons) == outcome.status
-                    },
-                    "fused concave construction diverged from the staged pipeline"
-                );
-                outcome
-            }
-            CentralizedSolution::VirtualBlock => {
-                let components = merge_components(faults);
-                let (polygons, rounds) = self.solve_components(mesh, &components);
-                let status = pile_polygons(mesh, faults, &polygons);
-                ModelOutcome {
-                    model: "CMFP".to_string(),
-                    status,
-                    regions: polygons,
-                    rounds,
-                }
-            }
+        let components = merge_components(faults);
+        let (polygons, rounds) = self.solve_components(mesh, &components);
+        ModelOutcome {
+            model: "CMFP".to_string(),
+            status: pile_polygons(mesh, faults, &polygons),
+            regions: polygons,
+            rounds,
         }
-    }
-}
-
-/// The fused concave-section CMFP construction: one packed fault bitmap,
-/// word-flood component labelling, the bit-parallel hull fixpoint run on
-/// each component inside the flood buffer, and the superseding pile of
-/// the packed polygons.
-fn construct_concave_fused(mesh: &Mesh2D, faults: &FaultSet) -> ModelOutcome {
-    let mut rounds = RoundStats::quiescent();
-    let bits = BitGrid::from_coords(faults.in_insertion_order().iter().copied());
-    // Hull-fill each component in place inside the shared flood buffer
-    // and copy the polygon's rows out; the polygons come back in the merge
-    // process's x-major component order (the round composition is
-    // order-independent: max rounds, summed events).
-    let polygons = bits.component_regions_by(Connectivity::Eight, &mut BitScratch::new(), |view| {
-        let (iterations, added) = view.hull_fixpoint();
-        mocp_obs::counter!("construct.components").inc();
-        mocp_obs::counter!("construct.fixpoint_rounds").add(iterations as u64);
-        mocp_obs::counter!("construct.nodes_added").add(added);
-        mocp_obs::histogram!("construct.rounds_per_component").record(iterations as u64);
-        rounds = rounds.in_parallel_with(RoundStats {
-            rounds: iterations,
-            events: added,
-            converged: true,
-        });
-    });
-    ModelOutcome {
-        model: "CMFP".to_string(),
-        status: pile_polygons(mesh, faults, &polygons),
-        regions: polygons,
-        rounds,
     }
 }
 

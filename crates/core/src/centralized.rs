@@ -33,8 +33,8 @@
 
 use crate::component::FaultyComponent;
 use crate::shape_cache::{ShapeCache, ShapeKey};
-use distsim::RoundStats;
 use fblock::LabelFrame;
+use fblock::RoundStats;
 use mesh2d::{BitGrid, Coord, Mesh2D, Rect, Region};
 
 /// Centralized solution 1 (virtual faulty block + labelling schemes 1 and 2).

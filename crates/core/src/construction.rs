@@ -1,10 +1,11 @@
 //! The per-component construction entry point.
 //!
 //! Both centralized solutions — the virtual-block labelling emulation of
-//! [`centralized`](crate::centralized) and the concave-section scan of
-//! [`concave`](crate::concave) — compute the minimum orthogonal convex
-//! polygon of *one* faulty component. Before this module existed that fact
-//! was buried inside [`CentralizedMfpModel`](crate::CentralizedMfpModel),
+//! [`centralized`](crate::centralized) and the concave-section fill of
+//! [`concave`](crate::concave), run here as the bit-parallel hull
+//! fixpoint — compute the minimum orthogonal convex polygon of *one*
+//! faulty component. Before this module existed that fact was buried
+//! inside [`CentralizedMfpModel`](crate::CentralizedMfpModel),
 //! whose API only accepted a whole mesh's fault set; consumers that already
 //! know the component decomposition (most importantly the incremental
 //! maintenance engine in `mocp_incremental`, which tracks components across
@@ -15,15 +16,14 @@
 //! minimum polygon and round accounting out, with the solution formulation
 //! chosen by [`CentralizedSolution`]. [`polygon_from_cells`] is the
 //! cell-set-shaped convenience wrapper. `CentralizedMfpModel` itself now
-//! routes every component through here, so the batch models, the ablation
-//! benches and the incremental engine all share one construction path.
+//! routes every component through here, so the batch models and the
+//! incremental engine share one construction path.
 
 use crate::analysis::CentralizedSolution;
 use crate::centralized::{SolvedShape, VirtualBlockSolver};
 use crate::component::FaultyComponent;
 use crate::shape_cache::ShapeCache;
-use distsim::RoundStats;
-use fblock::LabelFrame;
+use fblock::{LabelFrame, RoundStats};
 use mesh2d::{BitGrid, BitScratch, Connectivity, Coord, Mesh2D, Rect, Region};
 
 /// Reusable buffers threaded through the construction entry points so the
@@ -86,8 +86,7 @@ impl ConstructionScratch {
 ///
 /// `cells` must be the nodes of one 8-connected component and `bbox` its
 /// bounding rectangle. The returned iteration count equals the scan-then-
-/// fill rounds of the scalar
-/// [`ConcaveSectionSolver`](crate::concave::ConcaveSectionSolver), as the
+/// fill rounds of the scalar concave-section solver, as the
 /// `construct_oracle` test checks.
 pub(crate) fn concave_polygon_with(
     cells: impl Iterator<Item = Coord>,

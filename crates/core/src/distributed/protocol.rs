@@ -46,7 +46,7 @@ use crate::distributed::ring::{replay_walk, BoundaryArray, DetectedSection};
 use crate::hull::minimum_polygon;
 use crate::shape_cache::{ShapeCache, ShapeKey};
 use crate::superseding::pile_polygons;
-use distsim::RoundStats;
+use fblock::RoundStats;
 use fblock::{FaultModel, ModelOutcome};
 use mesh2d::{BitScratch, FaultSet, Mesh2D, Region};
 

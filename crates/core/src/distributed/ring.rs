@@ -245,7 +245,6 @@ fn clamp_run(lo: i32, hi: i32, anchor: i32, is_member: impl Fn(i32) -> bool) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::concave::concave_sections;
     use crate::distributed::boundary::ring_walks;
     use mesh2d::{Mesh2D, Region};
 
@@ -273,6 +272,20 @@ mod tests {
         Region::from_coords(sections.iter().flat_map(|s| s.nodes()))
     }
 
+    /// Definition 3 read off the component directly: every non-member
+    /// that lies between two members of its row or of its column.
+    fn definition_3_nodes(comp: &FaultyComponent) -> Region {
+        let (lo, hi) = (comp.virtual_block().min(), comp.virtual_block().max());
+        let member = |x, y| comp.contains(Coord::new(x, y));
+        Region::from_coords(comp.virtual_block().nodes().filter(|&c| {
+            let in_row =
+                (lo.x..c.x).any(|x| member(x, c.y)) && (c.x..=hi.x).any(|x| member(x, c.y));
+            let in_column =
+                (lo.y..c.y).any(|y| member(c.x, y)) && (c.y..=hi.y).any(|y| member(c.x, y));
+            !comp.contains(c) && (in_row || in_column)
+        }))
+    }
+
     #[test]
     fn convex_component_detects_nothing() {
         let mesh = Mesh2D::square(10);
@@ -285,7 +298,7 @@ mod tests {
         let mesh = Mesh2D::square(10);
         let comp = component(&[(2, 2), (3, 2), (4, 2), (2, 3), (4, 3), (2, 4), (4, 4)]);
         let detected = sections_as_region(&detect_all(&mesh, &comp));
-        let geometric = sections_as_region(&concave_sections(&comp));
+        let geometric = definition_3_nodes(&comp);
         assert_eq!(detected, geometric);
         assert!(detected.contains(Coord::new(3, 3)));
         assert!(detected.contains(Coord::new(3, 4)));

@@ -17,22 +17,23 @@ use mesh2d::Region;
 /// [`Region::orthogonal_convex_hull`] (per-row occupied spans from
 /// leading/trailing-zero counts, word-parallel column fills). This is the
 /// specification the production solvers in
-/// [`centralized`](crate::centralized), [`concave`](crate::concave) and
-/// [`distributed`](crate::distributed) are verified against; the scalar
+/// [`centralized`](crate::centralized), [`construction`](crate::construction)
+/// and [`distributed`](crate::distributed) are verified against; the scalar
 /// iterated gap fill it replaced is the `region_oracle` test's.
 pub fn minimum_polygon(component: &FaultyComponent) -> Region {
     component.region().orthogonal_convex_hull()
-}
-
-/// Number of non-faulty nodes the minimum polygon of `component` contains.
-pub fn added_node_count(component: &FaultyComponent) -> usize {
-    minimum_polygon(component).len() - component.len()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mesh2d::{Coord, Rect};
+
+    /// Number of non-faulty nodes the minimum polygon of `component`
+    /// contains.
+    fn added_node_count(component: &FaultyComponent) -> usize {
+        minimum_polygon(component).len() - component.len()
+    }
 
     fn component(list: &[(i32, i32)]) -> FaultyComponent {
         FaultyComponent::new(Region::from_coords(

@@ -16,8 +16,10 @@
 //!    formulations are provided:
 //!    * [`centralized::VirtualBlockSolver`] emulates labelling schemes 1 and
 //!      2 on each component's *virtual faulty block* (solution 1);
-//!    * [`concave::ConcaveSectionSolver`] directly disables every node on a
-//!      *concave row/column section* of the component (solution 2);
+//!    * the concave-section solution disables every node on a *concave
+//!      row/column section* ([`concave::ConcaveSection`]) of the component,
+//!      iterated to the fixpoint bit-parallel (solution 2,
+//!      [`CentralizedSolution::ConcaveSections`]);
 //!
 //!    and a **distributed** formulation ([`distributed`]) in which boundary
 //!    nodes build a ring around each component, detect concave sections with
@@ -61,7 +63,6 @@ pub mod component;
 pub mod concave;
 pub mod construction;
 pub mod distributed;
-pub mod extension3d;
 pub mod hull;
 pub mod registry;
 mod shape_cache;
@@ -70,12 +71,12 @@ pub mod verify;
 
 pub use analysis::{CentralizedMfpModel, CentralizedSolution, MfpAnalysis};
 pub use component::{merge_components, merge_components_with, FaultyComponent};
-pub use concave::{concave_sections, ConcaveSection, Orientation};
+pub use concave::{ConcaveSection, Orientation};
 pub use construction::{
     construct_cells_with, construct_component, construct_component_with, polygon_from_cells,
     ComponentPolygon, ConstructionScratch,
 };
 pub use distributed::protocol::{DistributedMfpModel, DmfpScratch};
 pub use hull::minimum_polygon;
-pub use registry::{ablation_registry, standard_registry};
+pub use registry::standard_registry;
 pub use verify::is_minimum_covering_polygon;

@@ -6,7 +6,7 @@ use fblock::ModelRegistry;
 
 /// The registry of the paper's four fault models, in presentation order:
 /// FB and FP (from `fblock`) plus CMFP and DMFP (from this crate). This
-/// is the single constructor the experiment harness, benches, examples
+/// is the single constructor the experiment harness, benchmark, examples
 /// and tests resolve models through.
 pub fn standard_registry() -> ModelRegistry {
     let mut registry = fblock::baseline_registry();
@@ -19,20 +19,6 @@ pub fn standard_registry() -> ModelRegistry {
         "DMFP",
         "distributed minimum faulty polygon (boundary rings + concave sections)",
         || Box::new(DistributedMfpModel),
-    );
-    registry
-}
-
-/// [`standard_registry`] extended with internal formulation variants used
-/// by the ablation benches: `CMFP-concave` runs centralized solution 2
-/// (concave row/column sections) which produces the same polygons as
-/// `CMFP` through a different algorithm.
-pub fn ablation_registry() -> ModelRegistry {
-    let mut registry = standard_registry();
-    registry.register(
-        "CMFP-concave",
-        "centralized minimum faulty polygon (solution 2: concave sections)",
-        || Box::new(CentralizedMfpModel::concave_sections()),
     );
     registry
 }
@@ -51,13 +37,6 @@ mod tests {
     }
 
     #[test]
-    fn ablation_registry_adds_the_concave_variant() {
-        let registry = ablation_registry();
-        assert!(registry.contains("CMFP-concave"));
-        assert_eq!(registry.len(), 5);
-    }
-
-    #[test]
     fn registry_models_agree_with_direct_construction() {
         use fblock::FaultModel as _;
         use mesh2d::{Coord, FaultSet, Mesh2D};
@@ -67,11 +46,9 @@ mod tests {
             mesh,
             [(2, 2), (3, 2), (4, 2), (2, 3), (4, 3)].map(|(x, y)| Coord::new(x, y)),
         );
-        let registry = ablation_registry();
+        let registry = standard_registry();
         let direct = CentralizedMfpModel::virtual_block().construct(&mesh, &faults);
         let via_registry = registry.construct("CMFP", &mesh, &faults).unwrap();
         assert_eq!(direct.status, via_registry.status);
-        let concave = registry.construct("CMFP-concave", &mesh, &faults).unwrap();
-        assert_eq!(direct.status, concave.status);
     }
 }

@@ -8,13 +8,14 @@
 //! contained in *every* orthogonal convex superset of the component (it is a
 //! closure), so no covering polygon can disable fewer non-faulty nodes.
 //!
-//! This module provides the predicate used throughout the test suites plus a
-//! brute-force oracle for very small components that directly searches for a
-//! smaller convex cover, as an independent check of the theorem.
+//! This module provides the predicate used throughout the test suites. The
+//! independent check of the theorem — a brute-force search for a smaller
+//! convex cover of every component of every fault set of a small mesh — is
+//! the `exhaustive_small` test.
 
 use crate::component::FaultyComponent;
 use crate::hull::minimum_polygon;
-use mesh2d::{Coord, Region};
+use mesh2d::Region;
 
 /// True when `polygon` is the minimum orthogonal convex polygon covering
 /// `component`: it contains every fault, it is orthogonally convex, and it
@@ -26,39 +27,10 @@ pub fn is_minimum_covering_polygon(component: &FaultyComponent, polygon: &Region
         && *polygon == minimum_polygon(component)
 }
 
-/// Brute-force oracle for tiny components (bounding box of at most
-/// `MAX_BRUTE_NODES` nodes): enumerates every subset of the virtual block
-/// that contains the faults and is orthogonally convex, and returns the size
-/// of the smallest one. Exponential — test-only scale.
-pub fn brute_force_minimum_cover_size(component: &FaultyComponent) -> Option<usize> {
-    const MAX_BRUTE_NODES: usize = 20;
-    let block: Vec<Coord> = component
-        .virtual_block()
-        .nodes()
-        .filter(|c| !component.contains(*c))
-        .collect();
-    if block.len() > MAX_BRUTE_NODES {
-        return None;
-    }
-    let faults = component.region().clone();
-    let mut best = usize::MAX;
-    for mask in 0u32..(1u32 << block.len()) {
-        let mut candidate = faults.clone();
-        for (i, c) in block.iter().enumerate() {
-            if mask & (1 << i) != 0 {
-                candidate.insert(*c);
-            }
-        }
-        if candidate.is_orthogonally_convex() {
-            best = best.min(candidate.len());
-        }
-    }
-    Some(best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mesh2d::Coord;
 
     fn component(list: &[(i32, i32)]) -> FaultyComponent {
         FaultyComponent::new(Region::from_coords(
@@ -98,30 +70,5 @@ mod tests {
         let c = component(&[(0, 0), (1, 1)]);
         let partial = Region::from_coords([Coord::new(0, 0)]);
         assert!(!is_minimum_covering_polygon(&c, &partial));
-    }
-
-    #[test]
-    fn brute_force_agrees_with_hull_on_small_shapes() {
-        let shapes: Vec<Vec<(i32, i32)>> = vec![
-            vec![(0, 0)],
-            vec![(0, 0), (1, 1)],
-            vec![(0, 0), (1, 1), (2, 0)],
-            vec![(0, 0), (1, 0), (2, 0), (0, 1), (2, 1)],
-            vec![(0, 0), (1, 1), (0, 2)],
-            vec![(0, 2), (1, 1), (2, 0), (3, 1)],
-        ];
-        for shape in shapes {
-            let c = component(&shape);
-            let hull = minimum_polygon(&c);
-            let best = brute_force_minimum_cover_size(&c).expect("small enough for brute force");
-            assert_eq!(hull.len(), best, "shape {shape:?}");
-        }
-    }
-
-    #[test]
-    fn brute_force_declines_large_blocks() {
-        let long: Vec<(i32, i32)> = (0..8).map(|i| (i, i)).collect();
-        let c = component(&long);
-        assert!(brute_force_minimum_cover_size(&c).is_none());
     }
 }

@@ -10,35 +10,38 @@
 //!   `StatusMap::from_faults` plus the superseding rule;
 //! * FP: the same path through `Grid<Activation>`;
 //! * CMFP: each component's window emulated as its own `FaultSet` and
-//!   `Mesh2D`, labelled into grids, and the scalar `ConcaveSectionSolver`
-//!   for the packed hull of the concave-section solution (polygon and
-//!   iteration count);
+//!   `Mesh2D`, labelled into grids; for the concave-section solution, the
+//!   scalar `ConcaveSectionSolver` below (Definition 3's scan-then-fill,
+//!   iterated), per component and for the whole model;
 //! * the merge: per-component `BitGrid`s (`components()` + `to_region`)
 //!   and the scalar `Region::components`;
 //! * DMFP: the per-component protocol runs piled with `from_faults`.
 //!
 //! Both sides must agree on the status, the regions (content and order)
 //! and the round statistics. The labelling kernels themselves are pinned to
-//! the scalar local-rule engine here as well.
+//! the scalar local-rule engine of the `local_rule` module here as well.
 
-use distsim::RoundStats;
+mod local_rule;
+
 use faultgen::{generate_faults, FaultDistribution, FaultInjector};
 use fblock::{
-    extract_faulty_blocks, label_activation, label_activation_scalar, label_safety,
-    label_safety_scalar, FaultModel, FaultyBlockModel, ModelOutcome, SubMinimumPolygonModel,
+    extract_faulty_blocks, label_activation, label_safety, FaultModel, FaultyBlockModel,
+    ModelOutcome, RoundStats, SubMinimumPolygonModel,
 };
+use local_rule::{label_activation_scalar, label_safety_scalar};
 use mesh2d::{
     Activation, BitGrid, Connectivity, Coord, FaultSet, Mesh2D, NodeStatus, Rect, Region, Safety,
     StatusMap,
 };
 use mocp_core::centralized::VirtualBlockSolver;
-use mocp_core::concave::ConcaveSectionSolver;
 use mocp_core::construction::construct_cells_with;
 use mocp_core::{
     construct_component_with, merge_components, minimum_polygon, CentralizedMfpModel,
-    CentralizedSolution, ConstructionScratch, DistributedMfpModel, FaultyComponent,
+    CentralizedSolution, ConcaveSection, ConstructionScratch, DistributedMfpModel, FaultyComponent,
+    Orientation,
 };
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 // ---------------------------------------------------------------------
 // The grid-based oracle.
@@ -137,11 +140,17 @@ fn oracle_pile(mesh: &Mesh2D, faults: &FaultSet, polygons: &[Region]) -> StatusM
     status
 }
 
-fn oracle_cmfp(mesh: &Mesh2D, faults: &FaultSet) -> ModelOutcome {
+/// CMFP with each component solved by `solve` (the virtual-block
+/// emulation or the concave-section solver).
+fn oracle_cmfp(
+    mesh: &Mesh2D,
+    faults: &FaultSet,
+    solve: fn(&FaultyComponent) -> (Region, RoundStats),
+) -> ModelOutcome {
     let mut rounds = RoundStats::quiescent();
     let mut polygons = Vec::new();
     for component in oracle_components(faults) {
-        let (polygon, r) = oracle_virtual_block(&component);
+        let (polygon, r) = solve(&component);
         rounds = rounds.in_parallel_with(r);
         polygons.push(polygon);
     }
@@ -151,6 +160,95 @@ fn oracle_cmfp(mesh: &Mesh2D, faults: &FaultSet) -> ModelOutcome {
         regions: polygons,
         rounds,
     }
+}
+
+// ---------------------------------------------------------------------
+// Centralized solution 2, scalar: concave row and column sections.
+// ---------------------------------------------------------------------
+
+/// The region's nodes grouped by line: `y -> sorted xs` for rows,
+/// `x -> sorted ys` for columns.
+fn lines(occupied: &Region, orientation: Orientation) -> BTreeMap<i32, Vec<i32>> {
+    let mut lines: BTreeMap<i32, Vec<i32>> = BTreeMap::new();
+    for c in occupied.iter() {
+        let (line, v) = match orientation {
+            Orientation::Row => (c.y, c.x),
+            Orientation::Column => (c.x, c.y),
+        };
+        lines.entry(line).or_default().push(v);
+    }
+    for vs in lines.values_mut() {
+        vs.sort_unstable();
+    }
+    lines
+}
+
+/// Scans a node set once and returns every concave row and column section
+/// with respect to it (Definition 3, applied literally to `occupied`):
+/// each maximal run of non-members between two members of one line.
+fn scan_sections(occupied: &Region) -> Vec<ConcaveSection> {
+    let mut sections = Vec::new();
+    for orientation in [Orientation::Row, Orientation::Column] {
+        for (line, vs) in lines(occupied, orientation) {
+            for w in vs.windows(2) {
+                if w[1] > w[0] + 1 {
+                    sections.push(ConcaveSection {
+                        orientation,
+                        line,
+                        start: w[0] + 1,
+                        end: w[1] - 1,
+                    });
+                }
+            }
+        }
+    }
+    sections
+}
+
+/// The concave row and column sections of a faulty component (first scan
+/// only — exactly Definition 3 with respect to the component's faults).
+fn concave_sections(component: &FaultyComponent) -> Vec<ConcaveSection> {
+    scan_sections(component.region())
+}
+
+/// Centralized solution 2: disable every node on a concave row/column
+/// section, iterating the scan until no section remains (disabling a
+/// section can create new ones), and return the polygon with the number
+/// of scan iterations that added nodes.
+struct ConcaveSectionSolver;
+
+impl ConcaveSectionSolver {
+    fn solve(&self, component: &FaultyComponent) -> (Region, u32) {
+        let mut polygon = component.region().clone();
+        let mut iterations = 0;
+        loop {
+            let sections = scan_sections(&polygon);
+            if sections.is_empty() {
+                break;
+            }
+            iterations += 1;
+            for s in sections {
+                for c in s.nodes() {
+                    polygon.insert(c);
+                }
+            }
+        }
+        (polygon, iterations)
+    }
+}
+
+/// Solution 2 on one component, with the round accounting of the
+/// production construction: the scan iterations as rounds and the added
+/// nodes as events.
+fn oracle_concave(component: &FaultyComponent) -> (Region, RoundStats) {
+    let (polygon, iterations) = ConcaveSectionSolver.solve(component);
+    let events = (polygon.len() - component.len()) as u64;
+    let rounds = RoundStats {
+        rounds: iterations,
+        events,
+        converged: true,
+    };
+    (polygon, rounds)
 }
 
 fn oracle_dmfp(mesh: &Mesh2D, faults: &FaultSet) -> ModelOutcome {
@@ -213,7 +311,7 @@ fn check_windows(mesh: &Mesh2D, components: &[FaultyComponent]) {
         assert_eq!(shared.polygon, polygon, "scratch polygon of {component:?}");
         assert_eq!(shared.rounds, rounds, "scratch rounds of {component:?}");
         assert_eq!(polygon, minimum_polygon(component), "hull of {component:?}");
-        let (concave_polygon, iterations) = ConcaveSectionSolver.solve(component);
+        let (concave_polygon, concave_rounds) = oracle_concave(component);
         assert_eq!(
             concave_polygon, polygon,
             "concave sections of {component:?}"
@@ -235,7 +333,7 @@ fn check_windows(mesh: &Mesh2D, components: &[FaultyComponent]) {
         ] {
             assert_eq!(concave.polygon, polygon, "packed hull of {component:?}");
             assert_eq!(
-                concave.rounds.rounds, iterations,
+                concave.rounds, concave_rounds,
                 "hull rounds of {component:?}"
             );
         }
@@ -278,8 +376,13 @@ fn check(mesh: &Mesh2D, faults: &FaultSet) -> usize {
 
     assert_same(
         &CentralizedMfpModel::virtual_block().construct(mesh, faults),
-        &oracle_cmfp(mesh, faults),
+        &oracle_cmfp(mesh, faults, oracle_virtual_block),
         "CMFP",
+    );
+    assert_same(
+        &CentralizedMfpModel::concave_sections().construct(mesh, faults),
+        &oracle_cmfp(mesh, faults, oracle_concave),
+        "CMFP concave sections",
     );
     assert_same(
         &DistributedMfpModel.construct(mesh, faults),
@@ -389,7 +492,7 @@ proptest! {
     #[test]
     fn labelling_kernels_match_the_local_rule_engine(
         width in 0usize..6,
-        height in 1u32..12,
+        height in 1u32..21,
         cells in prop::collection::vec((0..200i32, 0..40i32, 0..6u32), 0..60),
     ) {
         let mesh = Mesh2D::mesh(WIDTHS[width], height);
@@ -416,6 +519,90 @@ proptest! {
             status.excluded_region().components(Connectivity::Four)
         );
     }
+}
+
+fn component(list: &[(i32, i32)]) -> FaultyComponent {
+    FaultyComponent::new(Region::from_coords(
+        list.iter().map(|&(x, y)| Coord::new(x, y)),
+    ))
+}
+
+#[test]
+fn convex_component_has_no_sections() {
+    let l = component(&[(2, 4), (3, 4), (4, 3)]);
+    assert!(concave_sections(&l).is_empty());
+    let (poly, iters) = ConcaveSectionSolver.solve(&l);
+    assert_eq!(poly, l.region().clone());
+    assert_eq!(iters, 0);
+}
+
+#[test]
+fn u_shape_has_one_column_section() {
+    let u = component(&[(2, 2), (3, 2), (4, 2), (2, 3), (4, 3), (2, 4), (4, 4)]);
+    let sections = concave_sections(&u);
+    // column 3 rows 3..4 is outside the component between (3,2) and ...
+    // no component node above in column 3, so the *column* section does
+    // not exist; rows 3 and 4 each have a row section at x = 3.
+    let row_sections: Vec<_> = sections
+        .iter()
+        .filter(|s| s.orientation == Orientation::Row)
+        .collect();
+    assert_eq!(row_sections.len(), 2);
+    for s in &row_sections {
+        assert_eq!((s.start, s.end), (3, 3));
+        assert_eq!(s.len(), 1);
+    }
+    let (poly, iters) = ConcaveSectionSolver.solve(&u);
+    assert_eq!(iters, 1);
+    assert_eq!(poly.len(), 9);
+}
+
+#[test]
+fn solver_matches_hull_specification() {
+    let shapes: Vec<Vec<(i32, i32)>> = vec![
+        vec![(0, 0), (1, 1), (2, 2)],
+        vec![(2, 2), (3, 2), (4, 2), (2, 3), (4, 3), (2, 4), (4, 4)],
+        vec![(0, 2), (1, 1), (2, 0), (3, 1), (4, 2)],
+        vec![
+            (0, 0),
+            (1, 0),
+            (2, 0),
+            (0, 1),
+            (2, 1),
+            (0, 2),
+            (1, 2),
+            (2, 2),
+        ],
+        vec![(5, 5)],
+        vec![(1, 3), (2, 2), (3, 3), (2, 4), (2, 3)],
+    ];
+    for shape in shapes {
+        let comp = component(&shape);
+        let (poly, _) = ConcaveSectionSolver.solve(&comp);
+        assert_eq!(poly, minimum_polygon(&comp), "shape {shape:?}");
+        assert!(poly.is_orthogonally_convex());
+    }
+}
+
+#[test]
+fn ring_component_fills_hole_via_column_section() {
+    let ring = component(&[
+        (0, 0),
+        (1, 0),
+        (2, 0),
+        (0, 1),
+        (2, 1),
+        (0, 2),
+        (1, 2),
+        (2, 2),
+    ]);
+    let sections = concave_sections(&ring);
+    assert!(sections.iter().any(|s| s.orientation == Orientation::Column
+        && s.line == 1
+        && s.start == 1
+        && s.end == 1));
+    let (poly, _) = ConcaveSectionSolver.solve(&ring);
+    assert_eq!(poly.len(), 9);
 }
 
 /// Hand-placed shapes: all four corners, a U, a closed hole, a shape

@@ -14,9 +14,9 @@
 //! and every protocol polygon must be its component's minimum polygon
 //! (the specification, `minimum_polygon`).
 
-use distsim::RoundStats;
 use faultgen::{generate_faults, FaultDistribution};
 use fblock::FaultModel;
+use fblock::RoundStats;
 use mesh2d::{Connectivity, Coord, FaultSet, Mesh2D, Rect, Region};
 use mocp_core::concave::{ConcaveSection, Orientation};
 use mocp_core::distributed::boundary::{ring_nodes, ring_walks, RingWalk};

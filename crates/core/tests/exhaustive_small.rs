@@ -15,14 +15,49 @@
 //!   a small mesh spread over the workers, each with its own cache, and
 //!   only the sequential path meets a shape twice;
 //! * FB ⊇ FP ⊇ MFP: every node FP excludes, FB excludes too, and every
-//!   node MFP excludes, FP excludes too.
+//!   node MFP excludes, FP excludes too;
+//! * the paper's Theorem, by brute force: no orthogonally convex subset of
+//!   a component's virtual block that covers its faults is smaller than
+//!   the component's CMFP polygon.
 
-use distsim::RoundStats;
-use fblock::{FaultModel, FaultyBlockModel, SubMinimumPolygonModel};
+use fblock::{FaultModel, FaultyBlockModel, RoundStats, SubMinimumPolygonModel};
 use mesh2d::{Coord, FaultSet, Mesh2D, Region};
 use mocp_core::centralized::VirtualBlockSolver;
-use mocp_core::{merge_components, CentralizedMfpModel, DistributedMfpModel, DmfpScratch};
+use mocp_core::{
+    merge_components, minimum_polygon, CentralizedMfpModel, DistributedMfpModel, DmfpScratch,
+    FaultyComponent,
+};
 use rayon::{ThreadPool, ThreadPoolBuilder};
+
+/// Brute-force oracle for tiny components (at most `MAX_BRUTE_NODES`
+/// non-fault nodes in the virtual block): enumerates every subset of the
+/// virtual block that contains the faults and is orthogonally convex, and
+/// returns the size of the smallest one. Exponential — test-only scale.
+fn brute_force_minimum_cover_size(component: &FaultyComponent) -> Option<usize> {
+    const MAX_BRUTE_NODES: usize = 20;
+    let block: Vec<Coord> = component
+        .virtual_block()
+        .nodes()
+        .filter(|c| !component.contains(*c))
+        .collect();
+    if block.len() > MAX_BRUTE_NODES {
+        return None;
+    }
+    let faults = component.region().clone();
+    let mut best = usize::MAX;
+    for mask in 0u32..(1u32 << block.len()) {
+        let mut candidate = faults.clone();
+        for (i, c) in block.iter().enumerate() {
+            if mask & (1 << i) != 0 {
+                candidate.insert(*c);
+            }
+        }
+        if candidate.is_orthogonally_convex() {
+            best = best.min(candidate.len());
+        }
+    }
+    Some(best)
+}
 
 /// Every fault set of `mesh`, as the bit masks of its nodes in row-major
 /// order.
@@ -82,6 +117,11 @@ fn check(mesh: &Mesh2D, faults: &FaultSet, shared: &mut DmfpScratch, sequential:
         polygons.push(sol.polygon);
     }
     assert_eq!(cmfp.regions, polygons, "CMFP regions vs solve, {}", at());
+    for (component, polygon) in components.iter().zip(&cmfp.regions) {
+        let best = brute_force_minimum_cover_size(component)
+            .unwrap_or_else(|| panic!("{component:?} is too large to brute-force, {}", at()));
+        assert_eq!(polygon.len(), best, "Theorem for {component:?}, {}", at());
+    }
     assert_eq!(cmfp.rounds, rounds, "CMFP rounds vs solve, {}", at());
     assert_eq!(
         cmfp_sequential.rounds,
@@ -165,4 +205,35 @@ fn every_fault_set_of_a_3x4_mesh() {
 #[ignore = "65,536 fault sets; run in release"]
 fn every_fault_set_of_a_4x4_mesh() {
     assert_eq!(sweep(4, 4), 1 << 16);
+}
+
+fn component(list: &[(i32, i32)]) -> FaultyComponent {
+    FaultyComponent::new(Region::from_coords(
+        list.iter().map(|&(x, y)| Coord::new(x, y)),
+    ))
+}
+
+#[test]
+fn brute_force_agrees_with_hull_on_small_shapes() {
+    let shapes: Vec<Vec<(i32, i32)>> = vec![
+        vec![(0, 0)],
+        vec![(0, 0), (1, 1)],
+        vec![(0, 0), (1, 1), (2, 0)],
+        vec![(0, 0), (1, 0), (2, 0), (0, 1), (2, 1)],
+        vec![(0, 0), (1, 1), (0, 2)],
+        vec![(0, 2), (1, 1), (2, 0), (3, 1)],
+    ];
+    for shape in shapes {
+        let c = component(&shape);
+        let hull = minimum_polygon(&c);
+        let best = brute_force_minimum_cover_size(&c).expect("small enough for brute force");
+        assert_eq!(hull.len(), best, "shape {shape:?}");
+    }
+}
+
+#[test]
+fn brute_force_declines_large_blocks() {
+    let long: Vec<(i32, i32)> = (0..8).map(|i| (i, i)).collect();
+    let c = component(&long);
+    assert!(brute_force_minimum_cover_size(&c).is_none());
 }

@@ -337,10 +337,10 @@ fn run_trial<T: MeshTopology>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use distsim::RoundStats;
     use fblock::{FaultModel, FaultyBlockModel, ModelOutcome};
     use mesh2d::{FaultSet, Mesh2D};
     use mocp_3d::standard_registry_3d;
+    use mocp_topology::RoundStats;
 
     fn quick_scenario(models: &[&str]) -> Scenario {
         Scenario {

@@ -190,29 +190,6 @@ impl<T: MeshTopology> FaultInjector<T> {
             self.weights.mark_faulty(victim_index, [])
         };
         self.log.push(record);
-        debug_assert!(
-            self.mesh.node_count() > 1024 || self.boost_set_matches_dilation(),
-            "clustered weight-2 set diverged from the cluster-neighborhood dilation"
-        );
-    }
-
-    /// Cross-check of the clustered model's bookkeeping against the
-    /// bit-parallel dilation kernel: the weight-2 (boosted) nodes must be
-    /// exactly the healthy in-mesh nodes of `dilate_cluster(faults) \
-    /// faults`. Debug-only; sampled on small meshes by `mark_faulty` and
-    /// pinned by the property tests beyond.
-    fn boost_set_matches_dilation(&self) -> bool {
-        use mocp_topology::BitmapOps;
-        if self.distribution != FaultDistribution::Clustered {
-            return true;
-        }
-        let faults = T::Bitmap::from_coords(self.faults.in_insertion_order());
-        let mut boosted = faults.dilate_cluster();
-        boosted.subtract(&faults);
-        (0..self.mesh.node_count()).all(|i| {
-            let in_boost = boosted.contains(self.mesh.coord(i));
-            (self.weights.weight_of(i) == 2) == in_boost
-        })
     }
 
     /// Un-injects the most recent fault, restoring the weight bookkeeping
@@ -313,7 +290,37 @@ pub fn generate_faults<T: MeshTopology>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mesh2d::{Connectivity, Region};
+    use mesh2d::{BitGrid, Connectivity, Coord, Region};
+    use mocp_topology::BitmapOps;
+
+    /// The clustered model boosts each victim's `cluster_neighbors`: they
+    /// must be the victim's dilation minus the victim, clipped to the mesh,
+    /// at every node, borders and corners included. With the weight
+    /// table's boost bookkeeping (`weights::tests`), this makes the
+    /// injector's weight-2 set the dilation of the faults minus the faults.
+    #[test]
+    fn cluster_neighbors_are_the_clipped_dilation() {
+        for mesh in [
+            Mesh2D::square(1),
+            Mesh2D::mesh(1, 5),
+            Mesh2D::mesh(7, 1),
+            Mesh2D::mesh(65, 4),
+        ] {
+            for i in 0..mesh.node_count() {
+                let c = MeshTopology::coord(&mesh, i);
+                let mut neighbors = mesh.cluster_neighbors(c);
+                neighbors.sort_unstable();
+                let mut dilation: Vec<Coord> = BitGrid::from_coords([c])
+                    .dilate_cluster()
+                    .coords()
+                    .into_iter()
+                    .filter(|&n| n != c && MeshTopology::contains(&mesh, n))
+                    .collect();
+                dilation.sort_unstable();
+                assert_eq!(neighbors, dilation, "{c} on {mesh:?}");
+            }
+        }
+    }
 
     #[test]
     fn generates_requested_number_of_distinct_faults() {

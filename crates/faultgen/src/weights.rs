@@ -45,9 +45,8 @@ impl DrawRecord {
 /// [`locate`](Self::locate) descends the tree in O(log n) instead of the
 /// O(n) linear scan — at a 512×512 streaming scale the scan is 262 144
 /// iterations per draw. The tree is updated incrementally by
-/// [`mark_faulty`](Self::mark_faulty) / [`undo`](Self::undo) and the
-/// linear scan remains as [`locate_linear`](Self::locate_linear), the
-/// equivalence oracle the tests pin the tree against.
+/// [`mark_faulty`](Self::mark_faulty) / [`undo`](Self::undo); the unit
+/// tests pin the descent to the linear interval walk it replaced.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WeightTable {
     weight: Vec<u32>,
@@ -107,8 +106,8 @@ impl WeightTable {
     /// interval contains it, by Fenwick-tree descent in O(log n). Returns
     /// `None` when `target` is at or beyond the weight total.
     ///
-    /// Equivalent to [`locate_linear`](Self::locate_linear) (the oracle
-    /// the equivalence tests pin it against) on every target.
+    /// Equivalent to a linear walk over the weight intervals on every
+    /// target (the equivalence the unit tests pin).
     pub fn locate(&self, target: u64) -> Option<usize> {
         if target >= self.total {
             return None;
@@ -127,24 +126,7 @@ impl WeightTable {
             }
             step >>= 1;
         }
-        debug_assert!(
-            self.weight.len() > 4096 || Some(pos) == self.locate_linear(target),
-            "Fenwick locate diverged from the linear-scan oracle"
-        );
         Some(pos)
-    }
-
-    /// The original O(n) interval walk, kept as the specification
-    /// [`locate`](Self::locate) is verified against.
-    pub fn locate_linear(&self, mut target: u64) -> Option<usize> {
-        for (i, &w) in self.weight.iter().enumerate() {
-            let w = w as u64;
-            if target < w {
-                return Some(i);
-            }
-            target -= w;
-        }
-        None
     }
 
     /// Marks `victim` faulty (weight 0) and doubles the rate of every
@@ -217,6 +199,19 @@ mod tests {
         *state
     }
 
+    /// The O(n) interval walk the Fenwick descent replaced: the node whose
+    /// weight interval contains `target`.
+    fn linear_walk(table: &WeightTable, mut target: u64) -> Option<usize> {
+        for i in 0..table.len() {
+            let w = table.weight_of(i) as u64;
+            if target < w {
+                return Some(i);
+            }
+            target -= w;
+        }
+        None
+    }
+
     /// The Fenwick descent must agree with the linear interval walk on
     /// every target of every reachable table state — exercised over
     /// random draw sequences with interleaved boosts and undos, including
@@ -234,12 +229,12 @@ mod tests {
                         let target = xorshift(&mut state) % table.total();
                         assert_eq!(
                             table.locate(target),
-                            table.locate_linear(target),
+                            linear_walk(&table, target),
                             "nodes {nodes} step {step} target {target}"
                         );
                     }
                     assert_eq!(table.locate(table.total()), None);
-                    assert_eq!(table.locate_linear(table.total()), None);
+                    assert_eq!(linear_walk(&table, table.total()), None);
                 }
                 // Mutate: mostly draws, sometimes undos.
                 if table.total() == 0 || (step % 7 == 6 && !log.is_empty()) {
@@ -262,6 +257,57 @@ mod tests {
                 table.undo(record);
             }
             assert_eq!(table, WeightTable::uniform(nodes));
+        }
+    }
+
+    /// After any sequence of draws and undos, the weight-2 nodes are
+    /// exactly the union of the boost lists of the draws still applied,
+    /// minus the nodes those draws marked faulty; every other healthy node
+    /// is at the base rate, and the total is the sum of the weights. With
+    /// the injector passing each victim's cluster neighborhood as its
+    /// boost list, this makes the clustered weight-2 set the dilation of
+    /// the faults minus the faults.
+    #[test]
+    fn boosted_set_is_the_live_boost_lists_minus_the_faults() {
+        for nodes in [1usize, 2, 9, 64, 65, 130] {
+            let mut state = 0xD1B5_4A32_D192_ED03u64 ^ nodes as u64;
+            let mut table = WeightTable::uniform(nodes);
+            let mut applied: Vec<(DrawRecord, Vec<usize>)> = Vec::new();
+            for step in 0..300 {
+                if table.total() == 0
+                    || (xorshift(&mut state).is_multiple_of(3) && !applied.is_empty())
+                {
+                    if let Some((record, _)) = applied.pop() {
+                        table.undo(record);
+                    }
+                } else {
+                    let victim = table
+                        .locate(xorshift(&mut state) % table.total())
+                        .expect("target < total");
+                    let boost: Vec<usize> = (0..xorshift(&mut state) % 6)
+                        .map(|_| xorshift(&mut state) as usize % nodes)
+                        .collect();
+                    applied.push((table.mark_faulty(victim, boost.clone()), boost));
+                }
+                let faulty: Vec<usize> = applied.iter().map(|(r, _)| r.victim()).collect();
+                let mut total = 0u64;
+                for i in 0..nodes {
+                    let expected = if faulty.contains(&i) {
+                        0
+                    } else if applied.iter().any(|(_, boost)| boost.contains(&i)) {
+                        2
+                    } else {
+                        1
+                    };
+                    assert_eq!(
+                        table.weight_of(i),
+                        expected,
+                        "nodes {nodes} step {step} node {i}"
+                    );
+                    total += expected as u64;
+                }
+                assert_eq!(table.total(), total, "nodes {nodes} step {step}");
+            }
         }
     }
 

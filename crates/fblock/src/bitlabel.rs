@@ -6,8 +6,7 @@
 //! either rule is a handful of shift-and-OR word operations per row —
 //! 64 nodes per instruction instead of one node per `step` call — while
 //! the round structure (and therefore the Figure 11 round counts) is
-//! exactly that of the scalar [`run_local_rule`](distsim::run_local_rule)
-//! execution:
+//! exactly that of the scalar node-by-node execution:
 //!
 //! * **scheme 1** (growing): a safe node with an unsafe west/east neighbor
 //!   *and* an unsafe north/south neighbor becomes unsafe —
@@ -20,11 +19,11 @@
 //! [`LabelFrame`]: FB and FP frame the whole mesh, the CMFP virtual-block
 //! solve frames one component's window. The excluded set the frame leaves
 //! behind is a [`BitGrid`], so regions and status are read straight off the
-//! packed rows. The scalar rules in [`scheme1`](crate::scheme1) /
-//! [`scheme2`](crate::scheme2) are the oracles; the property tests and
-//! `mocp_core`'s `construct_oracle` test pin this module to them.
+//! packed rows. The scalar rules are the oracles: `mocp_core`'s
+//! `construct_oracle` test runs them on a synchronous local-rule engine
+//! (its `local_rule` module) and pins this module to them.
 
-use distsim::RoundStats;
+use crate::model::RoundStats;
 use mesh2d::{BitGrid, Coord, FaultSet, Mesh2D};
 
 /// The geometry of a frame of packed rows: `width_words` words per row,

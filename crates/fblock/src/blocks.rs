@@ -1,8 +1,8 @@
 //! Rectangular faulty block extraction and the FB fault model.
 
 use crate::bitlabel::LabelFrame;
+use crate::model::RoundStats;
 use crate::model::{FaultModel, ModelOutcome};
-use distsim::RoundStats;
 use mesh2d::{
     BitGrid, BitScratch, Connectivity, Coord, FaultSet, Grid, Mesh2D, NodeStatus, Rect, Region,
     Safety, StatusMap,

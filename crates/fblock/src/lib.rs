@@ -15,15 +15,14 @@
 //! its 4-neighbors' states. Both models execute them **bit-parallel** on
 //! one packed [`LabelFrame`] (the [`bitlabel`] kernels): each synchronous
 //! round is a shift-and-OR pass over word-packed row masks, 64 nodes per
-//! operation, with the identical round structure as the scalar execution
-//! on the synchronous round engine of the `distsim` crate, so the round
-//! counts reported in Figure 11 still fall out of the construction itself.
-//! The outcome goes from the fault list to the status and the regions
-//! straight off the frame's excluded rows, with no label grid in between.
-//! The scalar rules (`label_safety_scalar` / `label_activation_scalar`)
-//! are the specification; `mocp_core`'s `construct_oracle` test holds the
-//! grid-based pipelines these models replaced and checks the two against
-//! each other up to the paper's scale.
+//! operation, with the identical round structure as the scalar node-by-node
+//! execution, so the round counts reported in Figure 11 still fall out of
+//! the construction itself. The outcome goes from the fault list to the
+//! status and the regions straight off the frame's excluded rows, with no
+//! label grid in between. The scalar rules on a synchronous local-rule
+//! engine are the specification; `mocp_core`'s `construct_oracle` test
+//! holds them and the grid-based pipelines these models replaced, and
+//! checks both against the models up to the paper's scale.
 //!
 //! The crate also re-exports the dimension-generic [`FaultModel`] trait
 //! from `mocp_topology` (its topology parameter defaults to `Mesh2D`, so
@@ -45,7 +44,7 @@ pub mod scheme2;
 
 pub use bitlabel::LabelFrame;
 pub use blocks::{extract_faulty_blocks, FaultyBlockModel};
-pub use model::{FaultModel, ModelOutcome, Outcome};
+pub use model::{FaultModel, ModelOutcome, Outcome, RoundStats};
 pub use registry::{baseline_registry, BoxedModel, ModelRegistry, NamedRegistry, UnknownModel};
-pub use scheme1::{label_safety, label_safety_scalar};
-pub use scheme2::{label_activation, label_activation_scalar, SubMinimumPolygonModel};
+pub use scheme1::label_safety;
+pub use scheme2::{label_activation, SubMinimumPolygonModel};

@@ -11,7 +11,7 @@
 
 use mesh2d::Mesh2D;
 
-pub use mocp_topology::{FaultModel, Outcome};
+pub use mocp_topology::{FaultModel, Outcome, RoundStats};
 
 /// The outcome of running a fault-model construction on a 2-D faulty
 /// mesh: the `Mesh2D` instantiation of the generic
@@ -22,7 +22,6 @@ pub type ModelOutcome = Outcome<Mesh2D>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use distsim::RoundStats;
     use mesh2d::{Coord, NodeStatus, Region, StatusMap};
 
     /// The 2-D alias exposes the generic metrics and predicates exactly as

@@ -10,61 +10,15 @@
 //! rectangles (verified by `blocks::tests` and by property tests).
 //!
 //! The constructions run the rule bit-parallel on packed rows
-//! ([`LabelFrame::grow`]) and never build a label grid. [`Scheme1Rule`] on
-//! the synchronous engine ([`label_safety_scalar`]) is the specification;
-//! [`label_safety`] unpacks a frame into a `Grid<Safety>` for the callers
-//! that want one (the tests and oracles).
+//! ([`LabelFrame::grow`]) and never build a label grid; [`label_safety`]
+//! unpacks a frame into a `Grid<Safety>` for the callers that want one
+//! (the tests and oracles). The scalar specification — the rule run node
+//! by node on a synchronous round engine — is `mocp_core`'s
+//! `tests/local_rule` oracle.
 
 use crate::bitlabel::LabelFrame;
-use distsim::{run_local_rule, LocalRuleAutomaton, RoundStats};
-use mesh2d::{Coord, FaultSet, Grid, Mesh2D, Safety};
-
-/// Labelling scheme 1 as a local rule over [`Safety`] states.
-pub struct Scheme1Rule<'f> {
-    faults: &'f FaultSet,
-}
-
-impl<'f> Scheme1Rule<'f> {
-    /// Creates the rule for a given fault pattern.
-    pub fn new(faults: &'f FaultSet) -> Self {
-        Scheme1Rule { faults }
-    }
-}
-
-impl LocalRuleAutomaton for Scheme1Rule<'_> {
-    type State = Safety;
-
-    fn init(&self, c: Coord) -> Safety {
-        if self.faults.is_faulty(c) {
-            Safety::Unsafe
-        } else {
-            Safety::Safe
-        }
-    }
-
-    fn step(&self, c: Coord, current: &Safety, neighbors: &[(Coord, &Safety)]) -> Safety {
-        if *current == Safety::Unsafe {
-            // Faulty nodes and already-unsafe nodes never revert.
-            return Safety::Unsafe;
-        }
-        let mut unsafe_in_x = false;
-        let mut unsafe_in_y = false;
-        for (n, &s) in neighbors {
-            if s == Safety::Unsafe {
-                if n.y == c.y {
-                    unsafe_in_x = true;
-                } else {
-                    unsafe_in_y = true;
-                }
-            }
-        }
-        if unsafe_in_x && unsafe_in_y {
-            Safety::Unsafe
-        } else {
-            Safety::Safe
-        }
-    }
-}
+use crate::model::RoundStats;
+use mesh2d::{FaultSet, Grid, Mesh2D, Safety};
 
 /// Runs labelling scheme 1 to its fixpoint.
 ///
@@ -75,8 +29,8 @@ impl LocalRuleAutomaton for Scheme1Rule<'_> {
 /// Unpacks the scheme-1 run of a mesh-wide [`LabelFrame`] into a label
 /// grid; the constructions themselves read the frame's packed rows. The
 /// synchronous round structure — and so the returned [`RoundStats`] — is
-/// identical to the scalar [`label_safety_scalar`], the oracle the property
-/// tests pin it to.
+/// identical to the scalar local-rule execution the `construct_oracle`
+/// test pins it to.
 pub fn label_safety(mesh: &Mesh2D, faults: &FaultSet) -> (Grid<Safety>, RoundStats) {
     let mut frame = LabelFrame::for_faults(mesh, faults);
     let stats = frame.grow();
@@ -90,16 +44,10 @@ pub fn label_safety(mesh: &Mesh2D, faults: &FaultSet) -> (Grid<Safety>, RoundSta
     (grid, stats)
 }
 
-/// The scalar specification of [`label_safety`]: labelling scheme 1 as a
-/// per-node local rule on the synchronous [`run_local_rule`] engine.
-pub fn label_safety_scalar(mesh: &Mesh2D, faults: &FaultSet) -> (Grid<Safety>, RoundStats) {
-    run_local_rule(mesh, &Scheme1Rule::new(faults))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mesh2d::Region;
+    use mesh2d::{Coord, Region};
 
     fn faults(mesh: Mesh2D, list: &[(i32, i32)]) -> FaultSet {
         FaultSet::from_coords(mesh, list.iter().map(|&(x, y)| Coord::new(x, y)))

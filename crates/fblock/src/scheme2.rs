@@ -10,67 +10,17 @@
 //! but contain fewer healthy nodes than the rectangular blocks.
 //!
 //! [`SubMinimumPolygonModel`] runs both schemes bit-parallel on one packed
-//! [`LabelFrame`] and reads its outcome off the disabled rows.
-//! [`Scheme2Rule`] on the synchronous engine ([`label_activation_scalar`])
-//! is the specification; [`label_activation`] unpacks a frame into a
-//! `Grid<Activation>` for the callers that want one.
+//! [`LabelFrame`] and reads its outcome off the disabled rows;
+//! [`label_activation`] unpacks a frame into a `Grid<Activation>` for the
+//! callers that want one. The scalar specification — the rule run node by
+//! node on a synchronous round engine — is `mocp_core`'s
+//! `tests/local_rule` oracle.
 
 use crate::bitlabel::LabelFrame;
 use crate::blocks::outcome_from_frame;
+use crate::model::RoundStats;
 use crate::model::{FaultModel, ModelOutcome};
-use distsim::{run_local_rule, LocalRuleAutomaton, RoundStats};
-use mesh2d::{Activation, Coord, FaultSet, Grid, Mesh2D, Safety};
-
-/// Labelling scheme 2 as a local rule over [`Activation`] states.
-///
-/// The rule needs the scheme-1 safety labelling (to know which nodes start
-/// disabled) and the fault set (faulty nodes never re-enable).
-pub struct Scheme2Rule<'a> {
-    faults: &'a FaultSet,
-    safety: &'a Grid<Safety>,
-}
-
-impl<'a> Scheme2Rule<'a> {
-    /// Creates the rule from the outputs of labelling scheme 1.
-    pub fn new(faults: &'a FaultSet, safety: &'a Grid<Safety>) -> Self {
-        Scheme2Rule { faults, safety }
-    }
-}
-
-impl LocalRuleAutomaton for Scheme2Rule<'_> {
-    type State = Activation;
-
-    fn init(&self, c: Coord) -> Activation {
-        if self.safety[c] == Safety::Safe {
-            Activation::Enabled
-        } else {
-            Activation::Disabled
-        }
-    }
-
-    fn step(
-        &self,
-        c: Coord,
-        current: &Activation,
-        neighbors: &[(Coord, &Activation)],
-    ) -> Activation {
-        if self.faults.is_faulty(c) {
-            return Activation::Disabled;
-        }
-        if *current == Activation::Enabled {
-            return Activation::Enabled;
-        }
-        let enabled_neighbors = neighbors
-            .iter()
-            .filter(|(_, &a)| a == Activation::Enabled)
-            .count();
-        if enabled_neighbors >= 2 {
-            Activation::Enabled
-        } else {
-            Activation::Disabled
-        }
-    }
-}
+use mesh2d::{Activation, FaultSet, Grid, Mesh2D, Safety};
 
 /// Runs labelling scheme 2 to its fixpoint on top of an existing scheme-1
 /// labelling. Returns the activation grid and the *additional* rounds the
@@ -80,7 +30,7 @@ impl LocalRuleAutomaton for Scheme2Rule<'_> {
 /// Loads `safety` into a mesh-wide [`LabelFrame`], runs its bit-parallel
 /// [`shrink`](LabelFrame::shrink) and unpacks the result; the synchronous
 /// round structure — and so the returned [`RoundStats`] — is identical to
-/// the scalar [`label_activation_scalar`] oracle.
+/// the scalar local-rule execution the `construct_oracle` test pins it to.
 pub fn label_activation(
     mesh: &Mesh2D,
     faults: &FaultSet,
@@ -99,16 +49,6 @@ pub fn label_activation(
         }
     });
     (grid, stats)
-}
-
-/// The scalar specification of [`label_activation`]: labelling scheme 2 as
-/// a per-node local rule on the synchronous [`run_local_rule`] engine.
-pub fn label_activation_scalar(
-    mesh: &Mesh2D,
-    faults: &FaultSet,
-    safety: &Grid<Safety>,
-) -> (Grid<Activation>, RoundStats) {
-    run_local_rule(mesh, &Scheme2Rule::new(faults, safety))
 }
 
 /// Wu's sub-minimum faulty polygon model (FP): labelling scheme 1 followed by
@@ -136,6 +76,7 @@ impl FaultModel for SubMinimumPolygonModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mesh2d::Coord;
 
     fn faults(mesh: Mesh2D, list: &[(i32, i32)]) -> FaultSet {
         FaultSet::from_coords(mesh, list.iter().map(|&(x, y)| Coord::new(x, y)))

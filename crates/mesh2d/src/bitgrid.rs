@@ -118,9 +118,6 @@ pub struct BitScratch {
     c: Vec<u64>,
     d: Vec<u64>,
     e: Vec<u64>,
-    /// Permanently all-zero row: out-of-range neighbor rows borrow this
-    /// slice so the flood's inner word loop stays branch-free.
-    zeros: Vec<u64>,
     /// Number of times any buffer had to grow — the observable for the
     /// no-allocation-in-steady-state assertions.
     grows: u64,
@@ -153,10 +150,6 @@ impl BitScratch {
             } else {
                 buf[..words].fill(0);
             }
-        }
-        if self.zeros.len() < words {
-            self.zeros.resize(words, 0);
-            self.grows += 1;
         }
     }
 }
@@ -741,65 +734,32 @@ impl BitGrid {
 
     /// The connected components under `adjacency` as [`Region`]s, in
     /// [`components`](Self::components)' x-major order.
+    ///
+    /// Each component is flooded into a shared scratch buffer and its rows
+    /// are copied out into a tightly framed grid, so only the output
+    /// regions are allocated. The flood discovers components in row-major
+    /// order of their first cell; the regions are then ordered by sorting
+    /// the components' smallest x-major nodes.
     pub fn component_regions_with(
         &self,
         adjacency: Connectivity,
         scratch: &mut BitScratch,
     ) -> Vec<Region> {
-        self.component_regions_by(adjacency, scratch, |_| {})
-    }
-
-    /// [`component_regions_with`](Self::component_regions_with), with
-    /// `prepare` run on each component's in-place [`ComponentRows`] view
-    /// before its rows are copied out (the fused CMFP construction hulls
-    /// it there). The regions are ordered by sorting the components' keys,
-    /// not the regions; `prepare` must keep each component's smallest
-    /// x-major node, as the hull does.
-    pub fn component_regions_by(
-        &self,
-        adjacency: Connectivity,
-        scratch: &mut BitScratch,
-        mut prepare: impl FnMut(&mut ComponentRows<'_>),
-    ) -> Vec<Region> {
+        let ww = self.width_words;
+        let words: &[u64] = &self.words;
+        let total = words.len();
+        if total == 0 {
+            return Vec::new();
+        }
         let mut found = Vec::new();
         let mut keys = Vec::new();
-        self.for_each_component_with(adjacency, scratch, |view| {
-            prepare(view);
-            let grid = view.to_grid();
+        let mut push = |grid: BitGrid| {
             keys.push((
                 grid.min_coord_x_major().expect("components are non-empty"),
                 keys.len(),
             ));
             found.push(Some(Region::from_bits(grid)));
-        });
-        keys.sort_unstable();
-        keys.into_iter()
-            .map(|(_, i)| found[i].take().expect("each index is taken once"))
-            .collect()
-    }
-
-    /// Visits every connected component **in place**: each component is
-    /// flooded into a shared scratch buffer and handed to `f` as a
-    /// [`ComponentRows`] view, with no per-component grid allocated. The
-    /// view may mutate the component's bits inside its bounding box (the
-    /// fused construction runs the hull fixpoint right there) before
-    /// extracting whatever it needs.
-    ///
-    /// Components are visited in **discovery order** (row-major by first
-    /// cell); [`component_regions_by`](Self::component_regions_by) puts
-    /// them in x-major order.
-    fn for_each_component_with(
-        &self,
-        adjacency: Connectivity,
-        scratch: &mut BitScratch,
-        mut f: impl FnMut(&mut ComponentRows<'_>),
-    ) {
-        let ww = self.width_words;
-        let words: &[u64] = &self.words;
-        let total = words.len();
-        if total == 0 {
-            return;
-        }
+        };
         scratch.prepare(total);
         let BitScratch {
             a: visited,
@@ -807,10 +767,8 @@ impl BitGrid {
             c: frontier,
             d: spread,
             e: next,
-            zeros,
             ..
         } = scratch;
-        let zeros = &zeros[..ww];
 
         for seed_word in 0..total {
             loop {
@@ -838,21 +796,8 @@ impl BitGrid {
                     if nb == 0 {
                         visited[seed_word] |= seed_bit;
                         comp[seed_word] = seed_bit;
-                        let mut view = ComponentRows {
-                            comp,
-                            fill: spread,
-                            aux: next,
-                            ww,
-                            origin_x: self.origin_x,
-                            origin_y: self.origin_y,
-                            row_lo: seed_row,
-                            row_hi: seed_row,
-                        };
-                        f(&mut view);
-                        let row = seed_row * ww;
-                        comp[row..row + ww].fill(0);
-                        spread[row..row + ww].fill(0);
-                        next[row..row + ww].fill(0);
+                        push(self.component_grid(comp, seed_row, seed_row));
+                        comp[seed_word] = 0;
                         continue;
                     }
                 }
@@ -885,7 +830,6 @@ impl BitGrid {
                     let scan_hi = (hi + 1).min(self.height - 1);
                     let mut any = false;
                     let (mut next_lo, mut next_hi) = (usize::MAX, 0usize);
-                    let _ = zeros;
                     // Vertical neighbor source: the spread rows under
                     // 8-adjacency (diagonals included), the raw frontier
                     // rows under 4-adjacency.
@@ -936,28 +880,12 @@ impl BitGrid {
                     comp_hi = comp_hi.max(hi);
                 }
 
-                // Mark visited before the visitor runs (the visitor may
-                // grow `comp` inside the bounding box, e.g. hull filling,
-                // and such fill nodes must not seed new components — they
-                // are not occupancy bits of `self`, so `avail` cannot see
-                // them anyway).
                 for y in comp_lo..=comp_hi {
                     for j in 0..ww {
                         visited[y * ww + j] |= comp[y * ww + j];
                     }
                 }
-
-                let mut view = ComponentRows {
-                    comp,
-                    fill: spread,
-                    aux: next,
-                    ww,
-                    origin_x: self.origin_x,
-                    origin_y: self.origin_y,
-                    row_lo: comp_lo,
-                    row_hi: comp_hi,
-                };
-                f(&mut view);
+                push(self.component_grid(comp, comp_lo, comp_hi));
 
                 // Reset the touched rows of every buffer.
                 let scan_lo = comp_lo.saturating_sub(1);
@@ -971,6 +899,30 @@ impl BitGrid {
                 }
             }
         }
+        keys.sort_unstable();
+        keys.into_iter()
+            .map(|(_, i)| found[i].take().expect("each index is taken once"))
+            .collect()
+    }
+
+    /// Copies one flooded component out of the flood buffer `comp` (in
+    /// this grid's frame) into its own tightly framed grid: rows
+    /// `row_lo..=row_hi` (the first and last hold bits), cut to the words
+    /// between the leftmost and rightmost set bit.
+    fn component_grid(&self, comp: &[u64], row_lo: usize, row_hi: usize) -> BitGrid {
+        let ww = self.width_words;
+        let rows = &comp[row_lo * ww..(row_hi + 1) * ww];
+        let (x0, x1) = x_extent(rows, ww);
+        let mut out = BitGrid::with_bounds(
+            Coord::new(self.origin_x + x0, self.origin_y + row_lo as i32),
+            Coord::new(self.origin_x + x1, self.origin_y + row_hi as i32),
+        );
+        let first = (x0 / 64) as usize;
+        let n = out.width_words;
+        for (dst, row) in out.words.chunks_exact_mut(n).zip(rows.chunks_exact(ww)) {
+            dst.copy_from_slice(&row[first..first + n]);
+        }
+        out
     }
 
     /// One snapshot round of the concave-section fill: computes the row-gap
@@ -1126,96 +1078,6 @@ impl Iterator for XMajor<'_> {
             self.pending &= self.pending - 1;
             self.row = 0;
         }
-    }
-}
-
-/// One connected component, viewed in place inside the shared flood
-/// buffer of [`BitGrid::component_regions_by`]: the component's bits
-/// live in `comp` within rows `row_lo..=row_hi` of the parent grid's
-/// frame, and `fill`/`aux` are working buffers for the in-place hull.
-pub struct ComponentRows<'a> {
-    comp: &'a mut [u64],
-    fill: &'a mut [u64],
-    aux: &'a mut [u64],
-    ww: usize,
-    origin_x: i32,
-    origin_y: i32,
-    row_lo: usize,
-    row_hi: usize,
-}
-
-impl ComponentRows<'_> {
-    /// Extracts the component into its own tightly-framed [`BitGrid`]:
-    /// rows `row_lo..=row_hi` (the first and last hold bits), cut to the
-    /// words between the leftmost and rightmost set bit.
-    pub fn to_grid(&self) -> BitGrid {
-        let ww = self.ww;
-        let rows = &self.comp[self.row_lo * ww..(self.row_hi + 1) * ww];
-        let (x0, x1) = x_extent(rows, ww);
-        let mut out = BitGrid::with_bounds(
-            Coord::new(self.origin_x + x0, self.origin_y + self.row_lo as i32),
-            Coord::new(self.origin_x + x1, self.origin_y + self.row_hi as i32),
-        );
-        let first = (x0 / 64) as usize;
-        let n = out.width_words;
-        for (dst, row) in out.words.chunks_exact_mut(n).zip(rows.chunks_exact(ww)) {
-            dst.copy_from_slice(&row[first..first + n]);
-        }
-        out
-    }
-
-    /// The in-place hull fixpoint: fills the component to its minimum
-    /// orthogonal convex superset inside the shared buffer (never leaving
-    /// the component's bounding box) and returns `(iterations, added)`
-    /// with the concave-section solver's scan-then-fill round semantics.
-    pub fn hull_fixpoint(&mut self) -> (u32, u64) {
-        let ww = self.ww;
-        let (lo, hi) = (self.row_lo, self.row_hi);
-        let mut iterations = 0u32;
-        let mut added = 0u64;
-        loop {
-            // Row spans (assignment pass — overwrites any stale content).
-            for y in lo..=hi {
-                let row_at = y * ww;
-                let (comp_row, fill_row) = (
-                    &self.comp[row_at..row_at + ww],
-                    &mut self.fill[row_at..row_at + ww],
-                );
-                row_span_mask(comp_row, fill_row);
-                for j in 0..ww {
-                    fill_row[j] &= !comp_row[j];
-                }
-            }
-            // Column fills w.r.t. the same snapshot, word-parallel:
-            // prefix into `aux`, then a reverse suffix sweep.
-            for j in 0..ww {
-                let mut acc = 0u64;
-                for y in lo..=hi {
-                    let i = y * ww + j;
-                    acc |= self.comp[i];
-                    self.aux[i] = acc;
-                }
-                let mut suffix = 0u64;
-                for y in (lo..=hi).rev() {
-                    let i = y * ww + j;
-                    let row = self.comp[i];
-                    suffix |= row;
-                    self.fill[i] |= self.aux[i] & suffix & !row;
-                }
-            }
-            // Apply.
-            let mut grown = 0u64;
-            for i in lo * ww..(hi + 1) * ww {
-                grown += self.fill[i].count_ones() as u64;
-                self.comp[i] |= self.fill[i];
-            }
-            if grown == 0 {
-                break;
-            }
-            iterations += 1;
-            added += grown;
-        }
-        (iterations, added)
     }
 }
 

@@ -97,16 +97,6 @@ impl Coord {
             self.offset(1, 1),
         ]
     }
-
-    /// Lexicographic key ordered by `x` first, then `y`.
-    ///
-    /// This is exactly the priority used by the paper's overwriting rule for
-    /// competing initiators: "the one with a smaller x value in initiator ID
-    /// overwrites the rest and, then, the one with a smaller y value".
-    #[inline]
-    pub fn initiator_priority(self) -> (i32, i32) {
-        (self.x, self.y)
-    }
 }
 
 impl fmt::Debug for Coord {
@@ -184,17 +174,6 @@ mod tests {
         for n in c.neighbors4() {
             assert!(n8.contains(&n));
         }
-    }
-
-    #[test]
-    fn initiator_priority_orders_west_most_first() {
-        // The west-most south-west corner should dominate: smaller x wins,
-        // ties broken by smaller y.
-        let mut corners = [Coord::new(3, 1), Coord::new(1, 5), Coord::new(1, 2)];
-        corners.sort_by_key(|c| c.initiator_priority());
-        assert_eq!(corners[0], Coord::new(1, 2));
-        assert_eq!(corners[1], Coord::new(1, 5));
-        assert_eq!(corners[2], Coord::new(3, 1));
     }
 
     #[test]

@@ -15,7 +15,6 @@
 
 use crate::bitgrid::XMajor;
 use crate::{BitGrid, BitScratch, Coord, Rect};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Which adjacency relation to use when decomposing a region into connected
@@ -176,25 +175,6 @@ impl Region {
     /// column is a contiguous run.
     pub fn is_orthogonally_convex(&self) -> bool {
         self.bits.is_orthogonally_convex()
-    }
-
-    /// Nodes grouped by row: `y -> sorted x coordinates`.
-    pub fn rows(&self) -> BTreeMap<i32, Vec<i32>> {
-        let mut rows: BTreeMap<i32, Vec<i32>> = BTreeMap::new();
-        // Row-major storage order: ascending x within each row.
-        for c in self.bits.iter() {
-            rows.entry(c.y).or_default().push(c.x);
-        }
-        rows
-    }
-
-    /// Nodes grouped by column: `x -> sorted y coordinates`.
-    pub fn columns(&self) -> BTreeMap<i32, Vec<i32>> {
-        let mut cols: BTreeMap<i32, Vec<i32>> = BTreeMap::new();
-        for c in self.iter() {
-            cols.entry(c.x).or_default().push(c.y);
-        }
-        cols
     }
 
     /// The minimum orthogonal convex superset of this region: repeatedly fill

@@ -187,21 +187,9 @@ impl StatusMap {
         }
     }
 
-    /// Merges a whole map into this one using the superseding rule.
-    pub fn supersede_all(&mut self, other: &StatusMap) {
-        for (c, &s) in other.grid.iter() {
-            self.supersede(c, s);
-        }
-    }
-
     /// All faulty (black) nodes.
     pub fn faulty_region(&self) -> Region {
         self.region_where(|s| s == NodeStatus::Faulty)
-    }
-
-    /// All non-faulty but disabled (gray) nodes.
-    pub fn disabled_region(&self) -> Region {
-        self.region_where(|s| s == NodeStatus::Disabled)
     }
 
     /// All excluded nodes (faulty or disabled) — the union of the faulty
@@ -439,26 +427,6 @@ mod tests {
             StatusMap::from_faults(&mesh, &Region::from_coords(list))
         );
         assert_eq!(map.faulty_count(), 2, "duplicates and outsiders ignored");
-    }
-
-    #[test]
-    fn supersede_map_merging() {
-        let mesh = Mesh2D::square(4);
-        let mut a = StatusMap::all_enabled(&mesh);
-        a.set(Coord::new(1, 1), NodeStatus::Disabled);
-        a.set(Coord::new(2, 2), NodeStatus::Faulty);
-
-        let mut b = StatusMap::all_enabled(&mesh);
-        b.set(Coord::new(1, 1), NodeStatus::Faulty);
-        b.set(Coord::new(2, 2), NodeStatus::Disabled);
-        b.set(Coord::new(3, 3), NodeStatus::Disabled);
-
-        a.supersede_all(&b);
-        assert_eq!(a.status(Coord::new(1, 1)), NodeStatus::Faulty);
-        assert_eq!(a.status(Coord::new(2, 2)), NodeStatus::Faulty);
-        assert_eq!(a.status(Coord::new(3, 3)), NodeStatus::Disabled);
-        assert_eq!(a.disabled_count(), 1);
-        assert_eq!(a.faulty_count(), 2);
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //!   simulator's reachable-pair probe, so all layers measure one pair
 //!   population;
 //! * [`simulate`] — batch routing experiments (delivery rate, path stretch,
-//!   abnormal hops) used by the examples and the ablation benchmark that
-//!   compares routing over FB regions against routing over MFP regions.
+//!   abnormal hops) used by the examples and the integration tests to
+//!   compare routing over FB regions against routing over MFP regions.
 //!
 //! Region state is reusable: derive a [`RegionMap`] once per status map and
 //! construct any number of [`ExtendedECube::with_regions`] routers over it —

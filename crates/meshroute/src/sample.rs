@@ -1,7 +1,7 @@
 //! Shared source/destination pair sampling.
 //!
-//! The routing experiment, the traffic simulator's reachable-pair probe and
-//! the ablation benchmark all need "a deterministic sample of node pairs".
+//! The routing experiment and the traffic simulator's reachable-pair probe
+//! both need "a deterministic sample of node pairs".
 //! Keeping one sampler here means they measure the *same* pair population,
 //! so a delivery-rate number from one layer is directly comparable to the
 //! reachable-pair fraction from another.
@@ -16,11 +16,6 @@ pub struct PairSample {
 }
 
 impl PairSample {
-    /// Wraps an explicit pair list.
-    pub fn from_pairs(pairs: Vec<(Coord, Coord)>) -> Self {
-        PairSample { pairs }
-    }
-
     /// All ordered pairs of every `stride`-th node (row-major), source not
     /// equal to destination. Stride 1 is all-pairs — quadratic, use only on
     /// small meshes.

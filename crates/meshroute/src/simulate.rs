@@ -59,7 +59,7 @@ impl<'a> RoutingExperiment<'a> {
     }
 
     /// Creates an experiment over an injected pair sample, so different
-    /// layers (traffic probes, ablation benches) measure one shared pair
+    /// layers (routing experiments, traffic probes) measure one shared pair
     /// population.
     pub fn with_sample(mesh: &'a Mesh2D, status: &'a StatusMap, sample: PairSample) -> Self {
         RoutingExperiment {

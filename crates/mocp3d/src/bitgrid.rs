@@ -11,11 +11,11 @@
 //!
 //! Frames anchor their x-origin to a multiple of 64, so any two grids
 //! share one bit phase and binary operations are pure word loops. The
-//! scalar prototype in `mocp_core::extension3d` remains the specification
-//! the kernels here are property-tested against.
+//! scalar `BTreeSet` prototype of `tests/hull_oracle.rs` remains the
+//! specification the kernels here are property-tested against.
 
+use crate::mesh::Coord3;
 use mesh2d::bitgrid::{row_span_mask, spread_row};
-use mocp_core::extension3d::Coord3;
 
 /// Rounds `x` down to a multiple of 64.
 #[inline]

@@ -8,9 +8,9 @@
 //! neighborhood (the 26-neighborhood the clustered model's rate boost
 //! applies to).
 
+use crate::mesh::Coord3;
 use crate::mesh::Mesh3D;
 use crate::region::Region3;
-use mocp_core::extension3d::Coord3;
 
 /// The set of faulty nodes of a 3-D mesh: a dense membership bitmap for
 /// O(1) queries plus the insertion order the clustered model depends on.

@@ -4,8 +4,8 @@
 //! [`Coord3`], so the flood fills and status piles of the 3-D models run
 //! over contiguous memory instead of per-node `BTreeSet` probes.
 
+use crate::mesh::Coord3;
 use crate::mesh::Mesh3D;
-use mocp_core::extension3d::Coord3;
 use std::ops::{Index, IndexMut};
 
 /// A dense `width × height × depth` array of `T`, indexed by [`Coord3`].

@@ -1,6 +1,22 @@
 //! The 3-D mesh topology: bounds, flattened indexing and neighborhoods.
 
-use mocp_core::extension3d::Coord3;
+/// A node address in a 3-D mesh.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
+pub struct Coord3 {
+    /// X coordinate.
+    pub x: i32,
+    /// Y coordinate.
+    pub y: i32,
+    /// Z coordinate.
+    pub z: i32,
+}
+
+impl Coord3 {
+    /// Creates a 3-D coordinate.
+    pub const fn new(x: i32, y: i32, z: i32) -> Self {
+        Coord3 { x, y, z }
+    }
+}
 
 /// A `width × height × depth` 3-D mesh of nodes addressed by [`Coord3`].
 ///

@@ -59,11 +59,11 @@
 use crate::bitgrid::{boxes_touch, merge_classes, zyx, BitGrid3, Piece, UnionFind};
 use crate::fault::FaultSet3;
 use crate::grid::Grid3;
+use crate::mesh::Coord3;
 use crate::mesh::Mesh3D;
 use crate::region::{hull_bits, Region3};
-use distsim::RoundStats;
 use mesh2d::NodeStatus;
-use mocp_core::extension3d::Coord3;
+use mocp_topology::RoundStats;
 use mocp_topology::{FaultModel, Outcome};
 
 /// The outcome of running a 3-D fault-model construction on a faulty
@@ -438,8 +438,8 @@ impl FaultModel<Mesh3D> for MinimumPolyhedronModel {
 mod tests {
     use super::*;
     use crate::fault::generate_faults_3d;
+    use crate::Coord3;
     use faultgen::FaultDistribution;
-    use mocp_core::extension3d::Coord3;
 
     fn faults(mesh: Mesh3D, list: &[(i32, i32, i32)]) -> FaultSet3 {
         FaultSet3::from_coords(mesh, list.iter().map(|&(x, y, z)| Coord3::new(x, y, z)))

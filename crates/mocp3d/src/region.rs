@@ -1,9 +1,9 @@
 //! Dense 3-D node sets: word-packed bitmap floods, 26-connected labelling
 //! and the bit-parallel minimum orthogonal convex hull.
 //!
-//! This is the performance core of the 3-D subsystem. Where the
-//! specification prototype (`mocp_core::extension3d`) probes a per-node
-//! `BTreeSet` for every membership test, this [`Region3`] keeps a
+//! This is the performance core of the 3-D subsystem. Where the scalar
+//! specification prototype (held by the `hull_oracle` test) probes a
+//! per-node `BTreeSet` for every membership test, this [`Region3`] keeps a
 //! word-packed occupancy bitmap ([`BitGrid3`]) over the region's bounding
 //! box — 64 nodes per `u64` along the x axis — so component labelling is
 //! a find-first-set seed plus whole-word frontier expansion, and the hull
@@ -11,20 +11,16 @@
 //! counts (x) and word-parallel prefix/suffix sweeps (y, z) instead of
 //! cell loops.
 //!
-//! The construction is `debug_assert`ed and property-tested equal to the
-//! prototype's `minimum_polyhedra` (the differential oracle) in `tests/`.
+//! The construction is property-tested equal to the prototype's
+//! `minimum_polyhedra` (the differential oracle) in `tests/hull_oracle.rs`.
 
 use crate::bitgrid::BitGrid3;
-use mocp_core::extension3d::{self, Coord3};
-
-/// Size cap under which the hull re-verifies against the scalar prototype
-/// in debug builds (larger instances are pinned by the property tests).
-const ORACLE_NODE_CAP: usize = 512;
+use crate::mesh::Coord3;
 
 /// A set of 3-D nodes, stored as a word-packed occupancy bitmap over the
 /// set's bounding box.
 ///
-/// The dense analogue of `mocp_core::extension3d::Region3`. Equality is
+/// The dense analogue of the prototype's `BTreeSet` region. Equality is
 /// set equality (the bounding box is a representation detail).
 #[derive(Clone, Debug, Default)]
 pub struct Region3 {
@@ -122,7 +118,7 @@ impl Region3 {
     /// between two region nodes on an axis line — forced into any
     /// orthogonally convex superset — so the fixpoint is the unique
     /// minimum hull and matches the specification prototype exactly
-    /// (`debug_assert`ed on small inputs, property-tested beyond).
+    /// (property-tested in `tests/hull_oracle.rs`).
     ///
     /// Fills never leave the bounding box, so the bitmap is allocated once.
     pub fn orthogonal_convex_hull(&self) -> Region3 {
@@ -138,13 +134,6 @@ impl Region3 {
 pub(crate) fn hull_bits(bits: &BitGrid3) -> BitGrid3 {
     let mut hull = bits.clone();
     hull.hull_fixpoint();
-    debug_assert!(
-        bits.len() > ORACLE_NODE_CAP || {
-            let oracle = extension3d::Region3::from_coords(bits.iter()).orthogonal_convex_hull();
-            oracle.len() == hull.len() && hull.iter().all(|c| oracle.contains(c))
-        },
-        "bit-parallel 3-D hull diverged from the extension3d prototype"
-    );
     hull
 }
 
@@ -159,7 +148,7 @@ impl Eq for Region3 {}
 /// The 3-D analogue of the paper's construction: merge the faults into
 /// 26-adjacent components and return each component's minimum orthogonal
 /// convex polyhedron. The dense, bitmap-backed equivalent of the
-/// specification prototype `mocp_core::extension3d::minimum_polyhedra`.
+/// specification prototype's `minimum_polyhedra` (`tests/hull_oracle.rs`).
 pub fn minimum_polyhedra(faults: &Region3) -> Vec<Region3> {
     faults
         .components26()

@@ -36,7 +36,7 @@ pub fn standard_registry_3d() -> ModelRegistry3 {
 mod tests {
     use super::*;
     use crate::fault::FaultSet3;
-    use mocp_core::extension3d::Coord3;
+    use crate::Coord3;
     use mocp_topology::UnknownModel;
 
     #[test]

@@ -9,10 +9,10 @@
 use crate::bitgrid::BitGrid3;
 use crate::fault::FaultSet3;
 use crate::grid::Grid3;
+use crate::mesh::Coord3;
 use crate::mesh::Mesh3D;
 use crate::region::Region3;
 use mesh2d::NodeStatus;
-use mocp_core::extension3d::Coord3;
 use mocp_topology::{BitmapOps, FaultStore, MeshTopology, RegionOps, StatusOps};
 
 impl MeshTopology for Mesh3D {

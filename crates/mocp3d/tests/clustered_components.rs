@@ -1,10 +1,41 @@
-//! Distribution-shape property of the 3-D injector: clustering packs the
-//! same number of faults into fewer 26-connected components than uniform
-//! placement, mirroring the 2-D statistical check in `faultgen`.
+//! The 3-D injector's clustered model: the neighborhood it boosts is the
+//! 26-dilation of the victim, and clustering packs the same number of
+//! faults into fewer 26-connected components than uniform placement,
+//! mirroring the 2-D checks in `faultgen`.
 
 use faultgen::FaultDistribution;
-use mocp_3d::{generate_faults_3d, Mesh3D};
+use mocp_3d::{generate_faults_3d, BitGrid3, Coord3, Mesh3D, MeshTopology};
+use mocp_topology::BitmapOps;
 use proptest::prelude::*;
+
+/// `cluster_neighbors(c)` is the dilation of `{c}` minus `c`, clipped to
+/// the mesh, at every node — faces, edges and corners included. The
+/// injector boosts exactly this list, so with `faultgen`'s weight-table
+/// tests the clustered weight-2 set is the dilation of the faults minus
+/// the faults.
+#[test]
+fn cluster_neighbors_are_the_clipped_dilation() {
+    for mesh in [
+        Mesh3D::cube(1),
+        Mesh3D::new(1, 1, 4),
+        Mesh3D::new(3, 2, 1),
+        Mesh3D::new(65, 2, 3),
+    ] {
+        for i in 0..mesh.node_count() {
+            let c = MeshTopology::coord(&mesh, i);
+            let mut neighbors = mesh.cluster_neighbors(c);
+            neighbors.sort_unstable();
+            let mut dilation: Vec<Coord3> = BitGrid3::from_coords([c])
+                .dilate_cluster()
+                .coords()
+                .into_iter()
+                .filter(|&n| n != c && MeshTopology::contains(&mesh, n))
+                .collect();
+            dilation.sort_unstable();
+            assert_eq!(neighbors, dilation, "{c:?} on {mesh:?}");
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]

@@ -1,47 +1,15 @@
-//! Future-work extension: minimum orthogonal convex polyhedra in 3-D meshes.
+//! The scalar specification prototype of the 3-D construction: minimum
+//! orthogonal convex polyhedra over `BTreeSet` node sets.
 //!
-//! The paper's conclusion names the extension of the construction to higher
-//! dimensional meshes as future work. This module provides the 3-D analogue
-//! of the specification layer: 3-D coordinates, 26-adjacency components, the
+//! It holds 26-adjacency components by breadth-first search, the
 //! orthogonal-convexity test along the three axes, and the iterated
-//! axis-fill closure that yields the minimum orthogonal convex polyhedron of
-//! a component. It is intentionally self-contained (it does not try to reuse
-//! the 2-D grid machinery) and is exercised by its own unit tests and by the
-//! `extension_3d` example.
+//! axis-fill closure that yields the minimum orthogonal convex polyhedron
+//! of a component. It is intentionally self-contained (it reuses none of
+//! the bitmap machinery of `mocp_3d`, only its `Coord3`), so the dense
+//! construction can be checked against it.
 
+use mocp_3d::Coord3;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-
-/// A node address in a 3-D mesh.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
-pub struct Coord3 {
-    /// X coordinate.
-    pub x: i32,
-    /// Y coordinate.
-    pub y: i32,
-    /// Z coordinate.
-    pub z: i32,
-}
-
-impl Coord3 {
-    /// Creates a 3-D coordinate.
-    pub const fn new(x: i32, y: i32, z: i32) -> Self {
-        Coord3 { x, y, z }
-    }
-
-    /// Chebyshev distance, whose unit ball is the 26-neighborhood (the 3-D
-    /// analogue of Definition 2 adjacency).
-    pub fn chebyshev(self, other: Coord3) -> u32 {
-        self.x
-            .abs_diff(other.x)
-            .max(self.y.abs_diff(other.y))
-            .max(self.z.abs_diff(other.z))
-    }
-
-    /// True when the two nodes are distinct and within Chebyshev distance 1.
-    pub fn is_adjacent26(self, other: Coord3) -> bool {
-        self != other && self.chebyshev(other) == 1
-    }
-}
 
 /// A set of 3-D mesh nodes.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -60,11 +28,6 @@ impl Region3 {
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 
     /// Membership test.
@@ -218,7 +181,6 @@ pub fn minimum_polyhedra(faults: &Region3) -> Vec<Region3> {
         .collect()
 }
 
-#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -1,15 +1,18 @@
 //! Differential and structural property tests of the dense 3-D hull.
 //!
-//! The `mocp_core::extension3d` prototype is the specification oracle: the
-//! dense, bitmap-backed construction must produce exactly its polyhedra on
-//! arbitrary small regions, and the hull must be idempotent, orthogonally
-//! convex and *minimal* — removing any non-fault node breaks convexity (no
-//! added node is optional). The clustered sweep draws below repeat the
-//! polyhedron comparison at the 3-D sweep's scale.
+//! The scalar `BTreeSet` prototype of the `extension3d` module is the
+//! specification oracle: the dense, bitmap-backed construction must
+//! produce exactly its components and polyhedra on arbitrary small
+//! regions, and the hull must be idempotent, orthogonally convex and
+//! *minimal* — removing any non-fault node breaks convexity (no added
+//! node is optional). The clustered sweep draws below repeat the
+//! polyhedron comparison up to the 3-D sweep's scale.
 
+mod extension3d;
+
+use extension3d as oracle;
 use faultgen::FaultDistribution;
 use mocp_3d::{generate_faults_3d, minimum_polyhedra, Coord3, Mesh3D, Region3};
-use mocp_core::extension3d as oracle;
 use proptest::prelude::*;
 
 fn coords(list: &[(i32, i32, i32)]) -> Vec<Coord3> {
@@ -41,19 +44,22 @@ fn both_polyhedra(faults: &[Coord3]) -> (Vec<Vec<Coord3>>, Vec<Vec<Coord3>>) {
     )
 }
 
-/// Clustered seed-2004 draws: a 20³ mesh at ~7% faults, and the 3-D
-/// sweep's 32³ mesh at its top fault count.
+/// Clustered draws: a 10³ mesh at 5% faults (seed 9), a 20³ mesh at ~7%
+/// and the 3-D sweep's 32³ mesh at its top fault count (seed 2004).
 #[test]
 fn dense_construction_matches_the_prototype_on_clustered_sweep_draws() {
-    for (side, count) in [(20, 600), (32, 800)] {
+    for (side, count, seed) in [(10, 50, 9), (20, 600, 2004), (32, 800, 2004)] {
         let faults = generate_faults_3d(
             Mesh3D::cube(side),
             count,
             FaultDistribution::Clustered,
-            2004,
+            seed,
         );
         let (dense, proto) = both_polyhedra(faults.in_insertion_order());
-        assert_eq!(dense, proto, "{side}^3 mesh, {count} clustered faults");
+        assert_eq!(
+            dense, proto,
+            "{side}^3 mesh, {count} clustered faults, seed {seed}"
+        );
     }
 }
 
@@ -110,6 +116,33 @@ proptest! {
         let dense = Region3::from_coords(cs.iter().copied());
         let proto = oracle::Region3::from_coords(cs.iter().copied());
         prop_assert_eq!(dense.is_orthogonally_convex(), proto.is_orthogonally_convex());
+    }
+
+    /// Sparse regions in a 16³ box: the word-flood 26-labelling yields
+    /// the prototype's partition, and each component's hull equals the
+    /// prototype's hull, convexity verdict included.
+    #[test]
+    fn components_and_hulls_match_the_oracle_on_sparse_boxes(
+        pts in prop::collection::vec((0..16i32, 0..16i32, 0..16i32), 0..40)
+    ) {
+        let cs = coords(&pts);
+        let dense = Region3::from_coords(cs.iter().copied()).components26();
+        let proto = oracle::Region3::from_coords(cs.iter().copied()).components26();
+        prop_assert_eq!(
+            normalize(dense.iter().map(|p| p.iter().collect()).collect()),
+            normalize(proto.iter().map(|p| p.iter().collect()).collect())
+        );
+        for comp in &dense {
+            let hull = comp.orthogonal_convex_hull();
+            let proto_hull =
+                oracle::Region3::from_coords(comp.iter()).orthogonal_convex_hull();
+            prop_assert_eq!(hull.len(), proto_hull.len());
+            prop_assert!(hull.iter().all(|c| proto_hull.contains(c)));
+            prop_assert_eq!(
+                hull.is_orthogonally_convex(),
+                proto_hull.is_orthogonally_convex()
+            );
+        }
     }
 
     /// Component labelling agrees with the oracle's 26-adjacency merge.

@@ -49,17 +49,6 @@ pub enum MetricValue {
     Histogram(HistogramSnapshot),
 }
 
-impl MetricValue {
-    /// True when the metric recorded nothing since the last reset.
-    pub fn is_zero(&self) -> bool {
-        match self {
-            MetricValue::Counter(v) => *v == 0,
-            MetricValue::Gauge(v) => *v == 0,
-            MetricValue::Histogram(h) => h.count == 0,
-        }
-    }
-}
-
 /// One named metric sampled from the registry.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MetricSample {

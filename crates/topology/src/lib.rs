@@ -44,9 +44,11 @@ pub mod mesh;
 pub mod model;
 pub mod ops;
 pub mod registry;
+pub mod stats;
 
 pub use bitmap::BitmapOps;
 pub use mesh::MeshTopology;
 pub use model::{FaultModel, Outcome};
 pub use ops::{FaultStore, RegionOps, StatusOps};
 pub use registry::{BoxedModel, ModelRegistry, NamedRegistry, UnknownModel};
+pub use stats::RoundStats;

@@ -3,7 +3,7 @@
 use crate::bitmap::BitmapOps;
 use crate::mesh::MeshTopology;
 use crate::ops::{RegionOps, StatusOps};
-use distsim::RoundStats;
+use crate::stats::RoundStats;
 use mesh2d::{Connectivity, Mesh2D, Region, StatusMap};
 
 /// The outcome of running a fault-model construction on a faulty mesh,

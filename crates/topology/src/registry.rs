@@ -164,7 +164,7 @@ impl std::error::Error for UnknownModel {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use distsim::RoundStats;
+    use crate::RoundStats;
     use mesh2d::{Coord, Mesh2D, StatusMap};
 
     /// A registry is usable with nothing but this crate: a trivial model

@@ -1,10 +1,8 @@
 //! Round and event accounting.
 //!
-//! [`RoundStats`] is the *per-execution* result value (it is what the
-//! sweeps record and what Figure 11 plots). Process-wide totals live in
-//! the shared [`mocp_obs`] registry instead, exported by the local-rule
-//! engine through the crate-private `export_local_rule` helper below
-//! under the `distsim.local_rule.*` names.
+//! [`RoundStats`] is the *per-execution* result value every construction
+//! reports in its [`Outcome`](crate::Outcome): it is what the sweeps
+//! record and what Figure 11 plots.
 
 use std::ops::Add;
 
@@ -55,18 +53,6 @@ impl RoundStats {
             events: self.events + other.events,
             converged: self.converged && other.converged,
         }
-    }
-}
-
-/// Exports one local-rule engine execution into the global metric
-/// registry (`distsim.local_rule.*`).
-pub(crate) fn export_local_rule(stats: &RoundStats) {
-    mocp_obs::counter!("distsim.local_rule.runs").inc();
-    mocp_obs::counter!("distsim.local_rule.rounds").add(stats.rounds as u64);
-    mocp_obs::counter!("distsim.local_rule.events").add(stats.events);
-    mocp_obs::histogram!("distsim.local_rule.rounds_per_run").record(stats.rounds as u64);
-    if !stats.converged {
-        mocp_obs::counter!("distsim.local_rule.round_limit_hits").inc();
     }
 }
 

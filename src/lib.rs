@@ -20,7 +20,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub use distsim;
 pub use experiments;
 pub use faultgen;
 pub use fblock;

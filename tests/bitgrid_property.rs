@@ -4,22 +4,18 @@
 //! The `BitGrid` / `BitGrid3` kernels are the production fast path for
 //! component labelling, the hull fixpoint, neighborhood dilation, the
 //! labelling schemes and the `Outcome` safety predicates. Each one must
-//! be *extensionally equal* to the scalar implementation it replaced —
-//! `Region` / `Region3`-style set code and the `run_local_rule` engine —
-//! on arbitrary inputs, including meshes whose width straddles the
-//! 63/64/65 word boundary.
+//! be *extensionally equal* to the scalar set code it replaced on
+//! arbitrary inputs, including meshes whose width straddles the 63/64/65
+//! word boundary. The labelling schemes are pinned to their local-rule
+//! specification by `mocp_core`'s `construct_oracle` test, and the 3-D
+//! labelling and hull to their prototype by `mocp_3d`'s `hull_oracle`.
 
-use distsim::RoundStats;
-use fblock::{
-    label_activation, label_activation_scalar, label_safety, label_safety_scalar, ModelOutcome,
-};
-use mesh2d::{
-    BitGrid, BitScratch, Connectivity, Coord, FaultSet, Mesh2D, NodeStatus, Region, StatusMap,
-};
-use mocp::mocp_3d::BitGrid3;
-use mocp::mocp_core::extension3d;
+use fblock::{ModelOutcome, RoundStats};
+use mesh2d::{BitGrid, BitScratch, Connectivity, Coord, Mesh2D, NodeStatus, Region, StatusMap};
+use mocp::mocp_3d::{BitGrid3, Coord3};
 use mocp_topology::BitmapOps;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// Coordinates over a width that straddles the word boundary (0..65 on x)
 /// and a 64-row extent.
@@ -165,78 +161,15 @@ proptest! {
         prop_assert_eq!(outcome.regions_disjoint(), disjoint);
     }
 
-    /// Bit-parallel labelling schemes 1+2 equal the synchronous local-rule
-    /// engine — labels *and* round statistics — on meshes straddling the
-    /// word boundary.
-    #[test]
-    fn labelling_schemes_match_local_rule_engine(
-        coords in prop::collection::vec((0..65i32, 0..20i32), 0..40),
-    ) {
-        let mesh = Mesh2D::mesh(65, 20);
-        let faults = FaultSet::from_coords(mesh, coords.iter().map(|&(x, y)| Coord::new(x, y)));
-        let (safety, rounds1) = label_safety(&mesh, &faults);
-        let (oracle_safety, oracle_rounds1) = label_safety_scalar(&mesh, &faults);
-        prop_assert_eq!(&safety, &oracle_safety);
-        prop_assert_eq!(rounds1, oracle_rounds1);
-        let (activation, rounds2) = label_activation(&mesh, &faults, &safety);
-        let (oracle_activation, oracle_rounds2) =
-            label_activation_scalar(&mesh, &faults, &safety);
-        prop_assert_eq!(activation, oracle_activation);
-        prop_assert_eq!(rounds2, oracle_rounds2);
-    }
-
-    /// 3-D: word-flood 26-labelling, the bit-parallel hull and the
-    /// dilation equal the `extension3d` prototype on boxes up to 16³.
+    /// 3-D: the `BitGrid3` dilation equals the scalar 26-neighborhood
+    /// union on boxes up to 16³ (the boost set of the clustered 3-D fault
+    /// distribution). The 3-D labelling and hull kernels are checked
+    /// against the prototype in `mocp_3d`'s `hull_oracle` test.
     #[test]
     fn bitgrid3_kernels_match_prototype(coords in coords3()) {
-        let cs: Vec<extension3d::Coord3> = coords
-            .iter()
-            .map(|&(x, y, z)| extension3d::Coord3::new(x, y, z))
-            .collect();
-        let dense = mocp::mocp_3d::Region3::from_coords(cs.iter().copied());
-        let proto = extension3d::Region3::from_coords(cs.iter().copied());
-
-        // Components: the same partition (the two implementations emit
-        // components in different discovery orders, so compare as sets of
-        // canonically sorted cell lists).
-        let canonical = |cells: Vec<extension3d::Coord3>| {
-            let mut cells: Vec<(i32, i32, i32)> =
-                cells.into_iter().map(|c| (c.x, c.y, c.z)).collect();
-            cells.sort_unstable();
-            cells
-        };
-        let dense_comps = dense.components26();
-        let mut dense_sets: Vec<Vec<(i32, i32, i32)>> = dense_comps
-            .iter()
-            .map(|comp| canonical(comp.iter().collect()))
-            .collect();
-        let mut proto_sets: Vec<Vec<(i32, i32, i32)>> = proto
-            .components26()
-            .iter()
-            .map(|comp| canonical(comp.iter().collect()))
-            .collect();
-        dense_sets.sort();
-        proto_sets.sort();
-        prop_assert_eq!(dense_sets, proto_sets);
-
-        // Hulls per component.
-        for comp in &dense_comps {
-            let hull = comp.orthogonal_convex_hull();
-            let proto_hull = extension3d::Region3::from_coords(comp.iter())
-                .orthogonal_convex_hull();
-            prop_assert_eq!(hull.len(), proto_hull.len());
-            prop_assert!(hull.iter().all(|c| proto_hull.contains(c)));
-            prop_assert_eq!(
-                hull.is_orthogonally_convex(),
-                proto_hull.is_orthogonally_convex()
-            );
-        }
-
-        // Dilation: the 26-neighborhood union.
-        let bits = BitGrid3::from_coords(cs.iter().copied());
-        let dilated = bits.dilate26();
-        let mut expected: std::collections::BTreeSet<(i32, i32, i32)> =
-            std::collections::BTreeSet::new();
+        let cs: Vec<Coord3> = coords.iter().map(|&(x, y, z)| Coord3::new(x, y, z)).collect();
+        let dilated = BitGrid3::from_coords(cs.iter().copied()).dilate26();
+        let mut expected: BTreeSet<(i32, i32, i32)> = BTreeSet::new();
         for &c in &cs {
             for dz in -1..=1 {
                 for dy in -1..=1 {
@@ -246,7 +179,7 @@ proptest! {
                 }
             }
         }
-        let got: std::collections::BTreeSet<(i32, i32, i32)> =
+        let got: BTreeSet<(i32, i32, i32)> =
             BitmapOps::coords(&dilated).iter().map(|c| (c.x, c.y, c.z)).collect();
         prop_assert_eq!(got, expected);
     }

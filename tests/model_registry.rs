@@ -5,7 +5,7 @@
 //! minimum polygon must add exactly the two notch nodes).
 
 use mesh2d::{Coord, FaultSet, Mesh2D};
-use mocp_core::{ablation_registry, standard_registry};
+use mocp_core::{standard_registry, CentralizedMfpModel};
 
 /// The U-shaped fault pattern on an 8×8 mesh: an open-topped rectangle
 /// of faults around (3, 3) whose orthogonal convex hull adds the two
@@ -51,14 +51,19 @@ fn unknown_names_error_with_the_known_set() {
 
 #[test]
 fn every_registered_model_upholds_the_shared_invariants() {
-    // Includes the ablation-only CMFP-concave entry: anything reachable
-    // through a registry must satisfy the fundamental safety properties.
-    let registry = ablation_registry();
+    // Every registered model, plus centralized solution 2 (concave
+    // sections), which the registry does not list: each must satisfy the
+    // fundamental safety properties.
+    let registry = standard_registry();
     let (mesh, faults) = u_shaped_fixture();
-    for name in registry.names() {
-        let outcome = registry
-            .construct(name, &mesh, &faults)
-            .unwrap_or_else(|e| panic!("{e}"));
+    let concave: fblock::BoxedModel = Box::new(CentralizedMfpModel::concave_sections());
+    let models = registry
+        .names()
+        .map(|name| registry.build(name).unwrap_or_else(|e| panic!("{e}")))
+        .chain([concave]);
+    for model in models {
+        let name = model.name();
+        let outcome = model.construct(&mesh, &faults);
         assert!(outcome.covers_all_faults(), "{name}: uncovered fault");
         assert!(outcome.regions_disjoint(), "{name}: overlapping regions");
         assert_eq!(outcome.faulty_count(), faults.len(), "{name}");
@@ -91,7 +96,7 @@ fn registry_outcomes_match_the_direct_constructors() {
 
     let registry = standard_registry();
     let (mesh, faults) = u_shaped_fixture();
-    let direct = mocp_core::CentralizedMfpModel::virtual_block().construct(&mesh, &faults);
+    let direct = CentralizedMfpModel::virtual_block().construct(&mesh, &faults);
     let via_registry = registry.construct("CMFP", &mesh, &faults).unwrap();
     assert_eq!(direct.status, via_registry.status);
     assert_eq!(direct.regions, via_registry.regions);

@@ -4,7 +4,6 @@
 
 use mocp::faultgen::FaultDistribution;
 use mocp::mocp_3d::{generate_faults_3d, standard_registry_3d, Mesh3D};
-use mocp::mocp_core::extension3d;
 
 #[test]
 fn registry_resolved_models_satisfy_safety_and_ordering() {
@@ -27,37 +26,6 @@ fn registry_resolved_models_satisfy_safety_and_ordering() {
             );
         }
     }
-}
-
-#[test]
-fn dense_subsystem_agrees_with_the_specification_prototype() {
-    // The facade exposes both the subsystem and its oracle; on a moderate
-    // clustered instance the constructions must coincide exactly.
-    let mesh = Mesh3D::cube(10);
-    let faults = generate_faults_3d(mesh, 50, FaultDistribution::Clustered, 9);
-    let coords = faults.in_insertion_order().to_vec();
-
-    let dense = mocp::mocp_3d::minimum_polyhedra(&mocp::mocp_3d::Region3::from_coords(
-        coords.iter().copied(),
-    ));
-    let proto =
-        extension3d::minimum_polyhedra(&extension3d::Region3::from_coords(coords.iter().copied()));
-
-    let norm = |polys: Vec<Vec<extension3d::Coord3>>| {
-        let mut polys: Vec<Vec<_>> = polys
-            .into_iter()
-            .map(|mut p| {
-                p.sort_unstable();
-                p
-            })
-            .collect();
-        polys.sort_unstable();
-        polys
-    };
-    assert_eq!(
-        norm(dense.iter().map(|p| p.iter().collect()).collect()),
-        norm(proto.iter().map(|p| p.iter().collect()).collect())
-    );
 }
 
 #[test]

@@ -5,9 +5,9 @@
 //! scalar kernels (breadth-first component search, row/column gap fills,
 //! per-node boundary probes). Every public `Region` method is checked
 //! against it — set algebra, components under 4- and 8-adjacency (order
-//! included), the convexity test, the hull, `rows`/`columns`,
-//! `bounding_rect`, `outer_boundary4`, `minus_count`, `iter` order and
-//! `==` across differently framed regions — on random, clustered,
+//! included), the convexity test, the hull, `bounding_rect`,
+//! `outer_boundary4`, `minus_count`, `iter` order and `==` across
+//! differently framed regions — on random, clustered,
 //! negative-coordinate and far-apart inputs. `RegionMap::from_status` is
 //! checked against the oracle's 4-connected components of the excluded
 //! set of FB and CMFP maps.
@@ -221,8 +221,6 @@ fn check_queries(list: &[Coord]) {
             );
         }
     }
-    assert_eq!(region.rows(), oracle.rows(), "rows");
-    assert_eq!(region.columns(), oracle.columns(), "columns");
     assert_eq!(
         region.is_orthogonally_convex(),
         oracle.is_orthogonally_convex(),
