@@ -279,9 +279,9 @@ mod tests {
         let member = |x, y| comp.contains(Coord::new(x, y));
         Region::from_coords(comp.virtual_block().nodes().filter(|&c| {
             let in_row =
-                (lo.x..c.x).any(|x| member(x, c.y)) && (c.x..=hi.x).any(|x| member(x, c.y));
+                (lo.x..c.x).any(|x| member(x, c.y)) && (c.x + 1..=hi.x).any(|x| member(x, c.y));
             let in_column =
-                (lo.y..c.y).any(|y| member(c.x, y)) && (c.y..=hi.y).any(|y| member(c.x, y));
+                (lo.y..c.y).any(|y| member(c.x, y)) && (c.y + 1..=hi.y).any(|y| member(c.x, y));
             !comp.contains(c) && (in_row || in_column)
         }))
     }
