@@ -71,11 +71,7 @@ impl CentralizedMfpModel {
     /// engine uses for its dirty components. The virtual-block solution
     /// also threads a shape cache through the components, so each
     /// distinct small component shape is solved once per call.
-    pub fn solve_components(
-        &self,
-        _mesh: &Mesh2D,
-        components: &[FaultyComponent],
-    ) -> (Vec<Region>, RoundStats) {
+    pub fn solve_components(&self, components: &[FaultyComponent]) -> (Vec<Region>, RoundStats) {
         use rayon::prelude::*;
         let cached = self.solution == CentralizedSolution::VirtualBlock;
         // One contiguous run of components per worker, each run solved on
@@ -127,7 +123,7 @@ impl FaultModel for CentralizedMfpModel {
     /// and the superseding pile of the polygons.
     fn construct(&self, mesh: &Mesh2D, faults: &FaultSet) -> ModelOutcome {
         let components = merge_components(faults);
-        let (polygons, rounds) = self.solve_components(mesh, &components);
+        let (polygons, rounds) = self.solve_components(&components);
         ModelOutcome {
             model: "CMFP".to_string(),
             status: pile_polygons(mesh, faults, &polygons),

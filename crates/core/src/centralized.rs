@@ -35,7 +35,7 @@ use crate::component::FaultyComponent;
 use crate::shape_cache::{ShapeCache, ShapeKey};
 use fblock::LabelFrame;
 use fblock::RoundStats;
-use mesh2d::{BitGrid, Coord, Mesh2D, Rect, Region};
+use mesh2d::{BitGrid, Coord, Rect, Region};
 
 /// Centralized solution 1 (virtual faulty block + labelling schemes 1 and 2).
 #[derive(Clone, Copy, Debug, Default)]
@@ -55,7 +55,7 @@ pub struct ComponentSolution {
 
 impl VirtualBlockSolver {
     /// Solves a single component on a fresh window frame.
-    pub fn solve(&self, _mesh: &Mesh2D, component: &FaultyComponent) -> ComponentSolution {
+    pub fn solve(&self, component: &FaultyComponent) -> ComponentSolution {
         self.solve_with(component, &mut LabelFrame::new())
     }
 
@@ -148,6 +148,7 @@ fn window_around(block: Rect) -> Rect {
 mod tests {
     use super::*;
     use crate::hull::minimum_polygon;
+    use mesh2d::Mesh2D;
 
     fn component(list: &[(i32, i32)]) -> FaultyComponent {
         FaultyComponent::new(Region::from_coords(
@@ -157,9 +158,8 @@ mod tests {
 
     #[test]
     fn u_shape_polygon_matches_hull() {
-        let mesh = Mesh2D::square(10);
         let u = component(&[(2, 2), (3, 2), (4, 2), (2, 3), (4, 3), (2, 4), (4, 4)]);
-        let sol = VirtualBlockSolver.solve(&mesh, &u);
+        let sol = VirtualBlockSolver.solve(&u);
         assert_eq!(sol.polygon, minimum_polygon(&u));
         assert!(sol.rounds.rounds > 0);
         assert!(sol.rounds.converged);
@@ -167,9 +167,8 @@ mod tests {
 
     #[test]
     fn staircase_polygon_is_the_component() {
-        let mesh = Mesh2D::square(10);
         let s = component(&[(2, 2), (3, 3), (4, 4)]);
-        let sol = VirtualBlockSolver.solve(&mesh, &s);
+        let sol = VirtualBlockSolver.solve(&s);
         assert_eq!(sol.polygon, s.region().clone());
     }
 
@@ -180,7 +179,7 @@ mod tests {
         // shrinking rule is not starved of enabled neighbors there.
         let mesh = Mesh2D::square(6);
         let corner = component(&[(0, 0), (1, 1), (0, 2)]);
-        let sol = VirtualBlockSolver.solve(&mesh, &corner);
+        let sol = VirtualBlockSolver.solve(&corner);
         assert_eq!(sol.polygon, minimum_polygon(&corner));
         for c in sol.polygon.iter() {
             assert!(mesh.contains(c), "the hull never leaves the bounding box");
@@ -197,7 +196,6 @@ mod tests {
 
     #[test]
     fn solution_equals_specification_on_many_shapes() {
-        let mesh = Mesh2D::square(16);
         let shapes: Vec<Vec<(i32, i32)>> = vec![
             vec![(5, 5)],
             vec![(3, 3), (4, 4), (5, 5), (6, 6)],
@@ -228,19 +226,18 @@ mod tests {
         ];
         for shape in shapes {
             let comp = component(&shape);
-            let sol = VirtualBlockSolver.solve(&mesh, &comp);
+            let sol = VirtualBlockSolver.solve(&comp);
             assert_eq!(sol.polygon, minimum_polygon(&comp), "shape {shape:?}");
         }
     }
 
     #[test]
     fn rounds_scale_with_component_extent() {
-        let mesh = Mesh2D::square(30);
         let small = component(&[(2, 2), (3, 3)]);
         let long: Vec<(i32, i32)> = (0..12).map(|i| (i + 2, i + 2)).collect();
         let large = component(&long);
-        let r_small = VirtualBlockSolver.solve(&mesh, &small).rounds;
-        let r_large = VirtualBlockSolver.solve(&mesh, &large).rounds;
+        let r_small = VirtualBlockSolver.solve(&small).rounds;
+        let r_large = VirtualBlockSolver.solve(&large).rounds;
         assert!(r_large.rounds > r_small.rounds);
     }
 }

@@ -52,16 +52,6 @@ impl ConcaveSection {
             .collect()
     }
 
-    /// Number of nodes in the section.
-    pub fn len(&self) -> usize {
-        (self.end - self.start + 1) as usize
-    }
-
-    /// Sections are never empty.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// The two end nodes of the section (the positions a notification end
     /// node records in the distributed solution).
     pub fn end_nodes(&self) -> (Coord, Coord) {
@@ -90,7 +80,7 @@ mod tests {
             start: 2,
             end: 5,
         };
-        assert_eq!(s.len(), 4);
+        assert_eq!(s.nodes().len(), 4);
         assert_eq!(s.nodes().first().copied(), Some(Coord::new(4, 2)));
         assert_eq!(s.nodes().last().copied(), Some(Coord::new(4, 5)));
         assert_eq!(s.end_nodes(), (Coord::new(4, 2), Coord::new(4, 5)));

@@ -24,7 +24,7 @@ use crate::centralized::{SolvedShape, VirtualBlockSolver};
 use crate::component::FaultyComponent;
 use crate::shape_cache::ShapeCache;
 use fblock::{LabelFrame, RoundStats};
-use mesh2d::{BitGrid, BitScratch, Connectivity, Coord, Mesh2D, Rect, Region};
+use mesh2d::{BitGrid, BitScratch, Connectivity, Coord, Rect, Region};
 
 /// Reusable buffers threaded through the construction entry points so the
 /// hull fixpoint, the virtual-block labelling and the callers' flood fills
@@ -135,11 +135,10 @@ pub struct ComponentPolygon {
 /// component's orthogonal convex hull); they differ only in cost model and
 /// round accounting.
 pub fn construct_component(
-    mesh: &Mesh2D,
     component: &FaultyComponent,
     solution: CentralizedSolution,
 ) -> ComponentPolygon {
-    construct_component_with(mesh, component, solution, &mut ConstructionScratch::new())
+    construct_component_with(component, solution, &mut ConstructionScratch::new())
 }
 
 /// [`construct_component`] with caller-provided scratch buffers: the batch
@@ -148,7 +147,6 @@ pub fn construct_component(
 /// neither formulation allocates anything but the output polygon in steady
 /// state.
 pub fn construct_component_with(
-    _mesh: &Mesh2D,
     component: &FaultyComponent,
     solution: CentralizedSolution,
     scratch: &mut ConstructionScratch,
@@ -195,7 +193,6 @@ pub(crate) fn construct_component_on(
 /// solution, no intermediate `Region` either, so a steady-state caller
 /// holding one [`ConstructionScratch`] allocates only the output polygon.
 pub fn construct_cells_with(
-    mesh: &Mesh2D,
     cells: &Region,
     bbox: Rect,
     solution: CentralizedSolution,
@@ -208,12 +205,9 @@ pub fn construct_cells_with(
         "bbox must be the cells' bounding rectangle"
     );
     match solution {
-        CentralizedSolution::VirtualBlock => construct_component_with(
-            mesh,
-            &FaultyComponent::new(cells.clone()),
-            solution,
-            scratch,
-        ),
+        CentralizedSolution::VirtualBlock => {
+            construct_component_with(&FaultyComponent::new(cells.clone()), solution, scratch)
+        }
         CentralizedSolution::ConcaveSections => {
             concave_polygon_with(cells.bits().iter(), cells.len(), bbox, scratch)
         }
@@ -229,7 +223,6 @@ pub fn construct_cells_with(
 /// `debug_assert`ed, not checked in release builds, because the incremental
 /// engine calls this on every dirty component of every event.
 pub fn polygon_from_cells(
-    mesh: &Mesh2D,
     cells: impl IntoIterator<Item = Coord>,
     solution: CentralizedSolution,
 ) -> Option<ComponentPolygon> {
@@ -241,11 +234,7 @@ pub fn polygon_from_cells(
         region.is_connected(Connectivity::Eight),
         "polygon_from_cells expects one 8-connected component"
     );
-    Some(construct_component(
-        mesh,
-        &FaultyComponent::new(region),
-        solution,
-    ))
+    Some(construct_component(&FaultyComponent::new(region), solution))
 }
 
 #[cfg(test)]
@@ -261,14 +250,13 @@ mod tests {
 
     #[test]
     fn both_solutions_match_the_specification() {
-        let mesh = Mesh2D::square(12);
         let u = component(&[(2, 2), (3, 2), (4, 2), (2, 3), (4, 3), (2, 4), (4, 4)]);
         let spec = minimum_polygon(&u);
         for solution in [
             CentralizedSolution::VirtualBlock,
             CentralizedSolution::ConcaveSections,
         ] {
-            let sol = construct_component(&mesh, &u, solution);
+            let sol = construct_component(&u, solution);
             assert_eq!(sol.polygon, spec, "{solution:?}");
             assert!(sol.rounds.converged);
         }
@@ -276,12 +264,9 @@ mod tests {
 
     #[test]
     fn cells_wrapper_agrees_with_component_entry_point() {
-        let mesh = Mesh2D::square(10);
         let cells = [(1, 1), (2, 2), (3, 1)].map(|(x, y)| Coord::new(x, y));
-        let via_cells =
-            polygon_from_cells(&mesh, cells, CentralizedSolution::ConcaveSections).unwrap();
+        let via_cells = polygon_from_cells(cells, CentralizedSolution::ConcaveSections).unwrap();
         let via_component = construct_component(
-            &mesh,
             &FaultyComponent::new(Region::from_coords(cells)),
             CentralizedSolution::ConcaveSections,
         );
@@ -290,7 +275,6 @@ mod tests {
 
     #[test]
     fn empty_cell_set_yields_none() {
-        let mesh = Mesh2D::square(4);
-        assert!(polygon_from_cells(&mesh, [], CentralizedSolution::VirtualBlock).is_none());
+        assert!(polygon_from_cells([], CentralizedSolution::VirtualBlock).is_none());
     }
 }

@@ -295,19 +295,15 @@ fn check_merge(faults: &FaultSet) -> Vec<FaultyComponent> {
 
 /// Every CMFP window solve (fresh frame and shared scratch) against the
 /// per-window grid emulation and the hull specification.
-fn check_windows(mesh: &Mesh2D, components: &[FaultyComponent]) {
+fn check_windows(components: &[FaultyComponent]) {
     let mut scratch = ConstructionScratch::new();
     for component in components {
         let (polygon, rounds) = oracle_virtual_block(component);
-        let fresh = VirtualBlockSolver.solve(mesh, component);
+        let fresh = VirtualBlockSolver.solve(component);
         assert_eq!(fresh.polygon, polygon, "window polygon of {component:?}");
         assert_eq!(fresh.rounds, rounds, "window rounds of {component:?}");
-        let shared = construct_component_with(
-            mesh,
-            component,
-            CentralizedSolution::VirtualBlock,
-            &mut scratch,
-        );
+        let shared =
+            construct_component_with(component, CentralizedSolution::VirtualBlock, &mut scratch);
         assert_eq!(shared.polygon, polygon, "scratch polygon of {component:?}");
         assert_eq!(shared.rounds, rounds, "scratch rounds of {component:?}");
         assert_eq!(polygon, minimum_polygon(component), "hull of {component:?}");
@@ -318,13 +314,11 @@ fn check_windows(mesh: &Mesh2D, components: &[FaultyComponent]) {
         );
         for concave in [
             construct_component_with(
-                mesh,
                 component,
                 CentralizedSolution::ConcaveSections,
                 &mut scratch,
             ),
             construct_cells_with(
-                mesh,
                 component.region(),
                 component.virtual_block(),
                 CentralizedSolution::ConcaveSections,
@@ -344,7 +338,7 @@ fn check_windows(mesh: &Mesh2D, components: &[FaultyComponent]) {
 /// number of components.
 fn check(mesh: &Mesh2D, faults: &FaultSet) -> usize {
     let components = check_merge(faults);
-    check_windows(mesh, &components);
+    check_windows(&components);
 
     let fb = oracle_fb(mesh, faults);
     let (got, rects) = FaultyBlockModel.construct_with_blocks(mesh, faults);
@@ -550,7 +544,7 @@ fn u_shape_has_one_column_section() {
     assert_eq!(row_sections.len(), 2);
     for s in &row_sections {
         assert_eq!((s.start, s.end), (3, 3));
-        assert_eq!(s.len(), 1);
+        assert_eq!(s.nodes().len(), 1);
     }
     let (poly, iters) = ConcaveSectionSolver.solve(&u);
     assert_eq!(iters, 1);

@@ -112,7 +112,7 @@ fn check(mesh: &Mesh2D, faults: &FaultSet, shared: &mut DmfpScratch, sequential:
     let mut polygons = Vec::new();
     let mut rounds = RoundStats::quiescent();
     for component in &components {
-        let sol = VirtualBlockSolver.solve(mesh, component);
+        let sol = VirtualBlockSolver.solve(component);
         rounds = rounds.in_parallel_with(sol.rounds);
         polygons.push(sol.polygon);
     }

@@ -291,7 +291,6 @@ pub fn generate_faults<T: MeshTopology>(
 mod tests {
     use super::*;
     use mesh2d::{BitGrid, Connectivity, Coord, Region};
-    use mocp_topology::BitmapOps;
 
     /// The clustered model boosts each victim's `cluster_neighbors`: they
     /// must be the victim's dilation minus the victim, clipped to the mesh,
@@ -311,9 +310,8 @@ mod tests {
                 let mut neighbors = mesh.cluster_neighbors(c);
                 neighbors.sort_unstable();
                 let mut dilation: Vec<Coord> = BitGrid::from_coords([c])
-                    .dilate_cluster()
-                    .coords()
-                    .into_iter()
+                    .dilate()
+                    .iter()
                     .filter(|&n| n != c && MeshTopology::contains(&mesh, n))
                     .collect();
                 dilation.sort_unstable();

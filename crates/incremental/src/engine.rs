@@ -370,8 +370,8 @@ impl IncrementalEngine {
         self.faults.insert(c);
 
         // Distinct components adjacent to the new fault. Adjacency is the
-        // geometric 8-neighborhood of Definition 2 (components never join
-        // across a torus wrap, matching the batch merge process).
+        // geometric 8-neighborhood of Definition 2, matching the batch
+        // merge process.
         let mut adjacent: Vec<u32> = Vec::new();
         for n in c.neighbors8() {
             if let Some(&id) = self.comp_id.get(n) {
@@ -582,13 +582,8 @@ impl IncrementalEngine {
                 polygon.hull_fixpoint(self.scratch.flood_scratch());
             }
             CentralizedSolution::VirtualBlock => {
-                let sol = construct_cells_with(
-                    &self.mesh,
-                    &comp.cells,
-                    comp.bbox,
-                    self.solution,
-                    &mut self.scratch,
-                );
+                let sol =
+                    construct_cells_with(&comp.cells, comp.bbox, self.solution, &mut self.scratch);
                 polygon = sol.polygon.into_bits();
             }
         }

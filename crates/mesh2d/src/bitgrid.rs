@@ -1,33 +1,78 @@
 //! Word-packed occupancy bitmaps: 64 nodes per `u64`, one bit per node.
 //!
 //! Every hot kernel of the fault-model stack is a boolean pass over mesh
-//! nodes — flood fills, gap fills, dilations, subset tests. [`BitGrid`]
-//! packs one bit per node into row-major `u64` words so those passes
-//! become shift-and-OR word operations processing 64 nodes at a time:
+//! nodes — flood fills, gap fills, dilations, subset tests. [`WordGrid`]
+//! packs one bit per node into `u64` words along the x axis, one run of
+//! words (an *x-line*) per `(y, z)` pair, so those passes become
+//! shift-and-OR word operations processing 64 nodes at a time:
 //!
 //! * **component labelling** — find-first-set seeds plus whole-word
-//!   frontier expansion ([`BitGrid::components`]);
-//! * **the minimum-polygon hull fixpoint** — per-row occupied spans from
-//!   leading/trailing-zero counts and word-parallel column fills
-//!   ([`BitGrid::hull_fixpoint`]);
+//!   frontier expansion ([`BitGrid::components`] in 2-D,
+//!   [`WordGrid::components26`] in any dimension);
+//! * **the minimum-polygon hull fixpoint** — per-line occupied spans from
+//!   leading/trailing-zero counts and word-parallel prefix/suffix sweeps
+//!   along y and z ([`WordGrid::hull_fixpoint`]);
 //! * **neighborhood dilation** — the clustered-distribution boost mask
-//!   and the flood frontier as shifted-word ORs ([`BitGrid::dilate8`]);
+//!   and the merge-process adjacency as shifted-word ORs
+//!   ([`WordGrid::dilate`]);
 //! * **subset / intersection tests** — the safety predicates of the
 //!   generic `Outcome` as whole-word AND/OR scans
-//!   ([`BitGrid::is_subset_of`], [`BitGrid::intersects`]).
+//!   ([`WordGrid::is_subset_of`], [`WordGrid::intersects`]).
 //!
-//! A grid covers a rectangular *frame* chosen at construction. The frame's
+//! The grid is generic over its coordinate type ([`GridCoord`]): a 2-D
+//! grid ([`BitGrid`], over [`Coord`]) is a 3-D grid with one plane, and
+//! the 3-D grid of `mocp_3d` is the same type over its `Coord3`. Every
+//! kernel runs per plane; the hull's z sweep runs only on frames of more
+//! than one plane, and in one plane the 26-neighborhood is the
+//! 8-neighborhood. The 2-D-only parts — the 4-adjacency flood, the
+//! x-major order, the labelling schemes' word access and the [`Rect`]
+//! conversions — are methods of [`BitGrid`] alone.
+//!
+//! A grid covers a box-shaped *frame* chosen at construction. The frame's
 //! x-origin is always rounded down to a multiple of 64, so any two grids
 //! share the same bit phase: binary operations between frames are pure
 //! word-at-a-time loops (a word-index offset, never a bit shift).
 //!
-//! [`Region`] is a grid of this type plus its node count; the scalar
-//! ordered-set implementations these kernels replaced are the oracle of
-//! the `region_oracle` test.
+//! [`Region`] is a 2-D grid plus its node count; the scalar ordered-set
+//! implementations these kernels replaced are the oracles of the
+//! `region_oracle` and `hull_oracle` tests.
 
 use crate::{Connectivity, Coord, Mesh2D, Rect, Region};
 use std::fmt;
+use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
+
+/// A node address a [`WordGrid`] can store: a point of the 3-D lattice.
+/// Planar coordinates lie in the plane `z = 0`.
+pub trait GridCoord: Copy + fmt::Debug {
+    /// The coordinate's `(x, y, z)` position.
+    fn xyz(self) -> (i32, i32, i32);
+
+    /// The coordinate at `(x, y, z)`; a planar coordinate drops `z`.
+    fn from_xyz(x: i32, y: i32, z: i32) -> Self;
+}
+
+impl GridCoord for Coord {
+    #[inline]
+    fn xyz(self) -> (i32, i32, i32) {
+        (self.x, self.y, 0)
+    }
+
+    #[inline]
+    fn from_xyz(x: i32, y: i32, _z: i32) -> Self {
+        Coord::new(x, y)
+    }
+}
+
+/// The smallest box holding the boxes `a` and `b` (each `(min, max)`,
+/// inclusive).
+pub fn joint_box<C: GridCoord>(a: (C, C), b: (C, C)) -> (C, C) {
+    let ((a0, a1), (b0, b1)) = ((a.0.xyz(), a.1.xyz()), (b.0.xyz(), b.1.xyz()));
+    (
+        C::from_xyz(a0.0.min(b0.0), a0.1.min(b0.1), a0.2.min(b0.2)),
+        C::from_xyz(a1.0.max(b1.0), a1.1.max(b1.1), a1.2.max(b1.2)),
+    )
+}
 
 /// Rounds `x` down to a multiple of 64 (the word phase anchor).
 #[inline]
@@ -35,11 +80,27 @@ fn word_align(x: i32) -> i32 {
     x.div_euclid(64) * 64
 }
 
+/// The frame covering `min..=max` (inclusive): its origin, with the x
+/// origin rounded down to a multiple of 64, its words per line, its lines
+/// per plane and its planes.
+#[inline]
+fn frame_of<C: GridCoord>(min: C, max: C) -> ((i32, i32, i32), usize, usize, usize) {
+    let ((x0, y0, z0), (x1, y1, z1)) = (min.xyz(), max.xyz());
+    assert!(x0 <= x1 && y0 <= y1 && z0 <= z1, "invalid bounds");
+    let origin_x = word_align(x0);
+    (
+        (origin_x, y0, z0),
+        ((x1 - origin_x) as usize) / 64 + 1,
+        (y1 - y0 + 1) as usize,
+        (z1 - z0 + 1) as usize,
+    )
+}
+
 /// `dst = src | (src << 1) | (src >> 1)` across word boundaries: the
 /// horizontal (x ± 1) spread of one packed row. The slices must have equal
 /// length.
 #[inline]
-pub fn spread_row(src: &[u64], dst: &mut [u64]) {
+fn spread_row(src: &[u64], dst: &mut [u64]) {
     debug_assert_eq!(src.len(), dst.len());
     let n = src.len();
     for j in 0..n {
@@ -66,7 +127,7 @@ fn spread_row_strict(src: &[u64], dst: &mut [u64]) {
 /// through its last set bit (inclusive), or all zeros for an empty row.
 /// Writes into `dst` and returns `true` when the row is non-empty.
 #[inline]
-pub fn row_span_mask(src: &[u64], dst: &mut [u64]) -> bool {
+fn row_span_mask(src: &[u64], dst: &mut [u64]) -> bool {
     let Some(first) = src.iter().position(|&w| w != 0) else {
         dst.fill(0);
         return false;
@@ -109,8 +170,9 @@ fn x_extent(rows: &[u64], ww: usize) -> (i32, i32) {
 }
 
 /// Reusable buffers for the flood / hull kernels, so steady-state callers
-/// (the incremental engine, the batch construction loop) allocate nothing
-/// once the buffers have grown to the working-set size.
+/// (the incremental engine, the batch construction loop, the 3-D merge
+/// process) allocate nothing once the buffers have grown to the
+/// working-set size.
 #[derive(Clone, Debug, Default)]
 pub struct BitScratch {
     a: Vec<u64>,
@@ -154,12 +216,12 @@ impl BitScratch {
     }
 }
 
-/// Word count a [`BitGrid`] keeps in place before its rows move to the
+/// Word count a [`WordGrid`] keeps in place before its lines move to the
 /// heap: the frames of most fault components and polygons fit, so their
 /// regions are built without allocating.
 const INLINE_WORDS: usize = 4;
 
-/// The packed rows of a [`BitGrid`]: in place up to [`INLINE_WORDS`]
+/// The packed lines of a [`WordGrid`]: in place up to [`INLINE_WORDS`]
 /// words (the count in the first field), on the heap beyond.
 #[derive(Clone)]
 enum Words {
@@ -232,113 +294,135 @@ impl fmt::Debug for Words {
     }
 }
 
-/// A word-packed occupancy bitmap over a rectangular frame of the 2-D
-/// coordinate plane (one bit per node, row-major `u64` words).
+/// A word-packed occupancy bitmap over a box-shaped frame of the lattice
+/// of `C` (one bit per node; x-lines of `u64` words, stored plane by
+/// plane, each plane line by line).
 #[derive(Clone, Debug)]
-pub struct BitGrid {
+pub struct WordGrid<C> {
     /// West edge of the frame; always a multiple of 64.
     origin_x: i32,
     /// North edge of the frame (smallest covered `y`).
     origin_y: i32,
-    /// Words per row.
-    width_words: usize,
-    /// Number of rows.
-    height: usize,
-    /// Row-major packed occupancy, `height * width_words` words.
+    /// Lowest covered plane (`z`); 0 for planar coordinates.
+    origin_z: i32,
+    /// Words per line.
+    width_words: u32,
+    /// Lines per plane (the frame's `y` extent).
+    height: u32,
+    /// Number of planes (the frame's `z` extent); 1 for planar
+    /// coordinates.
+    depth: u32,
+    /// Packed occupancy, `depth * height * width_words` words; line
+    /// `(y, z)` starts at word `(z * height + y) * width_words`.
     words: Words,
+    coord: PhantomData<fn() -> C>,
 }
 
-impl Default for BitGrid {
+/// The 2-D word grid: one plane of [`Coord`]s, lines are mesh rows.
+pub type BitGrid = WordGrid<Coord>;
+
+impl<C> Default for WordGrid<C> {
     fn default() -> Self {
-        BitGrid::empty()
+        WordGrid {
+            origin_x: 0,
+            origin_y: 0,
+            origin_z: 0,
+            width_words: 0,
+            height: 0,
+            depth: 0,
+            words: Words::default(),
+            coord: PhantomData,
+        }
     }
 }
 
-impl BitGrid {
+impl<C: GridCoord> WordGrid<C> {
     /// A grid with an empty frame (contains nothing, accepts growth).
     pub fn empty() -> Self {
-        BitGrid {
-            origin_x: 0,
-            origin_y: 0,
-            width_words: 0,
-            height: 0,
-            words: Words::default(),
-        }
+        WordGrid::default()
     }
 
     /// An all-clear grid whose frame covers `min..=max` (inclusive). The
     /// frame's x-origin is rounded down to a multiple of 64 so all grids
     /// share one bit phase.
-    pub fn with_bounds(min: Coord, max: Coord) -> Self {
-        assert!(min.x <= max.x && min.y <= max.y, "invalid bounds");
-        let origin_x = word_align(min.x);
-        let width_words = ((max.x - origin_x) as usize) / 64 + 1;
-        let height = (max.y - min.y + 1) as usize;
-        BitGrid {
-            origin_x,
-            origin_y: min.y,
-            width_words,
-            height,
-            words: Words::zeroed(width_words * height),
+    pub fn with_bounds(min: C, max: C) -> Self {
+        let (origin, width_words, height, depth) = frame_of(min, max);
+        WordGrid {
+            origin_x: origin.0,
+            origin_y: origin.1,
+            origin_z: origin.2,
+            width_words: width_words as u32,
+            height: height as u32,
+            depth: depth as u32,
+            words: Words::zeroed(width_words * height * depth),
+            coord: PhantomData,
         }
-    }
-
-    /// An all-clear grid covering every node of `mesh`.
-    pub fn for_mesh(mesh: &Mesh2D) -> Self {
-        BitGrid::with_bounds(
-            Coord::ORIGIN,
-            Coord::new(mesh.width() - 1, mesh.height() - 1),
-        )
     }
 
     /// Builds a grid from coordinates, framed by their bounding box.
-    pub fn from_coords(coords: impl IntoIterator<Item = Coord>) -> Self {
-        let coords: Vec<Coord> = coords.into_iter().collect();
-        let Some(&first) = coords.first() else {
-            return BitGrid::empty();
+    pub fn from_coords(coords: impl IntoIterator<Item = C>) -> Self {
+        let coords: Vec<C> = coords.into_iter().collect();
+        let Some((lo, hi)) = coords.iter().map(|&c| (c, c)).reduce(joint_box) else {
+            return WordGrid::empty();
         };
-        let (mut lo, mut hi) = (first, first);
-        for &c in &coords[1..] {
-            lo = Coord::new(lo.x.min(c.x), lo.y.min(c.y));
-            hi = Coord::new(hi.x.max(c.x), hi.y.max(c.y));
-        }
-        let mut grid = BitGrid::with_bounds(lo, hi);
+        let mut grid = WordGrid::with_bounds(lo, hi);
         for c in coords {
             grid.set(c);
         }
         grid
     }
 
-    /// A copy of `region`'s grid.
-    pub fn from_region(region: &Region) -> Self {
-        region.bits().clone()
+    /// The solid box `lo..=hi`.
+    pub fn solid_box(lo: C, hi: C) -> Self {
+        let mut grid = WordGrid::with_bounds(lo, hi);
+        grid.fill_box(lo, hi);
+        grid
     }
 
-    /// A copy of this grid as a [`Region`].
-    pub fn to_region(&self) -> Region {
-        Region::from_bits(self.clone())
+    /// An empty grid framed over the joint bounding box of the set bits of
+    /// `parts`, so that unioning them all in never regrows it.
+    pub fn framed_over<'a>(parts: impl IntoIterator<Item = &'a Self>) -> Self
+    where
+        Self: 'a,
+    {
+        parts
+            .into_iter()
+            .filter_map(WordGrid::bounding_box)
+            .reduce(joint_box)
+            .map_or_else(WordGrid::empty, |(lo, hi)| WordGrid::with_bounds(lo, hi))
     }
 
     /// True when the frame covers `c` (regardless of the bit value).
     #[inline]
-    pub fn in_frame(&self, c: Coord) -> bool {
-        c.y >= self.origin_y
-            && c.y < self.origin_y + self.height as i32
-            && c.x >= self.origin_x
-            && ((c.x - self.origin_x) as usize) < self.width_words * 64
+    pub fn in_frame(&self, c: C) -> bool {
+        let (x, y, z) = c.xyz();
+        y >= self.origin_y
+            && ((y - self.origin_y) as u32) < self.height
+            && x >= self.origin_x
+            && ((x - self.origin_x) as u32) < self.width_words * 64
+            && z >= self.origin_z
+            && ((z - self.origin_z) as u32) < self.depth
+    }
+
+    /// Index of the first word of the line `(y, z)`, which the frame
+    /// must cover.
+    #[inline]
+    fn line_start(&self, y: i32, z: i32) -> usize {
+        let (ww, h, _) = self.dims();
+        ((z - self.origin_z) as usize * h + (y - self.origin_y) as usize) * ww
     }
 
     #[inline]
-    fn pos(&self, c: Coord) -> (usize, u64) {
+    fn pos(&self, c: C) -> (usize, u64) {
         debug_assert!(self.in_frame(c));
-        let dx = (c.x - self.origin_x) as usize;
-        let row = (c.y - self.origin_y) as usize;
-        (row * self.width_words + dx / 64, 1u64 << (dx % 64))
+        let (x, y, z) = c.xyz();
+        let dx = (x - self.origin_x) as usize;
+        (self.line_start(y, z) + dx / 64, 1u64 << (dx % 64))
     }
 
     /// Membership test; coordinates outside the frame are absent.
     #[inline]
-    pub fn contains(&self, c: Coord) -> bool {
+    pub fn contains(&self, c: C) -> bool {
         if !self.in_frame(c) {
             return false;
         }
@@ -349,7 +433,7 @@ impl BitGrid {
     /// Sets the bit at `c`, which must lie inside the frame. Returns `true`
     /// when newly set.
     #[inline]
-    pub fn set(&mut self, c: Coord) -> bool {
+    pub fn set(&mut self, c: C) -> bool {
         let (i, bit) = self.pos(c);
         let newly = self.words[i] & bit == 0;
         self.words[i] |= bit;
@@ -361,13 +445,13 @@ impl BitGrid {
     /// extent on each side that moves, so a run of inserts walking outward
     /// re-frames O(log n) times; hot loops should still size the frame up
     /// front via [`with_bounds`](Self::with_bounds).
-    pub fn insert(&mut self, c: Coord) -> bool {
+    pub fn insert(&mut self, c: C) -> bool {
         if self.words.is_empty() {
-            *self = BitGrid::with_bounds(c, c);
+            *self = WordGrid::with_bounds(c, c);
         } else if !self.in_frame(c) {
             let (lo, hi) = self.frame_bounds();
-            let (w, h) = (hi.x - lo.x + 1, hi.y - lo.y + 1);
-            let grow = |v: i32, lo: i32, hi: i32, slack: i32| {
+            let grow = |v: i32, lo: i32, hi: i32| {
+                let slack = hi - lo + 1;
                 if v < lo {
                     (v.saturating_sub(slack), hi)
                 } else if v > hi {
@@ -376,16 +460,17 @@ impl BitGrid {
                     (lo, hi)
                 }
             };
-            let (x0, x1) = grow(c.x, lo.x, hi.x, w);
-            let (y0, y1) = grow(c.y, lo.y, hi.y, h);
-            self.regrow(Coord::new(x0, y0), Coord::new(x1, y1));
+            let ((x, y, z), (x0, y0, z0), (x1, y1, z1)) = (c.xyz(), lo.xyz(), hi.xyz());
+            let ((x0, x1), (y0, y1), (z0, z1)) =
+                (grow(x, x0, x1), grow(y, y0, y1), grow(z, z0, z1));
+            self.regrow(C::from_xyz(x0, y0, z0), C::from_xyz(x1, y1, z1));
         }
         self.set(c)
     }
 
     /// Clears the bit at `c`. Returns `true` when it was set.
     #[inline]
-    pub fn remove(&mut self, c: Coord) -> bool {
+    pub fn remove(&mut self, c: C) -> bool {
         if !self.in_frame(c) {
             return false;
         }
@@ -404,17 +489,709 @@ impl BitGrid {
     /// reusing the existing allocation when its capacity suffices.
     /// Returns `true` when the backing storage had to grow — the signal
     /// steady-state callers track for their no-allocation assertions.
-    pub fn reset_frame(&mut self, min: Coord, max: Coord) -> bool {
-        assert!(min.x <= max.x && min.y <= max.y, "invalid bounds");
-        let origin_x = word_align(min.x);
-        let width_words = ((max.x - origin_x) as usize) / 64 + 1;
-        let height = (max.y - min.y + 1) as usize;
-        let grew = self.words.reset_zeroed(width_words * height);
-        self.origin_x = origin_x;
-        self.origin_y = min.y;
-        self.width_words = width_words;
-        self.height = height;
+    pub fn reset_frame(&mut self, min: C, max: C) -> bool {
+        let (origin, width_words, height, depth) = frame_of(min, max);
+        let grew = self.words.reset_zeroed(width_words * height * depth);
+        (self.origin_x, self.origin_y, self.origin_z) = origin;
+        (self.width_words, self.height, self.depth) =
+            (width_words as u32, height as u32, depth as u32);
         grew
+    }
+
+    /// Number of set bits.
+    pub fn len(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// True when no bit is set.
+    pub fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// Number of packed lines of the frame, one per `(y, z)` pair.
+    #[inline]
+    pub fn lines(&self) -> usize {
+        self.height as usize * self.depth as usize
+    }
+
+    /// Words per line, lines per plane and planes, as indices.
+    #[inline]
+    fn dims(&self) -> (usize, usize, usize) {
+        (
+            self.width_words as usize,
+            self.height as usize,
+            self.depth as usize,
+        )
+    }
+
+    /// The frame's covered coordinate range `(min, max)`, inclusive. The
+    /// frame of an [`empty`](Self::empty) grid is degenerate.
+    pub fn frame_bounds(&self) -> (C, C) {
+        (
+            C::from_xyz(self.origin_x, self.origin_y, self.origin_z),
+            C::from_xyz(
+                self.origin_x + (self.width_words * 64) as i32 - 1,
+                self.origin_y + self.height as i32 - 1,
+                self.origin_z + self.depth as i32 - 1,
+            ),
+        )
+    }
+
+    /// Reallocates to a frame covering `min..=max` (which must contain the
+    /// current frame's set bits), copying whole lines (frames share the
+    /// 64-aligned x phase).
+    fn regrow(&mut self, min: C, max: C) {
+        let mut grown = WordGrid::with_bounds(min, max);
+        let (ww, h, _) = self.dims();
+        let dw = ((self.origin_x - grown.origin_x) / 64) as usize;
+        let words: &[u64] = &self.words;
+        for (line, src) in words.chunks_exact(ww.max(1)).enumerate() {
+            let y = self.origin_y + (line % h) as i32;
+            let z = self.origin_z + (line / h) as i32;
+            let dst = grown.line_start(y, z) + dw;
+            grown.words[dst..dst + ww].copy_from_slice(src);
+        }
+        *self = grown;
+    }
+
+    /// Iterates set bits in storage order: by `z`, then `y`, then `x`
+    /// (row-major in 2-D).
+    pub fn iter(&self) -> impl Iterator<Item = C> + '_ {
+        let (ww, h, _) = self.dims();
+        let origin = (self.origin_x, self.origin_y, self.origin_z);
+        Cells {
+            words: &self.words,
+            next: 0,
+            word: 0,
+            at: origin,
+            cursor: origin,
+            ends: (self.origin_x + (ww * 64) as i32, self.origin_y + h as i32),
+            origin_xy: (self.origin_x, self.origin_y),
+            coord: PhantomData,
+        }
+    }
+
+    /// The first set bit in storage order — the minimal `(z, y, x)` cell,
+    /// where the flood seeds a component — or `None` when empty.
+    pub fn min_cell(&self) -> Option<C> {
+        let words: &[u64] = &self.words;
+        let i = words.iter().position(|&w| w != 0)?;
+        let (ww, h, _) = self.dims();
+        let (line, j) = (i / ww, i % ww);
+        Some(C::from_xyz(
+            self.origin_x + (j * 64) as i32 + words[i].trailing_zeros() as i32,
+            self.origin_y + (line % h) as i32,
+            self.origin_z + (line / h) as i32,
+        ))
+    }
+
+    /// The tight bounding box `(min, max)` of the set bits, or `None` when
+    /// empty.
+    pub fn bounding_box(&self) -> Option<(C, C)> {
+        let (ww, h, _) = self.dims();
+        let words: &[u64] = &self.words;
+        let occupied = |line: &[u64]| line.iter().any(|&w| w != 0);
+        let first = words.chunks_exact(ww.max(1)).position(occupied)?;
+        let last = self.lines() - 1 - words.chunks_exact(ww).rev().position(occupied)?;
+        let lines = &words[first * ww..(last + 1) * ww];
+        let (x0, x1) = x_extent(lines, ww);
+        let ((mut y0, z0), (mut y1, z1)) = if self.depth == 1 {
+            ((first, 0), (last, 0))
+        } else {
+            ((first % h, first / h), (last % h, last / h))
+        };
+        if z0 != z1 {
+            // The content spans planes: every occupied line bounds y.
+            (y0, y1) = (h, 0);
+            for (i, line) in lines.chunks_exact(ww).enumerate() {
+                if occupied(line) {
+                    let y = (first + i) % h;
+                    (y0, y1) = (y0.min(y), y1.max(y));
+                }
+            }
+        }
+        Some((
+            C::from_xyz(
+                self.origin_x + x0,
+                self.origin_y + y0 as i32,
+                self.origin_z + z0 as i32,
+            ),
+            C::from_xyz(
+                self.origin_x + x1,
+                self.origin_y + y1 as i32,
+                self.origin_z + z1 as i32,
+            ),
+        ))
+    }
+
+    /// Index of the first word of the line `(y, z)`, or `None` when the
+    /// frame does not cover it.
+    #[inline]
+    fn line_at(&self, y: i32, z: i32) -> Option<usize> {
+        let (dy, dz) = (y - self.origin_y, z - self.origin_z);
+        let (ww, h, d) = self.dims();
+        ((0..h as i32).contains(&dy) && (0..d as i32).contains(&dz))
+            .then(|| (dz as usize * h + dy as usize) * ww)
+    }
+
+    /// Calls `f(self_word, other_word)` for every word position of `self`,
+    /// with `other`'s word at the same coordinate position (0 where the
+    /// frames do not overlap).
+    #[inline]
+    fn zip_words(&self, other: &WordGrid<C>, mut f: impl FnMut(u64, u64)) {
+        let ((ww, h, d), oww) = (self.dims(), other.width_words as usize);
+        let dw = ((self.origin_x - other.origin_x) / 64) as i64;
+        let (words, other_words): (&[u64], &[u64]) = (&self.words, &other.words);
+        let mut line = 0;
+        for z in 0..d {
+            for y in 0..h {
+                let start = other.line_at(self.origin_y + y as i32, self.origin_z + z as i32);
+                for j in 0..ww {
+                    let oj = j as i64 + dw;
+                    let ow = match start {
+                        Some(s) if (0..oww as i64).contains(&oj) => other_words[s + oj as usize],
+                        _ => 0,
+                    };
+                    f(words[line + j], ow);
+                }
+                line += ww;
+            }
+        }
+    }
+
+    /// Like [`zip_words`](Self::zip_words) but writes `f`'s result back
+    /// into `self`'s word.
+    #[inline]
+    fn zip_words_mut(&mut self, other: &WordGrid<C>, mut f: impl FnMut(u64, u64) -> u64) {
+        let ((ww, h, d), oww) = (self.dims(), other.width_words as usize);
+        let dw = ((self.origin_x - other.origin_x) / 64) as i64;
+        let (words, other_words): (&mut [u64], &[u64]) = (&mut self.words, &other.words);
+        let mut line = 0;
+        for z in 0..d {
+            for y in 0..h {
+                let start = other.line_at(self.origin_y + y as i32, self.origin_z + z as i32);
+                for j in 0..ww {
+                    let oj = j as i64 + dw;
+                    let ow = match start {
+                        Some(s) if (0..oww as i64).contains(&oj) => other_words[s + oj as usize],
+                        _ => 0,
+                    };
+                    let w = &mut words[line + j];
+                    *w = f(*w, ow);
+                }
+                line += ww;
+            }
+        }
+    }
+
+    /// Number of set bits shared with `other`.
+    pub(crate) fn intersection_len(&self, other: &WordGrid<C>) -> usize {
+        let mut n = 0;
+        self.zip_words(other, |a, b| n += (a & b).count_ones() as usize);
+        n
+    }
+
+    /// `self &= other` — a whole-word AND over the frame overlap.
+    pub(crate) fn intersect_with(&mut self, other: &WordGrid<C>) {
+        self.zip_words_mut(other, |a, b| a & b);
+    }
+
+    /// True when the two grids share at least one set bit — a whole-word
+    /// AND scan over the frame overlap.
+    pub fn intersects(&self, other: &WordGrid<C>) -> bool {
+        let mut hit = false;
+        self.zip_words(other, |a, b| hit |= a & b != 0);
+        hit
+    }
+
+    /// True when every set bit of `self` is set in `other` — a whole-word
+    /// AND-NOT scan.
+    pub fn is_subset_of(&self, other: &WordGrid<C>) -> bool {
+        let mut ok = true;
+        self.zip_words(other, |a, b| ok &= a & !b == 0);
+        ok
+    }
+
+    /// `self |= other`, growing the frame to cover `other`'s set bits when
+    /// necessary. Walks only `other`'s content box: each of its lines is
+    /// ORed word by word into the matching line of `self`, so merging a
+    /// small grid into a large accumulator costs in proportion to the
+    /// small one.
+    pub fn union_with(&mut self, other: &WordGrid<C>) {
+        let Some((lo, hi)) = other.bounding_box() else {
+            return;
+        };
+        if self.words.is_empty() {
+            *self = WordGrid::with_bounds(lo, hi);
+        } else if !(self.in_frame(lo) && self.in_frame(hi)) {
+            let (min, max) = joint_box(self.frame_bounds(), (lo, hi));
+            self.regrow(min, max);
+        }
+        // Both frames share the 64-aligned x phase, so the content's word
+        // columns map one to one.
+        let ((x0, y0, z0), (x1, y1, z1)) = (lo.xyz(), hi.xyz());
+        let first = word_align(x0);
+        let (src_j, dst_j) = (
+            ((first - other.origin_x) / 64) as usize,
+            ((first - self.origin_x) / 64) as usize,
+        );
+        let n = ((word_align(x1) - first) / 64) as usize + 1;
+        let other_words: &[u64] = &other.words;
+        for z in z0..=z1 {
+            for y in y0..=y1 {
+                let src = other.line_start(y, z) + src_j;
+                let dst = self.line_start(y, z) + dst_j;
+                for (d, &s) in self.words[dst..dst + n]
+                    .iter_mut()
+                    .zip(&other_words[src..src + n])
+                {
+                    *d |= s;
+                }
+            }
+        }
+    }
+
+    /// `self &= !other` — a whole-word AND-NOT over the frame overlap.
+    pub fn subtract(&mut self, other: &WordGrid<C>) {
+        self.zip_words_mut(other, |a, b| a & !b);
+    }
+
+    /// Sets every node of the box `lo..=hi`, which must lie inside the
+    /// frame: one line span mask (the `row_span_mask` of the box's two
+    /// end bits) ORed into each of the box's lines. The 3-D cuboid model
+    /// blocks out its boxes with it.
+    pub fn fill_box(&mut self, lo: C, hi: C) {
+        let ((x0, y0, z0), (x1, y1, z1)) = (lo.xyz(), hi.xyz());
+        assert!(x0 <= x1 && y0 <= y1 && z0 <= z1, "invalid bounds");
+        assert!(
+            self.in_frame(lo) && self.in_frame(hi),
+            "box outside the frame"
+        );
+        let first = ((x0 - self.origin_x) / 64) as usize;
+        let n = ((x1 - self.origin_x) / 64) as usize - first + 1;
+        let mut ends = vec![0u64; n];
+        for x in [x0, x1] {
+            let dx = (x - self.origin_x) as usize - first * 64;
+            ends[dx / 64] |= 1u64 << (dx % 64);
+        }
+        let mut span = vec![0u64; n];
+        row_span_mask(&ends, &mut span);
+        for z in z0..=z1 {
+            for y in y0..=y1 {
+                let start = self.line_start(y, z) + first;
+                for (w, &s) in self.words[start..start + n].iter_mut().zip(&span) {
+                    *w |= s;
+                }
+            }
+        }
+    }
+
+    /// The cluster-neighborhood dilation (Definition 2 adjacency): every
+    /// set bit plus its 26 neighbors — in one plane, its 8 neighbors — as
+    /// shifted-word ORs. Each line is spread horizontally and ORed into the
+    /// neighboring lines. The result's frame grows by one node in every
+    /// direction of the lattice, so border bits are kept.
+    pub fn dilate(&self) -> WordGrid<C> {
+        let Some((lo, hi)) = self.bounding_box() else {
+            return WordGrid::empty();
+        };
+        let ((x0, y0, z0), (x1, y1, z1)) = (lo.xyz(), hi.xyz());
+        let mut out = WordGrid::with_bounds(
+            C::from_xyz(x0 - 1, y0 - 1, z0 - 1),
+            C::from_xyz(x1 + 1, y1 + 1, z1 + 1),
+        );
+        let (ww, out_h, out_d) = out.dims();
+        let (out_y, out_z) = (out.origin_y, out.origin_z);
+        // Word offset of this frame's word 0 inside the output frame. The
+        // output frame tightly wraps the *content*, so it can start to the
+        // right of (or end before) this frame — clamp the copy window.
+        let dw = ((self.origin_x - out.origin_x) / 64) as i64;
+        let out_words: &mut [u64] = &mut out.words;
+        let mut src = vec![0u64; ww];
+        let mut spread = vec![0u64; ww];
+        let words: &[u64] = &self.words;
+        let (sww, h, _) = self.dims();
+        for (line, row) in words.chunks_exact(sww.max(1)).enumerate() {
+            if row.iter().all(|&w| w == 0) {
+                continue;
+            }
+            let y = self.origin_y + (line % h) as i32;
+            let z = self.origin_z + (line / h) as i32;
+            src.fill(0);
+            for (j, &w) in row.iter().enumerate() {
+                let oj = j as i64 + dw;
+                if (0..ww as i64).contains(&oj) {
+                    // Words outside the output frame hold no set bits (the
+                    // frame covers the content bounding box plus margin).
+                    src[oj as usize] = w;
+                }
+            }
+            spread_row(&src, &mut spread);
+            // Planar frames have one plane: only `z` itself is in range.
+            for lz in (z - 1 - out_z)..=(z + 1 - out_z) {
+                if !(0..out_d as i32).contains(&lz) {
+                    continue;
+                }
+                for ly in (y - 1 - out_y)..=(y + 1 - out_y) {
+                    if (0..out_h as i32).contains(&ly) {
+                        let l = (lz as usize * out_h + ly as usize) * ww;
+                        for (d, &s) in out_words[l..l + ww].iter_mut().zip(&spread) {
+                            *d |= s;
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Decomposes into connected components under the cluster adjacency
+    /// of the lattice — 26-adjacency, which in one plane is 8-adjacency —
+    /// by word-scan flood: find-first-set seeds, whole-word frontier
+    /// expansion over the 3×3 block of neighboring lines. Components come
+    /// out in first-seen (storage) order, each framed by its own bounding
+    /// box.
+    pub fn components26(&self) -> Vec<WordGrid<C>> {
+        let (ww, h, d) = self.dims();
+        let words: &[u64] = &self.words;
+        let total = words.len();
+        let mut out = Vec::new();
+        if total == 0 {
+            return out;
+        }
+        let mut visited = vec![0u64; total];
+        let mut comp = vec![0u64; total];
+        let mut frontier = vec![0u64; total];
+        let mut next = vec![0u64; total];
+        let mut spread = vec![0u64; total];
+
+        for seed_word in 0..total {
+            loop {
+                let avail = words[seed_word] & !visited[seed_word];
+                if avail == 0 {
+                    break;
+                }
+                let seed_bit = 1u64 << avail.trailing_zeros();
+                let seed_line = seed_word / ww;
+                let (sy, sz) = (seed_line % h, seed_line / h);
+                comp[seed_word] = seed_bit;
+                frontier[seed_word] = seed_bit;
+                // Frontier (y, z) ranges and overall component ranges.
+                let (mut ylo, mut yhi, mut zlo, mut zhi) = (sy, sy, sz, sz);
+                let (mut cylo, mut cyhi, mut czlo, mut czhi) = (sy, sy, sz, sz);
+                loop {
+                    for z in zlo..=zhi {
+                        for y in ylo..=yhi {
+                            let l = (z * h + y) * ww;
+                            spread_row(&frontier[l..l + ww], &mut spread[l..l + ww]);
+                        }
+                    }
+                    let sylo = ylo.saturating_sub(1);
+                    let syhi = (yhi + 1).min(h - 1);
+                    let szlo = zlo.saturating_sub(1);
+                    let szhi = (zhi + 1).min(d - 1);
+                    let mut any = false;
+                    let (mut nylo, mut nyhi, mut nzlo, mut nzhi) =
+                        (usize::MAX, 0usize, usize::MAX, 0usize);
+                    for z in szlo..=szhi {
+                        for y in sylo..=syhi {
+                            let l = z * h + y;
+                            for j in 0..ww {
+                                let mut nb = 0u64;
+                                for fz in z.saturating_sub(1).max(zlo)..=(z + 1).min(zhi) {
+                                    for fy in y.saturating_sub(1).max(ylo)..=(y + 1).min(yhi) {
+                                        nb |= spread[(fz * h + fy) * ww + j];
+                                    }
+                                }
+                                let grow = nb & words[l * ww + j] & !comp[l * ww + j];
+                                next[l * ww + j] = grow;
+                                if grow != 0 {
+                                    comp[l * ww + j] |= grow;
+                                    any = true;
+                                    nylo = nylo.min(y);
+                                    nyhi = nyhi.max(y);
+                                    nzlo = nzlo.min(z);
+                                    nzhi = nzhi.max(z);
+                                }
+                            }
+                        }
+                    }
+                    if !any {
+                        break;
+                    }
+                    std::mem::swap(&mut frontier, &mut next);
+                    for z in zlo..=zhi {
+                        for y in ylo..=yhi {
+                            let l = (z * h + y) * ww;
+                            next[l..l + ww].fill(0);
+                        }
+                    }
+                    (ylo, yhi, zlo, zhi) = (nylo, nyhi, nzlo, nzhi);
+                    cylo = cylo.min(ylo);
+                    cyhi = cyhi.max(yhi);
+                    czlo = czlo.min(zlo);
+                    czhi = czhi.max(zhi);
+                }
+
+                out.push(self.extract_lines(&comp, (cylo, cyhi), (czlo, czhi)));
+
+                let sylo = cylo.saturating_sub(1);
+                let syhi = (cyhi + 1).min(h - 1);
+                let szlo = czlo.saturating_sub(1);
+                let szhi = (czhi + 1).min(d - 1);
+                for z in szlo..=szhi {
+                    for y in sylo..=syhi {
+                        let l = (z * h + y) * ww;
+                        for j in 0..ww {
+                            visited[l + j] |= comp[l + j];
+                            comp[l + j] = 0;
+                            frontier[l + j] = 0;
+                            spread[l + j] = 0;
+                            next[l + j] = 0;
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Copies the set bits of `bits` (in this grid's frame) within the
+    /// line ranges `ys` and `zs` (frame indices, inclusive) into a new
+    /// tightly framed grid.
+    fn extract_lines(&self, bits: &[u64], ys: (usize, usize), zs: (usize, usize)) -> WordGrid<C> {
+        let (ww, h, _) = self.dims();
+        let mut col_or = vec![0u64; ww];
+        let (mut min_y, mut max_y) = (usize::MAX, 0usize);
+        let (mut min_z, mut max_z) = (usize::MAX, 0usize);
+        for z in zs.0..=zs.1 {
+            for y in ys.0..=ys.1 {
+                let l = (z * h + y) * ww;
+                let mut any = false;
+                for j in 0..ww {
+                    col_or[j] |= bits[l + j];
+                    any |= bits[l + j] != 0;
+                }
+                if any {
+                    min_y = min_y.min(y);
+                    max_y = max_y.max(y);
+                    min_z = min_z.min(z);
+                    max_z = max_z.max(z);
+                }
+            }
+        }
+        assert!(min_y != usize::MAX, "extract_lines on an empty component");
+        let (x0, x1) = x_extent(&col_or, ww);
+        let mut out = WordGrid::with_bounds(
+            C::from_xyz(
+                self.origin_x + x0,
+                self.origin_y + min_y as i32,
+                self.origin_z + min_z as i32,
+            ),
+            C::from_xyz(
+                self.origin_x + x1,
+                self.origin_y + max_y as i32,
+                self.origin_z + max_z as i32,
+            ),
+        );
+        let dw = ((out.origin_x - self.origin_x) / 64) as usize;
+        let (oww, oh, _) = out.dims();
+        let out_words: &mut [u64] = &mut out.words;
+        for z in min_z..=max_z {
+            for y in min_y..=max_y {
+                let src = (z * h + y) * ww + dw;
+                let dst = ((z - min_z) * oh + (y - min_y)) * oww;
+                out_words[dst..dst + oww].copy_from_slice(&bits[src..src + oww]);
+            }
+        }
+        out
+    }
+
+    /// One snapshot round of the gap fill: the line-span fills along x
+    /// (span masks from trailing/leading-zero counts) and the gap fills
+    /// along y and z (word-parallel prefix/suffix sweeps), all computed
+    /// **with respect to the current state** (the semantics of
+    /// Definition 3's scan-then-fill iteration), then applied together.
+    /// The z sweep runs only on frames of more than one plane. Returns the
+    /// number of bits added.
+    fn fill_gaps_round(&mut self, scratch: &mut BitScratch) -> u64 {
+        let (ww, h, d) = self.dims();
+        let total = self.words.len();
+        scratch.prepare(total);
+        let BitScratch {
+            a: fill,
+            c: prefix,
+            d: span,
+            ..
+        } = scratch;
+        let words: &mut [u64] = &mut self.words;
+        if total == 0 {
+            return 0;
+        }
+
+        // Line gaps along x: span mask minus the line.
+        for (line, row) in words.chunks_exact(ww).enumerate() {
+            if row_span_mask(row, &mut span[..ww]) {
+                for j in 0..ww {
+                    fill[line * ww + j] = span[j] & !row[j];
+                }
+            }
+        }
+
+        // Gaps along y (in every plane) and along z, word-parallel across
+        // all 64 columns of a word: over the `len` words `stride` apart
+        // from `start`, prefix[k] = OR of words 0..=k, then a backward
+        // suffix sweep gives fill[k] |= prefix[k] & suffix[k] & !word[k].
+        let mut sweep = |start: usize, len: usize, stride: usize| {
+            let mut acc = 0u64;
+            for k in 0..len {
+                let i = start + k * stride;
+                acc |= words[i];
+                prefix[i] = acc;
+            }
+            let mut suffix = 0u64;
+            for k in (0..len).rev() {
+                let i = start + k * stride;
+                suffix |= words[i];
+                fill[i] |= prefix[i] & suffix & !words[i];
+            }
+        };
+        for z in 0..d {
+            for j in 0..ww {
+                sweep(z * h * ww + j, h, ww);
+            }
+        }
+        if d > 1 {
+            for i in 0..h * ww {
+                sweep(i, d, h * ww);
+            }
+        }
+
+        let mut added = 0u64;
+        for (w, &f) in words.iter_mut().zip(fill.iter()) {
+            added += (f & !*w).count_ones() as u64;
+            *w |= f;
+        }
+        added
+    }
+
+    /// Fills the grid to its minimum orthogonal convex superset in place —
+    /// the bit-parallel hull fixpoint. Returns `(iterations, added)` where
+    /// `iterations` counts the scan-then-fill rounds that inserted at least
+    /// one node (the concave-section solver's iteration count) and `added`
+    /// the total number of inserted nodes.
+    ///
+    /// The fill never leaves the bounding box of the input, so the frame
+    /// never grows.
+    pub fn hull_fixpoint(&mut self, scratch: &mut BitScratch) -> (u32, u64) {
+        let mut iterations = 0;
+        let mut added = 0;
+        loop {
+            let grown = self.fill_gaps_round(scratch);
+            if grown == 0 {
+                break;
+            }
+            iterations += 1;
+            added += grown;
+        }
+        (iterations, added)
+    }
+
+    /// The orthogonal-convexity test of Definition 1 (per dimension),
+    /// word-parallel: every x-line's bits form one contiguous run (span
+    /// mask equals the line), and no bit reappears along y (per plane) or
+    /// along z after its run has ended.
+    pub fn is_orthogonally_convex(&self) -> bool {
+        let (ww, h, d) = self.dims();
+        let words: &[u64] = &self.words;
+        let mut span = vec![0u64; ww];
+        for row in words.chunks_exact(ww.max(1)) {
+            if row_span_mask(row, &mut span) && span.iter().zip(row).any(|(&s, &r)| s != r) {
+                return false;
+            }
+        }
+        // One contiguous run per column along `len` lines `stride` words
+        // apart, starting at word `start`.
+        let runs_contiguous = |start: usize, len: usize, stride: usize| {
+            let (mut started, mut ended) = (0u64, 0u64);
+            for k in 0..len {
+                let w = words[start + k * stride];
+                if w & ended != 0 {
+                    return false;
+                }
+                ended |= started & !w;
+                started |= w;
+            }
+            true
+        };
+        let along_y = (0..d).all(|z| (0..ww).all(|j| runs_contiguous(z * h * ww + j, h, ww)));
+        along_y && (d <= 1 || (0..h * ww).all(|i| runs_contiguous(i, d, h * ww)))
+    }
+}
+
+/// The set bits of a [`WordGrid`] in storage order (see
+/// [`WordGrid::iter`]): one word at a time, the position of each loaded
+/// word kept as running counters rather than divided out of its index.
+struct Cells<'a, C> {
+    words: &'a [u64],
+    /// Index of the next word to load.
+    next: usize,
+    /// The bits of the loaded word not yet returned.
+    word: u64,
+    /// `(x, y, z)` of bit 0 of the loaded word.
+    at: (i32, i32, i32),
+    /// `(x, y, z)` of bit 0 of word `next`.
+    cursor: (i32, i32, i32),
+    /// The frame's x and y ends (exclusive), where the cursor wraps.
+    ends: (i32, i32),
+    /// The frame's x and y origins, where the cursor wraps to.
+    origin_xy: (i32, i32),
+    coord: PhantomData<fn() -> C>,
+}
+
+impl<C: GridCoord> Iterator for Cells<'_, C> {
+    type Item = C;
+
+    #[inline]
+    fn next(&mut self) -> Option<C> {
+        while self.word == 0 {
+            self.word = *self.words.get(self.next)?;
+            self.next += 1;
+            self.at = self.cursor;
+            let (x, y, z) = &mut self.cursor;
+            *x += 64;
+            if *x == self.ends.0 {
+                *x = self.origin_xy.0;
+                *y += 1;
+                if *y == self.ends.1 {
+                    *y = self.origin_xy.1;
+                    *z += 1;
+                }
+            }
+        }
+        let b = self.word.trailing_zeros() as i32;
+        self.word &= self.word - 1;
+        Some(C::from_xyz(self.at.0 + b, self.at.1, self.at.2))
+    }
+}
+
+impl WordGrid<Coord> {
+    /// An all-clear grid covering every node of `mesh`.
+    pub fn for_mesh(mesh: &Mesh2D) -> Self {
+        BitGrid::with_bounds(
+            Coord::ORIGIN,
+            Coord::new(mesh.width() - 1, mesh.height() - 1),
+        )
+    }
+
+    /// A copy of `region`'s grid.
+    pub fn from_region(region: &Region) -> Self {
+        region.bits().clone()
+    }
+
+    /// A copy of this grid as a [`Region`].
+    pub fn to_region(&self) -> Region {
+        Region::from_bits(self.clone())
     }
 
     /// The packed frame rows, row-major from the frame's north edge, each
@@ -428,63 +1205,6 @@ impl BitGrid {
     /// that run on the frame in place (the labelling-scheme fixpoints).
     pub fn words_mut(&mut self) -> &mut [u64] {
         &mut self.words
-    }
-
-    /// Number of set bits.
-    pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// True when no bit is set.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// The frame's covered coordinate range `(min, max)`, inclusive. The
-    /// frame of an [`empty`](Self::empty) grid is degenerate.
-    fn frame_bounds(&self) -> (Coord, Coord) {
-        (
-            Coord::new(self.origin_x, self.origin_y),
-            Coord::new(
-                self.origin_x + (self.width_words * 64) as i32 - 1,
-                self.origin_y + self.height as i32 - 1,
-            ),
-        )
-    }
-
-    /// Reallocates to a frame covering `min..=max` (which must contain the
-    /// current frame's set bits), copying whole words (frames share the
-    /// 64-aligned x phase).
-    fn regrow(&mut self, min: Coord, max: Coord) {
-        let mut grown = BitGrid::with_bounds(min, max);
-        let dw = ((self.origin_x - grown.origin_x) / 64) as usize;
-        for row in 0..self.height {
-            let y = self.origin_y + row as i32;
-            let grow_row = (y - grown.origin_y) as usize;
-            let src = &self.words[row * self.width_words..(row + 1) * self.width_words];
-            let dst_start = grow_row * grown.width_words + dw;
-            grown.words[dst_start..dst_start + self.width_words].copy_from_slice(src);
-        }
-        *self = grown;
-    }
-
-    /// Iterates set bits in row-major order (by `y`, then `x`).
-    pub fn iter(&self) -> impl Iterator<Item = Coord> + '_ {
-        (0..self.height).flat_map(move |row| {
-            let y = self.origin_y + row as i32;
-            (0..self.width_words).flat_map(move |j| {
-                let mut w = self.words[row * self.width_words + j];
-                let base_x = self.origin_x + (j * 64) as i32;
-                std::iter::from_fn(move || {
-                    if w == 0 {
-                        return None;
-                    }
-                    let b = w.trailing_zeros();
-                    w &= w - 1;
-                    Some(Coord::new(base_x + b as i32, y))
-                })
-            })
-        })
     }
 
     /// Iterates set bits in the **x-major** order of [`Coord`]'s `Ord`
@@ -502,19 +1222,20 @@ impl BitGrid {
     /// `Ord` (smallest `x`, then smallest `y`) — the key [`Region`]
     /// components are sorted by.
     pub fn min_coord_x_major(&self) -> Option<Coord> {
+        let (ww, height, _) = self.dims();
         let mut best: Option<Coord> = None;
-        'cols: for j in 0..self.width_words {
+        'cols: for j in 0..ww {
             let mut column_or = 0u64;
-            for row in 0..self.height {
-                column_or |= self.words[row * self.width_words + j];
+            for row in 0..height {
+                column_or |= self.words[row * ww + j];
             }
             if column_or == 0 {
                 continue;
             }
             let x_bit = column_or.trailing_zeros();
             let bit = 1u64 << x_bit;
-            for row in 0..self.height {
-                if self.words[row * self.width_words + j] & bit != 0 {
+            for row in 0..height {
+                if self.words[row * ww + j] & bit != 0 {
                     best = Some(Coord::new(
                         self.origin_x + (j * 64) as i32 + x_bit as i32,
                         self.origin_y + row as i32,
@@ -533,187 +1254,7 @@ impl BitGrid {
 
     /// The tight bounding rectangle of the set bits, or `None` when empty.
     pub fn bounding_rect(&self) -> Option<Rect> {
-        let ww = self.width_words;
-        let occupied = |row: &[u64]| row.iter().any(|&w| w != 0);
-        let min_y = self.words.chunks_exact(ww.max(1)).position(occupied)?;
-        let max_y = self.height - 1 - self.words.chunks_exact(ww).rev().position(occupied)?;
-        let rows = &self.words[min_y * ww..(max_y + 1) * ww];
-        let (x0, x1) = x_extent(rows, ww);
-        Some(Rect::new(
-            Coord::new(self.origin_x + x0, self.origin_y + min_y as i32),
-            Coord::new(self.origin_x + x1, self.origin_y + max_y as i32),
-        ))
-    }
-
-    /// Calls `f(self_word, other_word)` for every word position of `self`,
-    /// with `other`'s word at the same coordinate position (0 where the
-    /// frames do not overlap).
-    #[inline]
-    fn zip_words(&self, other: &BitGrid, mut f: impl FnMut(u64, u64)) {
-        let dw = (self.origin_x - other.origin_x) / 64;
-        for row in 0..self.height {
-            let y = self.origin_y + row as i32;
-            let other_row = y - other.origin_y;
-            for j in 0..self.width_words {
-                let ow = if (0..other.height as i32).contains(&other_row) {
-                    let oj = j as i64 + dw as i64;
-                    if oj >= 0 && (oj as usize) < other.width_words {
-                        other.words[other_row as usize * other.width_words + oj as usize]
-                    } else {
-                        0
-                    }
-                } else {
-                    0
-                };
-                f(self.words[row * self.width_words + j], ow);
-            }
-        }
-    }
-
-    /// Like [`zip_words`](Self::zip_words) but writes `f`'s result back
-    /// into `self`'s word.
-    #[inline]
-    fn zip_words_mut(&mut self, other: &BitGrid, mut f: impl FnMut(u64, u64) -> u64) {
-        let dw = (self.origin_x - other.origin_x) / 64;
-        for row in 0..self.height {
-            let y = self.origin_y + row as i32;
-            let other_row = y - other.origin_y;
-            for j in 0..self.width_words {
-                let ow = if (0..other.height as i32).contains(&other_row) {
-                    let oj = j as i64 + dw as i64;
-                    if oj >= 0 && (oj as usize) < other.width_words {
-                        other.words[other_row as usize * other.width_words + oj as usize]
-                    } else {
-                        0
-                    }
-                } else {
-                    0
-                };
-                let w = &mut self.words[row * self.width_words + j];
-                *w = f(*w, ow);
-            }
-        }
-    }
-
-    /// Number of set bits shared with `other`.
-    pub(crate) fn intersection_len(&self, other: &BitGrid) -> usize {
-        let mut n = 0;
-        self.zip_words(other, |a, b| n += (a & b).count_ones() as usize);
-        n
-    }
-
-    /// `self &= other` — a whole-word AND over the frame overlap.
-    pub(crate) fn intersect_with(&mut self, other: &BitGrid) {
-        self.zip_words_mut(other, |a, b| a & b);
-    }
-
-    /// True when the two grids share at least one set bit — a whole-word
-    /// AND scan over the frame overlap.
-    pub fn intersects(&self, other: &BitGrid) -> bool {
-        let mut hit = false;
-        self.zip_words(other, |a, b| hit |= a & b != 0);
-        hit
-    }
-
-    /// True when every set bit of `self` is set in `other` — a whole-word
-    /// AND-NOT scan.
-    pub fn is_subset_of(&self, other: &BitGrid) -> bool {
-        let mut ok = true;
-        self.zip_words(other, |a, b| ok &= a & !b == 0);
-        ok
-    }
-
-    /// `self |= other`, growing the frame to cover `other`'s set bits when
-    /// necessary. Walks only `other`'s content rectangle: each of its rows
-    /// is ORed word by word into the matching row of `self`, so merging a
-    /// small grid into a large accumulator costs in proportion to the
-    /// small one.
-    pub fn union_with(&mut self, other: &BitGrid) {
-        let Some(rect) = other.bounding_rect() else {
-            return;
-        };
-        let (lo, hi) = (rect.min(), rect.max());
-        if self.words.is_empty() {
-            *self = BitGrid::with_bounds(lo, hi);
-        } else if !(self.in_frame(lo) && self.in_frame(hi)) {
-            let (slo, shi) = self.frame_bounds();
-            self.regrow(
-                Coord::new(slo.x.min(lo.x), slo.y.min(lo.y)),
-                Coord::new(shi.x.max(hi.x), shi.y.max(hi.y)),
-            );
-        }
-        // Both frames share the 64-aligned x phase, so the content's word
-        // columns map one to one.
-        let first = word_align(lo.x);
-        let (src_j, dst_j) = (
-            ((first - other.origin_x) / 64) as usize,
-            ((first - self.origin_x) / 64) as usize,
-        );
-        let n = ((word_align(hi.x) - first) / 64) as usize + 1;
-        for y in lo.y..=hi.y {
-            let src = (y - other.origin_y) as usize * other.width_words + src_j;
-            let dst = (y - self.origin_y) as usize * self.width_words + dst_j;
-            for (d, &s) in self.words[dst..dst + n]
-                .iter_mut()
-                .zip(&other.words[src..src + n])
-            {
-                *d |= s;
-            }
-        }
-    }
-
-    /// `self &= !other` — a whole-word AND-NOT over the frame overlap.
-    pub fn subtract(&mut self, other: &BitGrid) {
-        self.zip_words_mut(other, |a, b| a & !b);
-    }
-
-    /// The 8-neighborhood dilation (Definition 2 adjacency): every set bit
-    /// plus its eight neighbors, as shifted-word ORs. The result's frame
-    /// grows by one node in every direction so border bits are kept.
-    pub fn dilate8(&self) -> BitGrid {
-        let Some(rect) = self.bounding_rect() else {
-            return BitGrid::empty();
-        };
-        let mut out = BitGrid::with_bounds(
-            Coord::new(rect.min().x - 1, rect.min().y - 1),
-            Coord::new(rect.max().x + 1, rect.max().y + 1),
-        );
-        let ww = out.width_words;
-        // Word offset of this frame's word 0 inside the output frame. The
-        // output frame tightly wraps the *content*, so it can start to the
-        // right of (or end before) this frame — clamp the copy window.
-        let dw = ((self.origin_x - out.origin_x) / 64) as i64;
-        // Spread each source row horizontally into the output frame, then
-        // OR it into the three output rows it reaches.
-        let mut src = vec![0u64; ww];
-        let mut spread = vec![0u64; ww];
-        for row in 0..self.height {
-            let words = &self.words[row * self.width_words..(row + 1) * self.width_words];
-            if words.iter().all(|&w| w == 0) {
-                continue;
-            }
-            let y = self.origin_y + row as i32;
-            src.fill(0);
-            for (j, &w) in words.iter().enumerate() {
-                let oj = j as i64 + dw;
-                if (0..ww as i64).contains(&oj) {
-                    // Words outside the output frame hold no set bits (the
-                    // frame covers the content bounding box plus margin).
-                    src[oj as usize] = w;
-                }
-            }
-            spread_row(&src, &mut spread);
-            for out_y in (y - 1)..=(y + 1) {
-                let out_row = (out_y - out.origin_y) as usize;
-                if out_row < out.height {
-                    let dst = &mut out.words[out_row * ww..(out_row + 1) * ww];
-                    for (d, &s) in dst.iter_mut().zip(&spread) {
-                        *d |= s;
-                    }
-                }
-            }
-        }
-        out
+        self.bounding_box().map(|(lo, hi)| Rect::new(lo, hi))
     }
 
     /// Decomposes the set bits into connected components under `adjacency`
@@ -745,7 +1286,7 @@ impl BitGrid {
         adjacency: Connectivity,
         scratch: &mut BitScratch,
     ) -> Vec<Region> {
-        let ww = self.width_words;
+        let (ww, height, _) = self.dims();
         let words: &[u64] = &self.words;
         let total = words.len();
         if total == 0 {
@@ -790,7 +1331,7 @@ impl BitGrid {
                     if seed_row > 0 {
                         nb |= words[(seed_row - 1) * ww + j] & mask3;
                     }
-                    if seed_row + 1 < self.height {
+                    if seed_row + 1 < height {
                         nb |= words[(seed_row + 1) * ww + j] & mask3;
                     }
                     if nb == 0 {
@@ -827,7 +1368,7 @@ impl BitGrid {
                         }
                     }
                     let scan_lo = lo.saturating_sub(1);
-                    let scan_hi = (hi + 1).min(self.height - 1);
+                    let scan_hi = (hi + 1).min(height - 1);
                     let mut any = false;
                     let (mut next_lo, mut next_hi) = (usize::MAX, 0usize);
                     // Vertical neighbor source: the spread rows under
@@ -889,7 +1430,7 @@ impl BitGrid {
 
                 // Reset the touched rows of every buffer.
                 let scan_lo = comp_lo.saturating_sub(1);
-                let scan_hi = (comp_hi + 1).min(self.height - 1);
+                let scan_hi = (comp_hi + 1).min(height - 1);
                 for y in scan_lo..=scan_hi {
                     let row = y * ww;
                     comp[row..row + ww].fill(0);
@@ -910,7 +1451,7 @@ impl BitGrid {
     /// `row_lo..=row_hi` (the first and last hold bits), cut to the words
     /// between the leftmost and rightmost set bit.
     fn component_grid(&self, comp: &[u64], row_lo: usize, row_hi: usize) -> BitGrid {
-        let ww = self.width_words;
+        let ww = self.width_words as usize;
         let rows = &comp[row_lo * ww..(row_hi + 1) * ww];
         let (x0, x1) = x_extent(rows, ww);
         let mut out = BitGrid::with_bounds(
@@ -918,115 +1459,11 @@ impl BitGrid {
             Coord::new(self.origin_x + x1, self.origin_y + row_hi as i32),
         );
         let first = (x0 / 64) as usize;
-        let n = out.width_words;
+        let n = out.width_words as usize;
         for (dst, row) in out.words.chunks_exact_mut(n).zip(rows.chunks_exact(ww)) {
             dst.copy_from_slice(&row[first..first + n]);
         }
         out
-    }
-
-    /// One snapshot round of the concave-section fill: computes the row-gap
-    /// and column-gap fills **both with respect to the current state** (the
-    /// semantics of Definition 3's scan-then-fill iteration), then applies
-    /// them. Returns the number of bits added.
-    fn fill_gaps_round(&mut self, scratch: &mut BitScratch) -> u64 {
-        let ww = self.width_words;
-        let total = self.words.len();
-        scratch.prepare(total);
-        let BitScratch {
-            a: row_fill,
-            b: col_fill,
-            c: prefix,
-            d: span,
-            ..
-        } = scratch;
-
-        // Row gaps: span mask (trailing/leading-zero counts) minus the row.
-        for y in 0..self.height {
-            let row = &self.words[y * ww..(y + 1) * ww];
-            if row_span_mask(row, &mut span[..ww]) {
-                for j in 0..ww {
-                    row_fill[y * ww + j] = span[j] & !row[j];
-                }
-            } else {
-                row_fill[y * ww..(y + 1) * ww].fill(0);
-            }
-        }
-
-        // Column gaps, word-parallel across all 64 columns of each word:
-        // prefix[y] = OR of rows 0..=y, then a downward suffix sweep gives
-        // fill[y] = prefix[y] & suffix[y] & !row[y].
-        for j in 0..ww {
-            let mut acc = 0u64;
-            for y in 0..self.height {
-                acc |= self.words[y * ww + j];
-                prefix[y * ww + j] = acc;
-            }
-            let mut suffix = 0u64;
-            for y in (0..self.height).rev() {
-                let row = self.words[y * ww + j];
-                suffix |= row;
-                col_fill[y * ww + j] = prefix[y * ww + j] & suffix & !row;
-            }
-        }
-
-        let mut added = 0u64;
-        for i in 0..total {
-            let fill = row_fill[i] | col_fill[i];
-            added += (fill & !self.words[i]).count_ones() as u64;
-            self.words[i] |= fill;
-        }
-        added
-    }
-
-    /// Fills the grid to its minimum orthogonal convex superset in place —
-    /// the bit-parallel hull fixpoint. Returns `(iterations, added)` where
-    /// `iterations` counts the scan-then-fill rounds that inserted at least
-    /// one node (the concave-section solver's iteration count) and `added`
-    /// the total number of inserted nodes.
-    ///
-    /// The fill never leaves the bounding box of the input, so the frame
-    /// never grows.
-    pub fn hull_fixpoint(&mut self, scratch: &mut BitScratch) -> (u32, u64) {
-        let mut iterations = 0;
-        let mut added = 0;
-        loop {
-            let grown = self.fill_gaps_round(scratch);
-            if grown == 0 {
-                break;
-            }
-            iterations += 1;
-            added += grown;
-        }
-        (iterations, added)
-    }
-
-    /// The orthogonal-convexity test of Definition 1, word-parallel: every
-    /// row's bits form one contiguous run (span mask equals the row) and
-    /// every column's bits form one contiguous run (no bit reappears after
-    /// its column run has ended).
-    pub fn is_orthogonally_convex(&self) -> bool {
-        let ww = self.width_words;
-        let mut span = vec![0u64; ww];
-        for y in 0..self.height {
-            let row = &self.words[y * ww..(y + 1) * ww];
-            if row_span_mask(row, &mut span) && span.iter().zip(row).any(|(&s, &r)| s != r) {
-                return false;
-            }
-        }
-        let mut started = vec![0u64; ww];
-        let mut ended = vec![0u64; ww];
-        for y in 0..self.height {
-            for j in 0..ww {
-                let row = self.words[y * ww + j];
-                if row & ended[j] != 0 {
-                    return false;
-                }
-                ended[j] |= started[j] & !row;
-                started[j] |= row;
-            }
-        }
-        true
     }
 }
 
@@ -1051,7 +1488,7 @@ impl Iterator for XMajor<'_> {
 
     fn next(&mut self) -> Option<Coord> {
         let g = self.grid;
-        let ww = g.width_words;
+        let (ww, height, _) = g.dims();
         loop {
             if self.pending == 0 {
                 if self.word >= ww {
@@ -1065,7 +1502,7 @@ impl Iterator for XMajor<'_> {
             }
             let j = self.word - 1;
             let bit = self.pending & self.pending.wrapping_neg();
-            while self.row < g.height {
+            while self.row < height {
                 let row = self.row;
                 self.row += 1;
                 if g.words[row * ww + j] & bit != 0 {
@@ -1216,10 +1653,10 @@ mod tests {
                     .iter()
                     .flat_map(|c| c.neighbors8().into_iter().chain([c])),
             );
-            let dilated = BitGrid::from_region(&shape).dilate8();
+            let dilated = BitGrid::from_region(&shape).dilate();
             assert_eq!(dilated.to_region(), expected, "shape {shape:?}");
         }
-        assert!(BitGrid::empty().dilate8().is_empty());
+        assert!(BitGrid::empty().dilate().is_empty());
     }
 
     #[test]
@@ -1232,7 +1669,7 @@ mod tests {
             let mut g = BitGrid::for_mesh(&mesh);
             g.set(seed);
             let expected = Region::from_coords(std::iter::once(seed).chain(seed.neighbors8()));
-            assert_eq!(g.dilate8().to_region(), expected, "seed {seed}");
+            assert_eq!(g.dilate().to_region(), expected, "seed {seed}");
         }
     }
 

@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-/// A node address `(x, y)` in a 2-D mesh or torus.
+/// A node address `(x, y)` in a 2-D mesh.
 ///
 /// `x` selects the column, `y` selects the row, matching the paper's
 /// convention where routing "along the row" changes `x` first.
@@ -39,7 +39,7 @@ impl Coord {
         }
     }
 
-    /// Manhattan (L1) distance to `other`, ignoring any torus wraparound.
+    /// Manhattan (L1) distance to `other`.
     #[inline]
     pub fn manhattan(self, other: Coord) -> u32 {
         self.x.abs_diff(other.x) + self.y.abs_diff(other.y)

@@ -1,12 +1,12 @@
-//! # mesh2d — 2-D mesh / torus substrate
+//! # mesh2d — 2-D mesh substrate
 //!
 //! This crate provides the interconnection-network substrate used throughout
 //! the reproduction of *Wu & Jiang, "On Constructing the Minimum Orthogonal
 //! Convex Polygon in 2-D Faulty Meshes" (IPDPS 2004)*:
 //!
 //! * [`Coord`] — node addresses `(x, y)` in a 2-D mesh,
-//! * [`Mesh2D`] — the topology itself (mesh or torus), neighborhood queries,
-//!   distances and diameter,
+//! * [`Mesh2D`] — the topology itself, neighborhood queries, distances
+//!   and diameter,
 //! * [`Grid`] — dense per-node storage,
 //! * [`Rect`] — axis-aligned rectangles (faulty blocks, bounding boxes),
 //! * [`Region`] — arbitrary node sets with connectivity and orthogonal
@@ -44,7 +44,7 @@ pub mod render;
 pub mod status;
 pub mod topology;
 
-pub use bitgrid::{BitGrid, BitScratch, XMajor};
+pub use bitgrid::{BitGrid, BitScratch, GridCoord, WordGrid, XMajor};
 pub use coord::Coord;
 pub use direction::{Direction, Turn};
 pub use fault::{FaultEvent, FaultSet};
@@ -52,4 +52,4 @@ pub use grid::Grid;
 pub use rect::Rect;
 pub use region::{Connectivity, Region};
 pub use status::{Activation, Health, NodeStatus, Safety, StatusDelta, StatusMap};
-pub use topology::{Mesh2D, Topology};
+pub use topology::Mesh2D;

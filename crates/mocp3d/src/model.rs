@@ -62,7 +62,8 @@ use crate::grid::Grid3;
 use crate::mesh::Coord3;
 use crate::mesh::Mesh3D;
 use crate::region::{hull_bits, Region3};
-use mesh2d::NodeStatus;
+use mesh2d::bitgrid::joint_box;
+use mesh2d::{BitScratch, NodeStatus};
 use mocp_topology::RoundStats;
 use mocp_topology::{FaultModel, Outcome};
 
@@ -81,14 +82,6 @@ type Box3 = (Coord3, Coord3);
 /// Number of nodes in a box.
 fn volume((lo, hi): Box3) -> u64 {
     (hi.x - lo.x + 1) as u64 * (hi.y - lo.y + 1) as u64 * (hi.z - lo.z + 1) as u64
-}
-
-/// The smallest box containing both boxes.
-fn joint((alo, ahi): Box3, (blo, bhi): Box3) -> Box3 {
-    (
-        Coord3::new(alo.x.min(blo.x), alo.y.min(blo.y), alo.z.min(blo.z)),
-        Coord3::new(ahi.x.max(bhi.x), ahi.y.max(bhi.y), ahi.z.max(bhi.z)),
-    )
 }
 
 /// A 26-connected component of the faults.
@@ -156,7 +149,7 @@ fn fault_components(faults: &FaultSet3) -> (Vec<FaultComponent>, Vec<usize>) {
             min_index.push((index, k));
         } else {
             let component = &mut components[k];
-            component.bbox = joint(component.bbox, (c, c));
+            component.bbox = joint_box(component.bbox, (c, c));
             component.len += 1;
             if index < min_index[k].0 {
                 component.min_cell = c;
@@ -255,7 +248,7 @@ fn merge_boxes(parts: &[(Box3, bool)], classes: &mut UnionFind) -> Vec<(Box3, bo
     let mut merged_at: Vec<Option<(Box3, bool)>> = vec![None; parts.len()];
     for class in members.chunk_by(|a, b| a.0 == b.0) {
         let boxes = || class.iter().map(|&(_, i)| parts[i].0);
-        let bbox = boxes().reduce(joint).expect("classes are non-empty");
+        let bbox = boxes().reduce(joint_box).expect("classes are non-empty");
         // The union fills the joint box when a member is that box, and
         // cannot when the members' volumes fall short of it.
         let solid = boxes().any(|b| b == bbox)
@@ -315,8 +308,8 @@ fn merge_process(mesh: &Mesh3D, faults: &FaultSet3, name: &str) -> Outcome3 {
         // with one effective thread this is a plain sequential map).
         let completions: Vec<Option<BitGrid3>> = parts
             .par_iter()
-            .map(|(piece, open)| {
-                open.then(|| hull_bits(&piece.grid))
+            .map_init(BitScratch::new, |scratch, (piece, open)| {
+                open.then(|| hull_bits(&piece.grid, scratch))
                     .filter(|hull| hull.len() > piece.grid.len())
             })
             .collect();
@@ -343,7 +336,7 @@ fn merge_process(mesh: &Mesh3D, faults: &FaultSet3, name: &str) -> Outcome3 {
                 if !(grew[i] || grew[j]) || !boxes_touch(a.bbox, b.bbox) {
                     continue;
                 }
-                let dilated = dilated.get_or_insert_with(|| a.grid.dilate26());
+                let dilated = dilated.get_or_insert_with(|| a.grid.dilate());
                 if b.grid.intersects(dilated) {
                     classes.union(i, j);
                 }

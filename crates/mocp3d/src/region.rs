@@ -16,6 +16,7 @@
 
 use crate::bitgrid::BitGrid3;
 use crate::mesh::Coord3;
+use mesh2d::BitScratch;
 
 /// A set of 3-D nodes, stored as a word-packed occupancy bitmap over the
 /// set's bounding box.
@@ -123,17 +124,25 @@ impl Region3 {
     /// Fills never leave the bounding box, so the bitmap is allocated once.
     pub fn orthogonal_convex_hull(&self) -> Region3 {
         Region3 {
-            bits: hull_bits(&self.bits),
+            bits: hull_bits(&self.bits, &mut BitScratch::new()),
         }
     }
 }
 
 /// The bit-parallel hull of a bitmap — the body of
 /// [`Region3::orthogonal_convex_hull`], shared with the merge process,
-/// which completes bare grids.
-pub(crate) fn hull_bits(bits: &BitGrid3) -> BitGrid3 {
+/// which completes bare grids and reuses one `scratch` per worker.
+pub(crate) fn hull_bits(bits: &BitGrid3, scratch: &mut BitScratch) -> BitGrid3 {
     let mut hull = bits.clone();
-    hull.hull_fixpoint();
+    let (rounds, added) = hull.hull_fixpoint(scratch);
+    let rounds = u64::from(rounds);
+    // Each round rescans every line of all three axes; the quiescent
+    // final pass is not counted (matching RoundStats).
+    mocp_obs::counter!("hull3d.hulls").inc();
+    mocp_obs::counter!("hull3d.fixpoint_rounds").add(rounds);
+    mocp_obs::counter!("hull3d.line_rescans").add(rounds * hull.lines() as u64 * 3);
+    mocp_obs::counter!("hull3d.nodes_added").add(added);
+    mocp_obs::histogram!("hull3d.rounds_per_hull").record(rounds);
     hull
 }
 

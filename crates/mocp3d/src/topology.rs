@@ -13,11 +13,10 @@ use crate::mesh::Coord3;
 use crate::mesh::Mesh3D;
 use crate::region::Region3;
 use mesh2d::NodeStatus;
-use mocp_topology::{BitmapOps, FaultStore, MeshTopology, RegionOps, StatusOps};
+use mocp_topology::{FaultStore, MeshTopology, RegionOps, StatusOps};
 
 impl MeshTopology for Mesh3D {
     type Coord = Coord3;
-    type Bitmap = BitGrid3;
     type Region = Region3;
     type Status = Grid3<NodeStatus>;
     type FaultSet = FaultSet3;
@@ -49,74 +48,8 @@ impl MeshTopology for Mesh3D {
     }
 }
 
-impl BitmapOps for BitGrid3 {
-    type Coord = Coord3;
-
-    fn empty() -> Self {
-        BitGrid3::empty()
-    }
-
-    fn from_coords(coords: &[Coord3]) -> Self {
-        BitGrid3::from_coords(coords.iter().copied())
-    }
-
-    fn framed_over(parts: &[&Self]) -> Self {
-        parts
-            .iter()
-            .filter_map(|part| part.bounding_box())
-            .reduce(|(alo, ahi), (blo, bhi)| {
-                (
-                    Coord3::new(alo.x.min(blo.x), alo.y.min(blo.y), alo.z.min(blo.z)),
-                    Coord3::new(ahi.x.max(bhi.x), ahi.y.max(bhi.y), ahi.z.max(bhi.z)),
-                )
-            })
-            .map_or_else(BitGrid3::empty, |(lo, hi)| BitGrid3::with_bounds(lo, hi))
-    }
-
-    fn len(&self) -> usize {
-        BitGrid3::len(self)
-    }
-
-    fn contains(&self, c: Coord3) -> bool {
-        BitGrid3::contains(self, c)
-    }
-
-    fn insert(&mut self, c: Coord3) -> bool {
-        BitGrid3::insert(self, c)
-    }
-
-    fn union_with(&mut self, other: &Self) {
-        BitGrid3::union_with(self, other)
-    }
-
-    fn subtract(&mut self, other: &Self) {
-        BitGrid3::subtract(self, other)
-    }
-
-    fn intersects(&self, other: &Self) -> bool {
-        BitGrid3::intersects(self, other)
-    }
-
-    fn is_subset_of(&self, other: &Self) -> bool {
-        BitGrid3::is_subset_of(self, other)
-    }
-
-    fn is_orthogonally_convex(&self) -> bool {
-        BitGrid3::is_orthogonally_convex(self)
-    }
-
-    fn dilate_cluster(&self) -> Self {
-        self.dilate26()
-    }
-
-    fn coords(&self) -> Vec<Coord3> {
-        self.iter().collect()
-    }
-}
-
 impl RegionOps for Region3 {
     type Coord = Coord3;
-    type Bitmap = BitGrid3;
 
     fn from_coords(coords: Vec<Coord3>) -> Self {
         Region3::from_coords(coords)

@@ -5,7 +5,6 @@
 
 use faultgen::FaultDistribution;
 use mocp_3d::{generate_faults_3d, BitGrid3, Coord3, Mesh3D, MeshTopology};
-use mocp_topology::BitmapOps;
 use proptest::prelude::*;
 
 /// `cluster_neighbors(c)` is the dilation of `{c}` minus `c`, clipped to
@@ -26,9 +25,8 @@ fn cluster_neighbors_are_the_clipped_dilation() {
             let mut neighbors = mesh.cluster_neighbors(c);
             neighbors.sort_unstable();
             let mut dilation: Vec<Coord3> = BitGrid3::from_coords([c])
-                .dilate_cluster()
-                .coords()
-                .into_iter()
+                .dilate()
+                .iter()
                 .filter(|&n| n != c && MeshTopology::contains(&mesh, n))
                 .collect();
             dilation.sort_unstable();

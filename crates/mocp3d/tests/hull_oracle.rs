@@ -63,6 +63,63 @@ fn dense_construction_matches_the_prototype_on_clustered_sweep_draws() {
     }
 }
 
+/// Exactly the `figures` 3-D sweep's draws: 32³, 100..800 faults, random
+/// and clustered, seeds 2004..=2006. The word-flood 26-labelling yields
+/// the prototype's partition, each component's hull equals the
+/// prototype's hull, and the convexity test agrees with the prototype on
+/// every component and on the whole fault set. Too slow for debug runs;
+/// run it with `cargo test --release -p mocp_3d --test hull_oracle --
+/// --include-ignored`.
+#[test]
+#[ignore]
+fn kernels_match_the_prototype_on_the_paper_sweep() {
+    let mesh = Mesh3D::cube(32);
+    for seed in 2004..=2006 {
+        for distribution in [FaultDistribution::Random, FaultDistribution::Clustered] {
+            for count in (1..=8).map(|i| i * 100) {
+                let at = format!("{count} {distribution:?} faults, seed {seed}");
+                let faults = generate_faults_3d(mesh, count, distribution, seed);
+                let cs = faults.in_insertion_order();
+                let region = Region3::from_coords(cs.iter().copied());
+                let proto = oracle::Region3::from_coords(cs.iter().copied());
+                assert_eq!(
+                    region.is_orthogonally_convex(),
+                    proto.is_orthogonally_convex(),
+                    "convexity of {at}"
+                );
+                let dense = region.components26();
+                assert_eq!(
+                    normalize(dense.iter().map(|p| p.iter().collect()).collect()),
+                    normalize(
+                        proto
+                            .components26()
+                            .iter()
+                            .map(|p| p.iter().collect())
+                            .collect()
+                    ),
+                    "components of {at}"
+                );
+                for comp in &dense {
+                    let proto_comp = oracle::Region3::from_coords(comp.iter());
+                    assert_eq!(
+                        comp.is_orthogonally_convex(),
+                        proto_comp.is_orthogonally_convex(),
+                        "convexity of a component of {at}"
+                    );
+                    let hull = comp.orthogonal_convex_hull();
+                    let proto_hull = proto_comp.orthogonal_convex_hull();
+                    assert_eq!(hull.len(), proto_hull.len(), "hull size in {at}");
+                    assert!(
+                        hull.iter().all(|c| proto_hull.contains(c)),
+                        "hull nodes in {at}"
+                    );
+                    assert!(hull.is_orthogonally_convex(), "hull convexity in {at}");
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 

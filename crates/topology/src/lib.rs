@@ -16,10 +16,12 @@
 //!   operations those associated types provide (union, components,
 //!   convexity check; disabled/faulty counts; sequential insertion with
 //!   exact removal);
-//! * [`BitmapOps`] — the word-packed bitmap each topology exposes
-//!   (`MeshTopology::Bitmap`): 64 nodes per word, whole-word subset /
-//!   intersection / dilation / convexity kernels that the generic safety
-//!   predicates and the per-dimension flood and hull fixpoints run on;
+//! * `mesh2d::WordGrid` — the one word-packed grid both dimensions store
+//!   their regions in (64 nodes per word; whole-word subset /
+//!   intersection / dilation / convexity kernels). It is no trait of this
+//!   crate: [`MeshTopology::Coord`] is a `mesh2d::GridCoord`, so
+//!   [`RegionOps::bitmap`] names the grid over the topology's
+//!   coordinates, and the generic safety predicates run on it;
 //! * [`FaultModel`] — the one model trait every construction implements,
 //!   for any topology (it defaults to `Mesh2D`, so existing 2-D model
 //!   impls read unchanged);
@@ -31,22 +33,21 @@
 //!   registries are two instantiations of [`ModelRegistry`].
 //!
 //! Layering: this crate sits between `mesh2d` (which it uses for the 2-D
-//! implementation and the trait defaults) and everything else —
-//! `fblock`, `mocp_core` and `mocp_3d` implement [`FaultModel`] against
-//! it, `faultgen` drives its [`MeshTopology`] from one generic injector,
-//! and `experiments` runs one scenario loop over any [`ModelRegistry`].
+//! implementation, the trait defaults and the word grid) and everything
+//! else — `fblock`, `mocp_core` and `mocp_3d` implement [`FaultModel`]
+//! against it, `faultgen` drives its [`MeshTopology`] from one generic
+//! injector, and `experiments` runs one scenario loop over any
+//! [`ModelRegistry`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bitmap;
 pub mod mesh;
 pub mod model;
 pub mod ops;
 pub mod registry;
 pub mod stats;
 
-pub use bitmap::BitmapOps;
 pub use mesh::MeshTopology;
 pub use model::{FaultModel, Outcome};
 pub use ops::{FaultStore, RegionOps, StatusOps};

@@ -1,8 +1,7 @@
 //! The [`MeshTopology`] trait: what every mesh dimension provides.
 
-use crate::bitmap::BitmapOps;
 use crate::ops::{FaultStore, RegionOps, StatusOps};
-use mesh2d::{BitGrid, Coord, FaultSet, Mesh2D, Region, StatusMap};
+use mesh2d::{Coord, FaultSet, GridCoord, Mesh2D, Region, StatusMap};
 use std::fmt::Debug;
 
 /// A mesh topology the fault-model stack can run on.
@@ -40,17 +39,13 @@ use std::fmt::Debug;
 /// assert_eq!(mesh.cluster_neighbors(Coord::new(3, 3)).len(), 8);
 /// ```
 pub trait MeshTopology: Copy + PartialEq + Debug + Send + Sync + 'static {
-    /// Node address type (`Coord` in 2-D, `Coord3` in 3-D).
-    type Coord: Copy + Ord + Debug + Send + Sync + 'static;
-
-    /// Word-packed bitmap type (64 nodes per `u64`) carrying the
-    /// dimension's bit-parallel kernels; shared with
-    /// [`Region::bitmap`](RegionOps::bitmap) so regions and meshes
-    /// speak the same fast-path type.
-    type Bitmap: BitmapOps<Coord = Self::Coord> + Send + Sync;
+    /// Node address type (`Coord` in 2-D, `Coord3` in 3-D). As a
+    /// [`GridCoord`] it addresses `mesh2d`'s one word-packed grid, whose
+    /// bit-parallel kernels every dimension's regions are stored in.
+    type Coord: GridCoord + Ord + Debug + Send + Sync + 'static;
 
     /// Node-set type with the shared geometric ops.
-    type Region: RegionOps<Coord = Self::Coord, Bitmap = Self::Bitmap> + Send + Sync;
+    type Region: RegionOps<Coord = Self::Coord> + Send + Sync;
 
     /// Per-node construction-status storage.
     type Status: StatusOps<Coord = Self::Coord> + Send + Sync;
@@ -90,7 +85,6 @@ pub trait MeshTopology: Copy + PartialEq + Debug + Send + Sync + 'static {
 
 impl MeshTopology for Mesh2D {
     type Coord = Coord;
-    type Bitmap = BitGrid;
     type Region = Region;
     type Status = StatusMap;
     type FaultSet = FaultSet;

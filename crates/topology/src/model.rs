@@ -1,10 +1,9 @@
 //! The dimension-generic fault-model trait and construction outcome.
 
-use crate::bitmap::BitmapOps;
 use crate::mesh::MeshTopology;
 use crate::ops::{RegionOps, StatusOps};
 use crate::stats::RoundStats;
-use mesh2d::{Connectivity, Mesh2D, Region, StatusMap};
+use mesh2d::{Connectivity, Mesh2D, Region, StatusMap, WordGrid};
 
 /// The outcome of running a fault-model construction on a faulty mesh,
 /// for any [`MeshTopology`].
@@ -58,7 +57,7 @@ impl<T: MeshTopology> Outcome<T> {
     /// shrink region by region, and the final emptiness test is one word
     /// scan.
     pub fn covers_all_faults(&self) -> bool {
-        let mut uncovered = T::Bitmap::from_coords(&self.status.faulty_coords());
+        let mut uncovered = WordGrid::from_coords(self.status.faulty_coords());
         for r in &self.regions {
             if uncovered.is_empty() {
                 break;
@@ -83,9 +82,8 @@ impl<T: MeshTopology> Outcome<T> {
     /// regions' joint bounding box, so each region's test and union walk
     /// only that region's frame.
     pub fn regions_disjoint(&self) -> bool {
-        let bitmaps: Vec<&T::Bitmap> = self.regions.iter().map(RegionOps::bitmap).collect();
-        let mut seen = T::Bitmap::framed_over(&bitmaps);
-        for bits in bitmaps {
+        let mut seen = WordGrid::framed_over(self.regions.iter().map(RegionOps::bitmap));
+        for bits in self.regions.iter().map(RegionOps::bitmap) {
             if bits.intersects(&seen) {
                 return false;
             }

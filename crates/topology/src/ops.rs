@@ -7,9 +7,10 @@
 //! implementations live here (this crate owns the traits and depends on
 //! `mesh2d`); the 3-D implementations live in `mocp_3d`.
 
-use crate::bitmap::BitmapOps;
 use crate::mesh::MeshTopology;
-use mesh2d::{BitGrid, Connectivity, Coord, FaultSet, Mesh2D, Region, StatusMap};
+use mesh2d::{
+    BitGrid, Connectivity, Coord, FaultSet, GridCoord, Mesh2D, Region, StatusMap, WordGrid,
+};
 use std::fmt::Debug;
 
 /// Node-set geometry shared by every dimension: size, membership, union,
@@ -17,11 +18,7 @@ use std::fmt::Debug;
 /// orthogonal-convexity check of the paper's Definition 1.
 pub trait RegionOps: Clone + PartialEq + Debug + Send + Sync + 'static {
     /// The node address type of the region's topology.
-    type Coord: Copy;
-
-    /// The word-packed bitmap type of the region's topology (the same
-    /// type the topology names as `MeshTopology::Bitmap`).
-    type Bitmap: BitmapOps<Coord = Self::Coord>;
+    type Coord: GridCoord;
 
     /// Builds a region from coordinates (duplicates are ignored).
     fn from_coords(coords: Vec<Self::Coord>) -> Self;
@@ -59,14 +56,13 @@ pub trait RegionOps: Clone + PartialEq + Debug + Send + Sync + 'static {
     /// every axis-parallel line the region's nodes form one contiguous run.
     fn is_orthogonally_convex(&self) -> bool;
 
-    /// The region's word-packed bitmap — the entry ticket to the
-    /// whole-word predicates of [`BitmapOps`].
-    fn bitmap(&self) -> &Self::Bitmap;
+    /// The region's word-packed grid — the entry ticket to the
+    /// whole-word predicates of `mesh2d`'s [`WordGrid`].
+    fn bitmap(&self) -> &WordGrid<Self::Coord>;
 }
 
 impl RegionOps for Region {
     type Coord = Coord;
-    type Bitmap = BitGrid;
 
     fn from_coords(coords: Vec<Coord>) -> Self {
         Region::from_coords(coords)

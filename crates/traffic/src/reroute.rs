@@ -20,11 +20,12 @@
 //! * for a detour that fell back to the unrestricted search, and for an
 //!   `Unreachable` verdict: the whole status map.
 //!
-//! The first two are contained in `dilate8(hops ∪ detoured regions)`; a
-//! 4-connected excluded component can only change when a cell inside or
-//! 4-adjacent to it changes, which is inside that same dilation. Routes in
-//! the third category are marked global and recomputed on every batch (they
-//! are rare: a region leaning on the mesh border, or a walled-off pair).
+//! The first two are contained in the 8-neighborhood `dilate` of hops ∪
+//! detoured regions; a 4-connected excluded component can only change
+//! when a cell inside or 4-adjacent to it changes, which is inside that
+//! same dilation. Routes in the third category are marked global and
+//! recomputed on every batch (they are rare: a region leaning on the mesh
+//! border, or a walled-off pair).
 //! Failed endpoint routes depend only on the two endpoints. So a route
 //! whose footprint misses every changed cell provably recomputes to
 //! itself, and the index stays **exactly** equal to from-scratch routing —
@@ -354,7 +355,7 @@ fn compute(
             for &region in &traced.detoured {
                 cells.extend(router.region_map().region(region).iter());
             }
-            let deps = Deps::Cells(BitGrid::from_coords(cells).dilate8());
+            let deps = Deps::Cells(BitGrid::from_coords(cells).dilate());
             (Ok(traced.path), deps)
         }
         Err(RouteError::Unreachable) => (Err(RouteError::Unreachable), Deps::Global),

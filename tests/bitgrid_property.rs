@@ -13,7 +13,6 @@
 use fblock::{ModelOutcome, RoundStats};
 use mesh2d::{BitGrid, BitScratch, Connectivity, Coord, Mesh2D, NodeStatus, Region, StatusMap};
 use mocp::mocp_3d::{BitGrid3, Coord3};
-use mocp_topology::BitmapOps;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -93,7 +92,7 @@ proptest! {
         let expected = Region::from_coords(
             region.iter().flat_map(|c| c.neighbors8().into_iter().chain([c])),
         );
-        prop_assert_eq!(BitGrid::from_region(&region).dilate8().to_region(), expected);
+        prop_assert_eq!(BitGrid::from_region(&region).dilate().to_region(), expected);
     }
 
     /// Word-parallel convexity equals Definition 1's scalar row/column scan.
@@ -161,6 +160,59 @@ proptest! {
         prop_assert_eq!(outcome.regions_disjoint(), disjoint);
     }
 
+    /// A 2-D set is a one-plane 3-D set: lifted to z = 0, the 3-D grid's
+    /// dilation (in each of the planes -1, 0 and 1), components (as sets),
+    /// hull (nodes and iteration count) and convexity equal the 2-D
+    /// grid's. Stacked on two adjacent planes,
+    /// or on planes 0 and 2, the set hulls to the 2-D hull in every plane
+    /// between — the second stacking needs the z sweep that only frames of
+    /// more than one plane run.
+    #[test]
+    fn planar_sets_are_one_plane_3d_sets(coords in dense_coords()) {
+        let region = region_of(&coords);
+        let lift = |cs: &mut dyn Iterator<Item = Coord>, z: i32| -> BTreeSet<(i32, i32, i32)> {
+            cs.map(|c| (c.x, c.y, z)).collect()
+        };
+        let cells3 = |g: &BitGrid3| -> BTreeSet<(i32, i32, i32)> {
+            g.iter().map(|c| (c.x, c.y, c.z)).collect()
+        };
+        let grid3 = |cells: &BTreeSet<(i32, i32, i32)>| {
+            BitGrid3::from_coords(cells.iter().map(|&(x, y, z)| Coord3::new(x, y, z)))
+        };
+        let bits = BitGrid::from_region(&region);
+        let flat = lift(&mut region.iter(), 0);
+        let bits3 = grid3(&flat);
+
+        // In 3-D the one plane dilates into its two neighbor planes too.
+        let dilated: BTreeSet<_> = (-1..=1).flat_map(|z| lift(&mut bits.dilate().iter(), z)).collect();
+        prop_assert_eq!(cells3(&bits3.dilate()), dilated);
+        let components: BTreeSet<_> = bits
+            .components(Connectivity::Eight)
+            .iter()
+            .map(|c| lift(&mut c.iter(), 0))
+            .collect();
+        let components3: BTreeSet<_> = bits3.components26().iter().map(cells3).collect();
+        prop_assert_eq!(components3, components);
+        prop_assert_eq!(bits3.is_orthogonally_convex(), bits.is_orthogonally_convex());
+
+        let mut hull = bits.clone();
+        let rounds = hull.hull_fixpoint(&mut BitScratch::new());
+        let mut hull3 = bits3.clone();
+        prop_assert_eq!(hull3.hull_fixpoint(&mut BitScratch::new()), rounds);
+        prop_assert_eq!(cells3(&hull3), lift(&mut hull.iter(), 0));
+        prop_assert_eq!(hull3.is_orthogonally_convex(), hull.is_orthogonally_convex());
+
+        for planes in [0..=1, 0..=2] {
+            let (z0, z1) = (*planes.start(), *planes.end());
+            let cells: BTreeSet<_> = flat.union(&lift(&mut region.iter(), z1)).copied().collect();
+            let mut stacked = grid3(&cells);
+            stacked.hull_fixpoint(&mut BitScratch::new());
+            let expected: BTreeSet<_> =
+                planes.flat_map(|z| lift(&mut hull.iter(), z)).collect();
+            prop_assert_eq!(cells3(&stacked), expected, "planes {}..={}", z0, z1);
+        }
+    }
+
     /// 3-D: the `BitGrid3` dilation equals the scalar 26-neighborhood
     /// union on boxes up to 16³ (the boost set of the clustered 3-D fault
     /// distribution). The 3-D labelling and hull kernels are checked
@@ -168,7 +220,7 @@ proptest! {
     #[test]
     fn bitgrid3_kernels_match_prototype(coords in coords3()) {
         let cs: Vec<Coord3> = coords.iter().map(|&(x, y, z)| Coord3::new(x, y, z)).collect();
-        let dilated = BitGrid3::from_coords(cs.iter().copied()).dilate26();
+        let dilated = BitGrid3::from_coords(cs.iter().copied()).dilate();
         let mut expected: BTreeSet<(i32, i32, i32)> = BTreeSet::new();
         for &c in &cs {
             for dz in -1..=1 {
@@ -180,7 +232,7 @@ proptest! {
             }
         }
         let got: BTreeSet<(i32, i32, i32)> =
-            BitmapOps::coords(&dilated).iter().map(|c| (c.x, c.y, c.z)).collect();
+            dilated.iter().map(|c| (c.x, c.y, c.z)).collect();
         prop_assert_eq!(got, expected);
     }
 }

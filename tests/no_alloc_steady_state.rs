@@ -35,12 +35,12 @@ fn batch_construction_scratch_reaches_steady_state() {
         // buffer to the mesh-wide maximum (for the virtual block, its
         // window is the mesh plus the one-node margin).
         let diagonal = FaultyComponent::new(Region::from_coords((0..48).map(|i| Coord::new(i, i))));
-        construct_component_with(&mesh, &diagonal, solution, &mut scratch);
+        construct_component_with(&diagonal, solution, &mut scratch);
         let steady = scratch.grows();
         for round in 0..6 {
             let faults = generate_faults(mesh, 160, FaultDistribution::Clustered, round);
             for component in &merge_components(&faults) {
-                construct_component_with(&mesh, component, solution, &mut scratch);
+                construct_component_with(component, solution, &mut scratch);
             }
             assert_eq!(
                 scratch.grows(),

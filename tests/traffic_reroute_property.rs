@@ -4,7 +4,7 @@
 //! pair — including the error verdicts (excluded endpoints, unreachable
 //! pairs), not just the happy paths.
 //!
-//! This pins the dependency-footprint rule (`dilate8` of a route's hops
+//! This pins the dependency-footprint rule (the 8-neighborhood `dilate` of a route's hops
 //! and detoured regions, global for fallback/unreachable routes): a
 //! footprint that misses any cell a route actually consulted shows up as
 //! a stale route at the first batch that changes only that cell.
