@@ -7,8 +7,9 @@
 //! shift-and-OR word operations processing 64 nodes at a time:
 //!
 //! * **component labelling** — find-first-set seeds plus whole-word
-//!   frontier expansion ([`BitGrid::components`] in 2-D,
-//!   [`WordGrid::components26`] in any dimension);
+//!   frontier expansion, one flood for both adjacencies in any dimension
+//!   ([`WordGrid::flood`]; [`BitGrid::components`] sorts its output into
+//!   the 2-D x-major order);
 //! * **the minimum-polygon hull fixpoint** — per-line occupied spans from
 //!   leading/trailing-zero counts and word-parallel prefix/suffix sweeps
 //!   along y and z ([`WordGrid::hull_fixpoint`]);
@@ -24,8 +25,8 @@
 //! the 3-D grid of `mocp_3d` is the same type over its `Coord3`. Every
 //! kernel runs per plane; the hull's z sweep runs only on frames of more
 //! than one plane, and in one plane the 26-neighborhood is the
-//! 8-neighborhood. The 2-D-only parts — the 4-adjacency flood, the
-//! x-major order, the labelling schemes' word access and the [`Rect`]
+//! 8-neighborhood and the 6 link neighbors are the 4. The 2-D-only parts —
+//! the x-major order, the labelling schemes' word access and the [`Rect`]
 //! conversions — are methods of [`BitGrid`] alone.
 //!
 //! A grid covers a box-shaped *frame* chosen at construction. The frame's
@@ -110,17 +111,11 @@ fn spread_row(src: &[u64], dst: &mut [u64]) {
     }
 }
 
-/// `dst = (src << 1) | (src >> 1)` across word boundaries: the strict
-/// horizontal neighbors (west | east), *without* the source itself.
+/// The indices within one step of `at` that lie in the inclusive range
+/// `range`.
 #[inline]
-fn spread_row_strict(src: &[u64], dst: &mut [u64]) {
-    debug_assert_eq!(src.len(), dst.len());
-    let n = src.len();
-    for j in 0..n {
-        let left_carry = if j > 0 { src[j - 1] >> 63 } else { 0 };
-        let right_carry = if j + 1 < n { src[j + 1] << 63 } else { 0 };
-        dst[j] = (src[j] << 1) | left_carry | (src[j] >> 1) | right_carry;
-    }
+fn near(at: usize, range: (usize, usize)) -> std::ops::Range<usize> {
+    at.saturating_sub(1).max(range.0)..(at + 2).min(range.1 + 1)
 }
 
 /// The span mask of one packed row: every bit from the row's first set bit
@@ -845,13 +840,19 @@ impl<C: GridCoord> WordGrid<C> {
         out
     }
 
-    /// Decomposes into connected components under the cluster adjacency
-    /// of the lattice — 26-adjacency, which in one plane is 8-adjacency —
-    /// by word-scan flood: find-first-set seeds, whole-word frontier
-    /// expansion over the 3×3 block of neighboring lines. Components come
-    /// out in first-seen (storage) order, each framed by its own bounding
-    /// box.
-    pub fn components26(&self) -> Vec<WordGrid<C>> {
+    /// Decomposes into connected components under `adjacency` by
+    /// word-scan flood: find-first-set seeds, then whole-word frontier
+    /// expansion over the neighboring lines until a component stops
+    /// growing. [`Connectivity::Eight`] is the full neighborhood — 8
+    /// neighbors in one plane, 26 across planes, the cluster adjacency of
+    /// Definition 2 — and [`Connectivity::Four`] the link neighborhood (4
+    /// neighbors in one plane, 6 across planes).
+    ///
+    /// Components come out in first-seen (storage) order, each framed by
+    /// its own bounding box. The flood runs on `scratch`, and after each
+    /// component only the lines it reached are reset, so once the buffers
+    /// have grown only the output grids are allocated.
+    pub fn flood(&self, adjacency: Connectivity, scratch: &mut BitScratch) -> Vec<WordGrid<C>> {
         let (ww, h, d) = self.dims();
         let words: &[u64] = &self.words;
         let total = words.len();
@@ -859,95 +860,133 @@ impl<C: GridCoord> WordGrid<C> {
         if total == 0 {
             return out;
         }
-        let mut visited = vec![0u64; total];
-        let mut comp = vec![0u64; total];
-        let mut frontier = vec![0u64; total];
-        let mut next = vec![0u64; total];
-        let mut spread = vec![0u64; total];
+        scratch.prepare(total);
+        let BitScratch {
+            a: left,
+            b: comp,
+            c: frontier,
+            d: spread,
+            e: next,
+            ..
+        } = scratch;
+        // The set bits no component has taken yet.
+        left[..total].copy_from_slice(words);
+        let line = |y: usize, z: usize| (z * h + y) * ww;
+        // The lines within one step of the line range `r` of `0..=last`.
+        let halo =
+            |r: (usize, usize), last: usize| near(r.0, (0, last)).start..near(r.1, (0, last)).end;
+        let lines = (0..d).flat_map(|z| (0..h).map(move |y| (y, z)));
 
-        for seed_word in 0..total {
-            loop {
-                let avail = words[seed_word] & !visited[seed_word];
-                if avail == 0 {
-                    break;
-                }
-                let seed_bit = 1u64 << avail.trailing_zeros();
-                let seed_line = seed_word / ww;
-                let (sy, sz) = (seed_line % h, seed_line / h);
-                comp[seed_word] = seed_bit;
-                frontier[seed_word] = seed_bit;
-                // Frontier (y, z) ranges and overall component ranges.
-                let (mut ylo, mut yhi, mut zlo, mut zhi) = (sy, sy, sz, sz);
-                let (mut cylo, mut cyhi, mut czlo, mut czhi) = (sy, sy, sz, sz);
-                loop {
-                    for z in zlo..=zhi {
-                        for y in ylo..=yhi {
-                            let l = (z * h + y) * ww;
-                            spread_row(&frontier[l..l + ww], &mut spread[l..l + ww]);
+        for (seed_line, (y, z)) in lines.enumerate() {
+            for j in 0..ww {
+                let seed_word = seed_line * ww + j;
+                while left[seed_word] != 0 {
+                    let seed_bit = left[seed_word] & left[seed_word].wrapping_neg();
+                    left[seed_word] ^= seed_bit;
+                    comp[seed_word] = seed_bit;
+
+                    // Singleton fast path: a seed with no other set bit in
+                    // the block of lines around it is its own component
+                    // under either adjacency. Word-edge bits take the
+                    // flood; their neighborhood spans words.
+                    if seed_bit & (1 | 1 << 63) == 0 {
+                        let mask = (seed_bit << 1) | seed_bit | (seed_bit >> 1);
+                        let mut n = 0;
+                        for nz in near(z, (0, d - 1)) {
+                            for ny in near(y, (0, h - 1)) {
+                                n += (words[line(ny, nz) + j] & mask).count_ones();
+                            }
+                        }
+                        if n == 1 {
+                            out.push(self.copy_out(comp, (y, y), (z, z)));
+                            comp[seed_word] = 0;
+                            continue;
                         }
                     }
-                    let sylo = ylo.saturating_sub(1);
-                    let syhi = (yhi + 1).min(h - 1);
-                    let szlo = zlo.saturating_sub(1);
-                    let szhi = (zhi + 1).min(d - 1);
-                    let mut any = false;
-                    let (mut nylo, mut nyhi, mut nzlo, mut nzhi) =
-                        (usize::MAX, 0usize, usize::MAX, 0usize);
-                    for z in szlo..=szhi {
-                        for y in sylo..=syhi {
-                            let l = z * h + y;
-                            for j in 0..ww {
-                                let mut nb = 0u64;
-                                for fz in z.saturating_sub(1).max(zlo)..=(z + 1).min(zhi) {
-                                    for fy in y.saturating_sub(1).max(ylo)..=(y + 1).min(yhi) {
-                                        nb |= spread[(fz * h + fy) * ww + j];
+
+                    // The (y, z) line ranges of the frontier and of the
+                    // component. Only the frontier's lines are read, and
+                    // each round's scan rewrites every line of the next
+                    // frontier, so stale lines elsewhere do no harm.
+                    let (mut fy, mut fz) = ((y, y), (z, z));
+                    let (mut cy, mut cz) = (fy, fz);
+                    frontier[line(y, z)..line(y, z) + ww].fill(0);
+                    frontier[seed_word] = seed_bit;
+                    loop {
+                        for z in fz.0..fz.1 + 1 {
+                            for l in (fy.0..fy.1 + 1).map(|y| line(y, z)) {
+                                spread_row(&frontier[l..l + ww], &mut spread[l..l + ww]);
+                            }
+                        }
+                        let (mut ny, mut nz) = ((usize::MAX, 0), (usize::MAX, 0));
+                        for z in halo(fz, d - 1) {
+                            for y in halo(fy, h - 1) {
+                                // The frontier lines next to line (y, z)
+                                // are in the planes `planes` and the rows
+                                // `rows` of each, worked out once per line.
+                                let (rows, planes) = (near(y, fy), near(z, fz));
+                                let l = line(y, z);
+                                let mut grew = false;
+                                for j in 0..ww {
+                                    let mut nb = 0;
+                                    for sz in planes.clone() {
+                                        let p = line(0, sz) + j;
+                                        match (adjacency, sz == z) {
+                                            // The full neighborhood: the
+                                            // horizontal spread of each.
+                                            (Connectivity::Eight, _) => {
+                                                for sy in rows.clone() {
+                                                    nb |= spread[p + sy * ww];
+                                                }
+                                            }
+                                            // The link neighborhood: the
+                                            // line's own spread and the raw
+                                            // frontier one step along y or
+                                            // z. Reading the line's own
+                                            // frontier adds nothing new.
+                                            (Connectivity::Four, true) => {
+                                                for sy in rows.clone() {
+                                                    nb |= frontier[p + sy * ww];
+                                                }
+                                                if rows.contains(&y) {
+                                                    nb |= spread[p + y * ww];
+                                                }
+                                            }
+                                            (Connectivity::Four, false) => {
+                                                if rows.contains(&y) {
+                                                    nb |= frontier[p + y * ww];
+                                                }
+                                            }
+                                        }
+                                    }
+                                    let grow = nb & left[l + j];
+                                    next[l + j] = grow;
+                                    if grow != 0 {
+                                        left[l + j] ^= grow;
+                                        comp[l + j] |= grow;
+                                        grew = true;
                                     }
                                 }
-                                let grow = nb & words[l * ww + j] & !comp[l * ww + j];
-                                next[l * ww + j] = grow;
-                                if grow != 0 {
-                                    comp[l * ww + j] |= grow;
-                                    any = true;
-                                    nylo = nylo.min(y);
-                                    nyhi = nyhi.max(y);
-                                    nzlo = nzlo.min(z);
-                                    nzhi = nzhi.max(z);
+                                if grew {
+                                    ny = (ny.0.min(y), ny.1.max(y));
+                                    nz = (nz.0.min(z), nz.1.max(z));
                                 }
                             }
                         }
-                    }
-                    if !any {
-                        break;
-                    }
-                    std::mem::swap(&mut frontier, &mut next);
-                    for z in zlo..=zhi {
-                        for y in ylo..=yhi {
-                            let l = (z * h + y) * ww;
-                            next[l..l + ww].fill(0);
+                        if ny.0 == usize::MAX {
+                            break;
                         }
+                        // The grow masks become the frontier.
+                        std::mem::swap(frontier, next);
+                        (fy, fz) = (ny, nz);
+                        cy = (cy.0.min(fy.0), cy.1.max(fy.1));
+                        cz = (cz.0.min(fz.0), cz.1.max(fz.1));
                     }
-                    (ylo, yhi, zlo, zhi) = (nylo, nyhi, nzlo, nzhi);
-                    cylo = cylo.min(ylo);
-                    cyhi = cyhi.max(yhi);
-                    czlo = czlo.min(zlo);
-                    czhi = czhi.max(zhi);
-                }
 
-                out.push(self.extract_lines(&comp, (cylo, cyhi), (czlo, czhi)));
-
-                let sylo = cylo.saturating_sub(1);
-                let syhi = (cyhi + 1).min(h - 1);
-                let szlo = czlo.saturating_sub(1);
-                let szhi = (czhi + 1).min(d - 1);
-                for z in szlo..=szhi {
-                    for y in sylo..=syhi {
-                        let l = (z * h + y) * ww;
-                        for j in 0..ww {
-                            visited[l + j] |= comp[l + j];
-                            comp[l + j] = 0;
-                            frontier[l + j] = 0;
-                            spread[l + j] = 0;
-                            next[l + j] = 0;
+                    out.push(self.copy_out(comp, cy, cz));
+                    for z in cz.0..cz.1 + 1 {
+                        for l in (cy.0..cy.1 + 1).map(|y| line(y, z)) {
+                            comp[l..l + ww].fill(0);
                         }
                     }
                 }
@@ -956,52 +995,31 @@ impl<C: GridCoord> WordGrid<C> {
         out
     }
 
-    /// Copies the set bits of `bits` (in this grid's frame) within the
-    /// line ranges `ys` and `zs` (frame indices, inclusive) into a new
-    /// tightly framed grid.
-    fn extract_lines(&self, bits: &[u64], ys: (usize, usize), zs: (usize, usize)) -> WordGrid<C> {
+    /// Copies the bits of `bits` (in this grid's frame) into a new grid
+    /// framed by their bounding box, which spans the lines `ys` × `zs`
+    /// (frame indices, inclusive). `bits` must hold no set bit outside
+    /// those lines.
+    fn copy_out(&self, bits: &[u64], ys: (usize, usize), zs: (usize, usize)) -> WordGrid<C> {
         let (ww, h, _) = self.dims();
-        let mut col_or = vec![0u64; ww];
-        let (mut min_y, mut max_y) = (usize::MAX, 0usize);
-        let (mut min_z, mut max_z) = (usize::MAX, 0usize);
+        // Every line from the first to the last is scanned: those outside
+        // `ys` × `zs` are clear.
+        let (x0, x1) = x_extent(
+            &bits[(zs.0 * h + ys.0) * ww..(zs.1 * h + ys.1 + 1) * ww],
+            ww,
+        );
+        let (ox, oy, oz) = (self.origin_x, self.origin_y, self.origin_z);
+        let mut out = WordGrid::with_bounds(
+            C::from_xyz(ox + x0, oy + ys.0 as i32, oz + zs.0 as i32),
+            C::from_xyz(ox + x1, oy + ys.1 as i32, oz + zs.1 as i32),
+        );
+        let (first, n) = ((x0 / 64) as usize, out.width_words as usize);
+        let mut dst = out.words.chunks_exact_mut(n);
         for z in zs.0..=zs.1 {
             for y in ys.0..=ys.1 {
-                let l = (z * h + y) * ww;
-                let mut any = false;
-                for j in 0..ww {
-                    col_or[j] |= bits[l + j];
-                    any |= bits[l + j] != 0;
-                }
-                if any {
-                    min_y = min_y.min(y);
-                    max_y = max_y.max(y);
-                    min_z = min_z.min(z);
-                    max_z = max_z.max(z);
-                }
-            }
-        }
-        assert!(min_y != usize::MAX, "extract_lines on an empty component");
-        let (x0, x1) = x_extent(&col_or, ww);
-        let mut out = WordGrid::with_bounds(
-            C::from_xyz(
-                self.origin_x + x0,
-                self.origin_y + min_y as i32,
-                self.origin_z + min_z as i32,
-            ),
-            C::from_xyz(
-                self.origin_x + x1,
-                self.origin_y + max_y as i32,
-                self.origin_z + max_z as i32,
-            ),
-        );
-        let dw = ((out.origin_x - self.origin_x) / 64) as usize;
-        let (oww, oh, _) = out.dims();
-        let out_words: &mut [u64] = &mut out.words;
-        for z in min_z..=max_z {
-            for y in min_y..=max_y {
-                let src = (z * h + y) * ww + dw;
-                let dst = ((z - min_z) * oh + (y - min_y)) * oww;
-                out_words[dst..dst + oww].copy_from_slice(&bits[src..src + oww]);
+                let src = (z * h + y) * ww + first;
+                dst.next()
+                    .expect("one output line per input line")
+                    .copy_from_slice(&bits[src..src + n]);
             }
         }
         out
@@ -1258,14 +1276,10 @@ impl WordGrid<Coord> {
     }
 
     /// Decomposes the set bits into connected components under `adjacency`
-    /// — the word-scan flood: each component starts from a find-first-set
-    /// seed and expands a whole-word frontier (horizontal spread plus row
-    /// ORs) until it stops growing.
-    ///
-    /// Components are returned in the same deterministic order as
-    /// [`Region::components`]: sorted by their smallest node in `Coord`'s
-    /// x-major order. Each component's grid is framed by its own bounding
-    /// box.
+    /// (the [`flood`](WordGrid::flood)), in the same deterministic order
+    /// as [`Region::components`]: sorted by their smallest node in
+    /// `Coord`'s x-major order. Each component's grid is framed by its own
+    /// bounding box.
     pub fn components(&self, adjacency: Connectivity) -> Vec<BitGrid> {
         self.component_regions_with(adjacency, &mut BitScratch::new())
             .into_iter()
@@ -1274,196 +1288,29 @@ impl WordGrid<Coord> {
     }
 
     /// The connected components under `adjacency` as [`Region`]s, in
-    /// [`components`](Self::components)' x-major order.
-    ///
-    /// Each component is flooded into a shared scratch buffer and its rows
-    /// are copied out into a tightly framed grid, so only the output
-    /// regions are allocated. The flood discovers components in row-major
-    /// order of their first cell; the regions are then ordered by sorting
-    /// the components' smallest x-major nodes.
+    /// [`components`](Self::components)' x-major order: the flood's
+    /// storage order, sorted by each component's smallest x-major node.
     pub fn component_regions_with(
         &self,
         adjacency: Connectivity,
         scratch: &mut BitScratch,
     ) -> Vec<Region> {
-        let (ww, height, _) = self.dims();
-        let words: &[u64] = &self.words;
-        let total = words.len();
-        if total == 0 {
-            return Vec::new();
-        }
-        let mut found = Vec::new();
-        let mut keys = Vec::new();
-        let mut push = |grid: BitGrid| {
-            keys.push((
-                grid.min_coord_x_major().expect("components are non-empty"),
-                keys.len(),
-            ));
-            found.push(Some(Region::from_bits(grid)));
-        };
-        scratch.prepare(total);
-        let BitScratch {
-            a: visited,
-            b: comp,
-            c: frontier,
-            d: spread,
-            e: next,
-            ..
-        } = scratch;
-
-        for seed_word in 0..total {
-            loop {
-                let avail = words[seed_word] & !visited[seed_word];
-                if avail == 0 {
-                    break;
-                }
-                let seed_bit = 1u64 << avail.trailing_zeros();
-                let seed_row = seed_word / ww;
-
-                // Singleton fast path: a seed with an empty 3×3
-                // neighborhood is its own component under either adjacency
-                // — skip the flood loop. (Word-edge bits take the general
-                // path; their neighborhood spans words.)
-                if seed_bit & (1 | 1 << 63) == 0 {
-                    let mask3 = (seed_bit << 1) | seed_bit | (seed_bit >> 1);
-                    let j = seed_word % ww;
-                    let mut nb = words[seed_word] & mask3 & !seed_bit;
-                    if seed_row > 0 {
-                        nb |= words[(seed_row - 1) * ww + j] & mask3;
-                    }
-                    if seed_row + 1 < height {
-                        nb |= words[(seed_row + 1) * ww + j] & mask3;
-                    }
-                    if nb == 0 {
-                        visited[seed_word] |= seed_bit;
-                        comp[seed_word] = seed_bit;
-                        push(self.component_grid(comp, seed_row, seed_row));
-                        comp[seed_word] = 0;
-                        continue;
-                    }
-                }
-                comp[seed_word] = seed_bit;
-                frontier[seed_word] = seed_bit;
-                // Frontier row range and overall component row range.
-                let (mut lo, mut hi) = (seed_row, seed_row);
-                let (mut comp_lo, mut comp_hi) = (seed_row, seed_row);
-                loop {
-                    // Horizontal spread of the frontier rows: for
-                    // 8-adjacency the {x-1, x, x+1} OR (serves the same
-                    // row *and* the diagonal reach of the rows above and
-                    // below); for 4-adjacency only the strict west/east
-                    // shifts (the vertical reach is the frontier itself).
-                    for y in lo..=hi {
-                        let row = y * ww;
-                        match adjacency {
-                            Connectivity::Eight => {
-                                spread_row(&frontier[row..row + ww], &mut spread[row..row + ww]);
-                            }
-                            Connectivity::Four => {
-                                spread_row_strict(
-                                    &frontier[row..row + ww],
-                                    &mut spread[row..row + ww],
-                                );
-                            }
-                        }
-                    }
-                    let scan_lo = lo.saturating_sub(1);
-                    let scan_hi = (hi + 1).min(height - 1);
-                    let mut any = false;
-                    let (mut next_lo, mut next_hi) = (usize::MAX, 0usize);
-                    // Vertical neighbor source: the spread rows under
-                    // 8-adjacency (diagonals included), the raw frontier
-                    // rows under 4-adjacency.
-                    for y in scan_lo..=scan_hi {
-                        let in_frontier = |row: usize| row >= lo && row <= hi;
-                        for j in 0..ww {
-                            let mut nb = 0u64;
-                            if y >= 1 && in_frontier(y - 1) {
-                                nb |= match adjacency {
-                                    Connectivity::Eight => spread[(y - 1) * ww + j],
-                                    Connectivity::Four => frontier[(y - 1) * ww + j],
-                                };
-                            }
-                            if in_frontier(y + 1) {
-                                nb |= match adjacency {
-                                    Connectivity::Eight => spread[(y + 1) * ww + j],
-                                    Connectivity::Four => frontier[(y + 1) * ww + j],
-                                };
-                            }
-                            if in_frontier(y) {
-                                // The 8-spread includes the frontier
-                                // itself; `& !comp` filters it. The
-                                // 4-spread is the strict west/east mask.
-                                nb |= spread[y * ww + j];
-                            }
-                            let grow = nb & words[y * ww + j] & !comp[y * ww + j];
-                            next[y * ww + j] = grow;
-                            if grow != 0 {
-                                comp[y * ww + j] |= grow;
-                                any = true;
-                                next_lo = next_lo.min(y);
-                                next_hi = next_hi.max(y);
-                            }
-                        }
-                    }
-                    if !any {
-                        break;
-                    }
-                    // The fresh grow masks become the frontier; the old
-                    // frontier's rows are zeroed so the (now spare) buffer
-                    // holds no stale bits for the following round.
-                    std::mem::swap(frontier, next);
-                    for y in lo..=hi {
-                        next[y * ww..(y + 1) * ww].fill(0);
-                    }
-                    (lo, hi) = (next_lo, next_hi);
-                    comp_lo = comp_lo.min(lo);
-                    comp_hi = comp_hi.max(hi);
-                }
-
-                for y in comp_lo..=comp_hi {
-                    for j in 0..ww {
-                        visited[y * ww + j] |= comp[y * ww + j];
-                    }
-                }
-                push(self.component_grid(comp, comp_lo, comp_hi));
-
-                // Reset the touched rows of every buffer.
-                let scan_lo = comp_lo.saturating_sub(1);
-                let scan_hi = (comp_hi + 1).min(height - 1);
-                for y in scan_lo..=scan_hi {
-                    let row = y * ww;
-                    comp[row..row + ww].fill(0);
-                    frontier[row..row + ww].fill(0);
-                    spread[row..row + ww].fill(0);
-                    next[row..row + ww].fill(0);
-                }
-            }
-        }
-        keys.sort_unstable();
+        let grids = self.flood(adjacency, scratch);
+        // The smallest node's frame offsets as one integer, x above y: it
+        // orders like the coordinate and sorts faster.
+        let mut keys: Vec<(u64, usize)> = grids
+            .iter()
+            .map(|grid| {
+                let c = grid.min_coord_x_major().expect("components are non-empty");
+                ((c.x - self.origin_x) as u64) << 32 | (c.y - self.origin_y) as u64
+            })
+            .zip(0..)
+            .collect();
+        keys.sort_unstable_by_key(|&(key, _)| key);
+        let mut grids: Vec<Option<BitGrid>> = grids.into_iter().map(Some).collect();
         keys.into_iter()
-            .map(|(_, i)| found[i].take().expect("each index is taken once"))
+            .map(|(_, i)| Region::from_bits(grids[i].take().expect("each index is taken once")))
             .collect()
-    }
-
-    /// Copies one flooded component out of the flood buffer `comp` (in
-    /// this grid's frame) into its own tightly framed grid: rows
-    /// `row_lo..=row_hi` (the first and last hold bits), cut to the words
-    /// between the leftmost and rightmost set bit.
-    fn component_grid(&self, comp: &[u64], row_lo: usize, row_hi: usize) -> BitGrid {
-        let ww = self.width_words as usize;
-        let rows = &comp[row_lo * ww..(row_hi + 1) * ww];
-        let (x0, x1) = x_extent(rows, ww);
-        let mut out = BitGrid::with_bounds(
-            Coord::new(self.origin_x + x0, self.origin_y + row_lo as i32),
-            Coord::new(self.origin_x + x1, self.origin_y + row_hi as i32),
-        );
-        let first = (x0 / 64) as usize;
-        let n = out.width_words as usize;
-        for (dst, row) in out.words.chunks_exact_mut(n).zip(rows.chunks_exact(ww)) {
-            dst.copy_from_slice(&row[first..first + n]);
-        }
-        out
     }
 }
 

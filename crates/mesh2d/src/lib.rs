@@ -5,8 +5,7 @@
 //! Convex Polygon in 2-D Faulty Meshes" (IPDPS 2004)*:
 //!
 //! * [`Coord`] — node addresses `(x, y)` in a 2-D mesh,
-//! * [`Mesh2D`] — the topology itself, neighborhood queries, distances
-//!   and diameter,
+//! * [`Mesh2D`] — the topology itself and its neighborhood queries,
 //! * [`Grid`] — dense per-node storage,
 //! * [`Rect`] — axis-aligned rectangles (faulty blocks, bounding boxes),
 //! * [`Region`] — arbitrary node sets with connectivity and orthogonal

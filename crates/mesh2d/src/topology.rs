@@ -48,12 +48,6 @@ impl Mesh2D {
         (self.width as usize) * (self.height as usize)
     }
 
-    /// Network diameter: `2(n - 1)` for an `n × n` mesh, as stated in
-    /// Section 2.1.
-    pub fn diameter(&self) -> u32 {
-        (self.width as u32 - 1) + (self.height as u32 - 1)
-    }
-
     /// True when `c` addresses a node of this network.
     #[inline]
     pub fn contains(&self, c: Coord) -> bool {
@@ -88,11 +82,6 @@ impl Mesh2D {
     /// Interior node degree is 4; border nodes have fewer links.
     pub fn degree(&self, c: Coord) -> usize {
         self.neighbors4(c).count()
-    }
-
-    /// Distance between two nodes along the network links (no faults).
-    pub fn distance(&self, a: Coord, b: Coord) -> u32 {
-        a.manhattan(b)
     }
 
     /// Converts a coordinate to a dense row-major index.
@@ -135,8 +124,6 @@ mod tests {
         assert_eq!(m.width(), 8);
         assert_eq!(m.height(), 8);
         assert_eq!(m.node_count(), 64);
-        assert_eq!(m.diameter(), 14); // 2(n-1)
-        assert_eq!(m.distance(Coord::new(0, 0), Coord::new(7, 7)), 14);
     }
 
     #[test]

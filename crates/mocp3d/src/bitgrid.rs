@@ -3,13 +3,14 @@
 //!
 //! [`BitGrid3`] is `mesh2d`'s one word grid over [`Coord3`]: 64 nodes per
 //! `u64` along the x axis, one packed x-line per `(y, z)` pair. The frame,
-//! the set algebra, the 26-neighborhood dilation, the 26-connected flood,
-//! the hull fixpoint (with its z sweep across planes) and the convexity
-//! scan are the same kernels the 2-D grid runs in its single plane. This
-//! module adds what only the 3-D merge process uses: the box-halo test,
-//! the union-find over fault components and the merge of a class's
-//! pieces. The scalar `BTreeSet` prototype of `tests/hull_oracle.rs`
-//! remains the specification the kernels are property-tested against.
+//! the set algebra, the 26-neighborhood dilation, the flood (26-connected
+//! under `Connectivity::Eight`), the hull fixpoint (with its z sweep
+//! across planes) and the convexity scan are the same kernels the 2-D grid
+//! runs in its single plane. This module adds what only the 3-D merge
+//! process uses: the box-halo test, the union-find over fault components
+//! and the merge of a class's pieces. The scalar `BTreeSet` prototype of
+//! `tests/hull_oracle.rs` remains the specification the kernels are
+//! property-tested against.
 
 use crate::mesh::Coord3;
 use mesh2d::bitgrid::joint_box;
@@ -149,7 +150,7 @@ pub(crate) fn merge_classes(pieces: Vec<Piece>, classes: &mut UnionFind) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mesh2d::BitScratch;
+    use mesh2d::{BitScratch, Connectivity};
 
     fn grid(list: &[(i32, i32, i32)]) -> BitGrid3 {
         BitGrid3::from_coords(list.iter().map(|&(x, y, z)| Coord3::new(x, y, z)))
@@ -373,7 +374,7 @@ mod tests {
     fn components_and_hull_basics() {
         // A diagonal chain is one 26-component; a detached node is another.
         let g = grid(&[(0, 0, 0), (1, 1, 1), (2, 2, 2), (9, 0, 0)]);
-        let comps = g.components26();
+        let comps = g.flood(Connectivity::Eight, &mut BitScratch::new());
         assert_eq!(comps.len(), 2);
         assert_eq!(comps.iter().map(BitGrid3::len).sum::<usize>(), 4);
 

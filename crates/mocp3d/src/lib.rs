@@ -8,10 +8,9 @@
 //! * [`Coord3`] / [`Mesh3D`] / [`Grid3`] — the 3-D mesh substrate with
 //!   dense, flat-`Vec` per-node storage (the analogue of `mesh2d`);
 //! * [`Region3`] — bitmap-backed node sets with 26-connected component
-//!   labelling and the dirty-line minimum orthogonal convex hull, plus
-//!   [`minimum_polyhedra`], the dense equivalent of the scalar
-//!   specification prototype that `tests/hull_oracle.rs` holds as its
-//!   differential oracle;
+//!   labelling and the minimum orthogonal convex hull, checked against the
+//!   scalar specification prototype that `tests/hull_oracle.rs` holds as
+//!   its differential oracle;
 //! * [`FaultSet3`] / [`FaultInjector3`] — the paper's random and clustered
 //!   fault distributions in 3-D; the injector is the `Mesh3D`
 //!   instantiation of `faultgen`'s generic injector, sharing its
@@ -60,7 +59,7 @@ pub use fault::{generate_faults_3d, FaultInjector3, FaultSet3};
 pub use grid::Grid3;
 pub use mesh::{Coord3, Mesh3D};
 pub use model::{FaultyCuboidModel, MinimumPolyhedronModel, Outcome3};
-pub use region::{minimum_polyhedra, Region3};
+pub use region::Region3;
 pub use registry::{standard_registry_3d, BoxedModel3, ModelRegistry3};
 
 // The dimension-generic vocabulary this crate instantiates.

@@ -6,17 +6,18 @@
 //! per-node `BTreeSet` for every membership test, this [`Region3`] keeps a
 //! word-packed occupancy bitmap ([`BitGrid3`]) over the region's bounding
 //! box — 64 nodes per `u64` along the x axis — so component labelling is
-//! a find-first-set seed plus whole-word frontier expansion, and the hull
-//! construction fills per-axis occupied spans with leading/trailing-zero
-//! counts (x) and word-parallel prefix/suffix sweeps (y, z) instead of
-//! cell loops.
+//! `mesh2d`'s one word-scan flood (find-first-set seeds plus whole-word
+//! frontier expansion, the same kernel the 2-D merge process runs), and
+//! the hull construction fills per-axis occupied spans with
+//! leading/trailing-zero counts (x) and word-parallel prefix/suffix sweeps
+//! (y, z) instead of cell loops.
 //!
-//! The construction is property-tested equal to the prototype's
-//! `minimum_polyhedra` (the differential oracle) in `tests/hull_oracle.rs`.
+//! The labelling and the hull are property-tested equal to the
+//! prototype's (the differential oracle) in `tests/hull_oracle.rs`.
 
 use crate::bitgrid::BitGrid3;
 use crate::mesh::Coord3;
-use mesh2d::BitScratch;
+use mesh2d::{BitScratch, Connectivity};
 
 /// A set of 3-D nodes, stored as a word-packed occupancy bitmap over the
 /// set's bounding box.
@@ -95,14 +96,10 @@ impl Region3 {
     }
 
     /// Decomposes into 26-connected components (the 3-D merge process)
-    /// via the word-scan flood: find-first-set seeds plus whole-word
-    /// frontier expansion over the 3×3 neighboring lines.
+    /// via `mesh2d`'s word-scan flood, in storage order.
     pub fn components26(&self) -> Vec<Region3> {
-        self.bits
-            .components26()
-            .into_iter()
-            .map(Region3::from_bits)
-            .collect()
+        let components = self.bits.flood(Connectivity::Eight, &mut BitScratch::new());
+        components.into_iter().map(Region3::from_bits).collect()
     }
 
     /// The 3-D orthogonal convexity test: along every axis-parallel line
@@ -153,18 +150,6 @@ impl PartialEq for Region3 {
 }
 
 impl Eq for Region3 {}
-
-/// The 3-D analogue of the paper's construction: merge the faults into
-/// 26-adjacent components and return each component's minimum orthogonal
-/// convex polyhedron. The dense, bitmap-backed equivalent of the
-/// specification prototype's `minimum_polyhedra` (`tests/hull_oracle.rs`).
-pub fn minimum_polyhedra(faults: &Region3) -> Vec<Region3> {
-    faults
-        .components26()
-        .into_iter()
-        .map(|c| c.orthogonal_convex_hull())
-        .collect()
-}
 
 #[cfg(test)]
 mod tests {
@@ -246,18 +231,6 @@ mod tests {
         assert!(hull.contains(Coord3::new(1, 1, 1)));
         assert_eq!(hull.len(), 27);
         assert!(hull.is_orthogonally_convex());
-    }
-
-    #[test]
-    fn minimum_polyhedra_hulls_per_component() {
-        // An L-chain (0,0)-(1,1)-(2,0): the y=0 line has a gap at (1,0)
-        // that the hull must fill. The far node is its own component.
-        let r = region(&[(0, 0, 0), (1, 1, 0), (2, 0, 0), (6, 6, 6)]);
-        let polys = minimum_polyhedra(&r);
-        assert_eq!(polys.len(), 2);
-        let total: usize = polys.iter().map(Region3::len).sum();
-        assert_eq!(total, 5, "the 1-D gap is filled, the singleton is kept");
-        assert!(polys[0].contains(Coord3::new(1, 0, 0)));
     }
 
     #[test]

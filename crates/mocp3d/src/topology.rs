@@ -76,10 +76,6 @@ impl RegionOps for Region3 {
         self.iter().all(|c| !other.contains(c))
     }
 
-    fn cluster_components(&self) -> Vec<Self> {
-        self.components26()
-    }
-
     fn is_orthogonally_convex(&self) -> bool {
         Region3::is_orthogonally_convex(self)
     }
@@ -157,7 +153,7 @@ mod tests {
         let u = RegionOps::union(&a, &b);
         assert_eq!(RegionOps::len(&u), 3);
         assert_eq!(
-            u.cluster_components().len(),
+            u.components26().len(),
             2,
             "26-adjacency joins the diagonal pair"
         );

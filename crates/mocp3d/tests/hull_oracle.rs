@@ -12,8 +12,10 @@ mod extension3d;
 
 use extension3d as oracle;
 use faultgen::FaultDistribution;
-use mocp_3d::{generate_faults_3d, minimum_polyhedra, Coord3, Mesh3D, Region3};
+use mesh2d::{BitScratch, Connectivity};
+use mocp_3d::{generate_faults_3d, BitGrid3, Coord3, Mesh3D, Region3};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 fn coords(list: &[(i32, i32, i32)]) -> Vec<Coord3> {
     list.iter().map(|&(x, y, z)| Coord3::new(x, y, z)).collect()
@@ -34,6 +36,46 @@ fn normalize(polyhedra: Vec<Vec<Coord3>>) -> Vec<Vec<Coord3>> {
     out
 }
 
+/// The dense construction: merge the faults into 26-adjacent components
+/// and hull each one — the bitmap-backed equivalent of the prototype's
+/// `minimum_polyhedra`.
+fn minimum_polyhedra(faults: &Region3) -> Vec<Region3> {
+    faults
+        .components26()
+        .into_iter()
+        .map(|c| c.orthogonal_convex_hull())
+        .collect()
+}
+
+/// The 6-connected (link) components of `cells` by breadth-first search,
+/// normalized.
+fn link_components(cells: &[Coord3]) -> Vec<Vec<Coord3>> {
+    let mut left: BTreeSet<Coord3> = cells.iter().copied().collect();
+    let mut out = Vec::new();
+    while let Some(start) = left.pop_first() {
+        let mut component = vec![start];
+        let mut i = 0;
+        while let Some(&c) = component.get(i) {
+            i += 1;
+            for (dx, dy, dz) in [
+                (1, 0, 0),
+                (-1, 0, 0),
+                (0, 1, 0),
+                (0, -1, 0),
+                (0, 0, 1),
+                (0, 0, -1),
+            ] {
+                let n = Coord3::new(c.x + dx, c.y + dy, c.z + dz);
+                if left.remove(&n) {
+                    component.push(n);
+                }
+            }
+        }
+        out.push(component);
+    }
+    normalize(out)
+}
+
 /// The dense and the prototype `minimum_polyhedra` of `faults`, normalized.
 fn both_polyhedra(faults: &[Coord3]) -> (Vec<Vec<Coord3>>, Vec<Vec<Coord3>>) {
     let dense = minimum_polyhedra(&Region3::from_coords(faults.iter().copied()));
@@ -42,6 +84,18 @@ fn both_polyhedra(faults: &[Coord3]) -> (Vec<Vec<Coord3>>, Vec<Vec<Coord3>>) {
         normalize(dense.iter().map(|p| p.iter().collect()).collect()),
         normalize(proto.iter().map(|p| p.iter().collect()).collect()),
     )
+}
+
+/// An L-chain (0,0)-(1,1)-(2,0): the y = 0 line has a gap at (1,0) that
+/// the hull must fill. The far node is its own component.
+#[test]
+fn minimum_polyhedra_hulls_per_component() {
+    let faults = Region3::from_coords(coords(&[(0, 0, 0), (1, 1, 0), (2, 0, 0), (6, 6, 6)]));
+    let polys = minimum_polyhedra(&faults);
+    assert_eq!(polys.len(), 2);
+    let total: usize = polys.iter().map(Region3::len).sum();
+    assert_eq!(total, 5, "the 1-D gap is filled, the singleton is kept");
+    assert!(polys[0].contains(Coord3::new(1, 0, 0)));
 }
 
 /// Clustered draws: a 10³ mesh at 5% faults (seed 9), a 20³ mesh at ~7%
@@ -202,17 +256,33 @@ proptest! {
         }
     }
 
-    /// Component labelling agrees with the oracle's 26-adjacency merge.
+    /// Component labelling agrees with the oracle's 26-adjacency merge,
+    /// and the link (6-neighbor) flood with a breadth-first search. The x
+    /// range is 0..6, or one of 56..72, 120..136 and -72..-56, which
+    /// straddle a word boundary, so the spread crosses words and word-edge
+    /// seeds take the flood. The components come out in storage order.
     #[test]
     fn components_match_the_oracle(
-        pts in prop::collection::vec((0..6i32, 0..6i32, 0..6i32), 0..30)
+        range in 0..4usize,
+        pts in prop::collection::vec((0..16i32, 0..6i32, 0..6i32), 0..48)
     ) {
+        let (x0, width) = [(0, 6), (56, 16), (120, 16), (-72, 16)][range];
+        let pts: Vec<_> = pts.iter().map(|&(x, y, z)| (x0 + x % width, y, z)).collect();
         let cs = coords(&pts);
         let dense = Region3::from_coords(cs.iter().copied()).components26();
         let proto = oracle::Region3::from_coords(cs.iter().copied()).components26();
         prop_assert_eq!(
             normalize(dense.iter().map(|p| p.iter().collect()).collect()),
             normalize(proto.iter().map(|p| p.iter().collect()).collect())
+        );
+        let zyx = |r: &Region3| r.bits().min_cell().map(|c| (c.z, c.y, c.x));
+        prop_assert!(dense.windows(2).all(|w| zyx(&w[0]) < zyx(&w[1])), "storage order");
+
+        let links = BitGrid3::from_coords(cs.iter().copied())
+            .flood(Connectivity::Four, &mut BitScratch::new());
+        prop_assert_eq!(
+            normalize(links.iter().map(|g| g.iter().collect()).collect()),
+            link_components(&cs)
         );
     }
 }

@@ -8,14 +8,11 @@
 //! `mesh2d`); the 3-D implementations live in `mocp_3d`.
 
 use crate::mesh::MeshTopology;
-use mesh2d::{
-    BitGrid, Connectivity, Coord, FaultSet, GridCoord, Mesh2D, Region, StatusMap, WordGrid,
-};
+use mesh2d::{BitGrid, Coord, FaultSet, GridCoord, Mesh2D, Region, StatusMap, WordGrid};
 use std::fmt::Debug;
 
-/// Node-set geometry shared by every dimension: size, membership, union,
-/// connected components under the topology's cluster adjacency, and the
-/// orthogonal-convexity check of the paper's Definition 1.
+/// Node-set geometry shared by every dimension: size, membership, union
+/// and the orthogonal-convexity check of the paper's Definition 1.
 pub trait RegionOps: Clone + PartialEq + Debug + Send + Sync + 'static {
     /// The node address type of the region's topology.
     type Coord: GridCoord;
@@ -46,11 +43,6 @@ pub trait RegionOps: Clone + PartialEq + Debug + Send + Sync + 'static {
     fn is_disjoint(&self, other: &Self) -> bool {
         self.coords().into_iter().all(|c| !other.contains(c))
     }
-
-    /// Decomposes the region into connected components under the cluster
-    /// adjacency of its dimension (8-neighborhood in 2-D, 26-neighborhood
-    /// in 3-D) — the relation of the paper's component merge process.
-    fn cluster_components(&self) -> Vec<Self>;
 
     /// The orthogonal-convexity test (Definition 1, per dimension): along
     /// every axis-parallel line the region's nodes form one contiguous run.
@@ -86,10 +78,6 @@ impl RegionOps for Region {
 
     fn is_disjoint(&self, other: &Self) -> bool {
         Region::is_disjoint(self, other)
-    }
-
-    fn cluster_components(&self) -> Vec<Self> {
-        self.components(Connectivity::Eight)
     }
 
     fn is_orthogonally_convex(&self) -> bool {
@@ -187,7 +175,7 @@ impl FaultStore<Mesh2D> for FaultSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mesh2d::NodeStatus;
+    use mesh2d::{Connectivity, NodeStatus};
 
     #[test]
     fn region_ops_match_the_inherent_api() {
@@ -199,7 +187,7 @@ mod tests {
         assert_eq!(RegionOps::len(&r), 3);
         assert!(RegionOps::contains(&r, Coord::new(1, 1)));
         assert_eq!(
-            r.cluster_components().len(),
+            r.components(Connectivity::Eight).len(),
             2,
             "8-adjacency merges the diagonal pair"
         );

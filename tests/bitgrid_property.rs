@@ -191,7 +191,8 @@ proptest! {
             .iter()
             .map(|c| lift(&mut c.iter(), 0))
             .collect();
-        let components3: BTreeSet<_> = bits3.components26().iter().map(cells3).collect();
+        let components3: BTreeSet<_> =
+            bits3.flood(Connectivity::Eight, &mut BitScratch::new()).iter().map(cells3).collect();
         prop_assert_eq!(components3, components);
         prop_assert_eq!(bits3.is_orthogonally_convex(), bits.is_orthogonally_convex());
 
