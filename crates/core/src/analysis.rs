@@ -1,5 +1,4 @@
-//! High-level entry points: the CMFP fault model and the cross-model
-//! analysis helper.
+//! High-level entry point: the CMFP fault model.
 //!
 //! The virtual-block CMFP construction merges the faults into components
 //! and solves each one on its window (the virtual block plus an unclipped
@@ -11,18 +10,23 @@
 //! the window, so the cache is exact. In the paper's sweep nearly every
 //! component is a single fault or a tiny cluster, and over nine in ten
 //! repeat a shape already solved in the same construction. The cache
-//! lives only in [`CentralizedMfpModel::solve_components`]; the
-//! incremental engine's per-component entry points
-//! ([`construct_component_with`](crate::construct_component_with)) do not
-//! use one. The concave-section solution runs the same merge → solve →
+//! lives only in [`CentralizedMfpModel::solve_components`]; the public
+//! per-component entry point
+//! ([`construct_component_with`](crate::construct_component_with)) does
+//! not use one. The concave-section solution runs the same merge → solve →
 //! pile pipeline, each component hulled by the bit-parallel fixpoint on
 //! its bounding box, with no cache.
+//!
+//! The choice between the two centralized solutions lives here and in
+//! that entry point only: Figure 11 counts the rounds of solution 1, and
+//! the tests compare the two. The incremental engine always runs the
+//! concave-section fixpoint.
 
 use crate::component::{merge_components, FaultyComponent};
 use crate::construction::{construct_component_on, ComponentPolygon, ConstructionScratch};
 use crate::shape_cache::ShapeCache;
 use crate::superseding::pile_polygons;
-use fblock::{FaultModel, FaultyBlockModel, ModelOutcome, RoundStats, SubMinimumPolygonModel};
+use fblock::{FaultModel, ModelOutcome, RoundStats};
 use mesh2d::{FaultSet, Mesh2D, Region};
 
 /// Which centralized formulation computes the per-component polygons.
@@ -65,12 +69,12 @@ impl CentralizedMfpModel {
     /// with the network-wide round statistics (components are constructed in
     /// disjoint areas of the mesh, so their rounds compose in parallel).
     ///
-    /// Each component is solved through the shared per-component entry point
-    /// ([`construct_component`](crate::construction::construct_component)),
-    /// the same path the incremental maintenance
-    /// engine uses for its dirty components. The virtual-block solution
-    /// also threads a shape cache through the components, so each
-    /// distinct small component shape is solved once per call.
+    /// Each component is solved by the code behind the public
+    /// per-component entry point
+    /// ([`construct_component_with`](crate::construct_component_with)).
+    /// The virtual-block solution also threads a shape cache through the
+    /// components, so each distinct small component shape is solved once
+    /// per call.
     pub fn solve_components(&self, components: &[FaultyComponent]) -> (Vec<Region>, RoundStats) {
         use rayon::prelude::*;
         let cached = self.solution == CentralizedSolution::VirtualBlock;
@@ -133,41 +137,11 @@ impl FaultModel for CentralizedMfpModel {
     }
 }
 
-/// Runs all four fault models (FB, FP, CMFP, DMFP) on the same fault pattern
-/// and keeps their outcomes side by side — the comparison the paper's
-/// Figures 9–11 are built from.
-#[derive(Clone, Debug)]
-pub struct MfpAnalysis {
-    /// Rectangular faulty block outcome.
-    pub fb: ModelOutcome,
-    /// Sub-minimum faulty polygon outcome (Wu, IPDPS 2001).
-    pub fp: ModelOutcome,
-    /// Centralized minimum faulty polygon outcome.
-    pub cmfp: ModelOutcome,
-    /// Distributed minimum faulty polygon outcome.
-    pub dmfp: ModelOutcome,
-}
-
-impl MfpAnalysis {
-    /// Runs the four constructions on the same mesh and fault set.
-    pub fn run(mesh: &Mesh2D, faults: &FaultSet) -> Self {
-        MfpAnalysis {
-            fb: FaultyBlockModel.construct(mesh, faults),
-            fp: SubMinimumPolygonModel.construct(mesh, faults),
-            cmfp: CentralizedMfpModel::virtual_block().construct(mesh, faults),
-            dmfp: crate::distributed::protocol::DistributedMfpModel.construct(mesh, faults),
-        }
-    }
-
-    /// The outcomes in presentation order (FB, FP, CMFP, DMFP).
-    pub fn all(&self) -> [&ModelOutcome; 4] {
-        [&self.fb, &self.fp, &self.cmfp, &self.dmfp]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::standard_registry;
+    use fblock::SubMinimumPolygonModel;
     use mesh2d::Coord;
 
     fn faults(mesh: Mesh2D, list: &[(i32, i32)]) -> FaultSet {
@@ -247,19 +221,27 @@ mod tests {
     fn analysis_runs_all_models_consistently() {
         let mesh = Mesh2D::square(14);
         let fs = faults(mesh, &[(3, 3), (4, 4), (5, 3), (4, 2), (9, 9), (10, 10)]);
-        let analysis = MfpAnalysis::run(&mesh, &fs);
-        for outcome in analysis.all() {
+        let registry = standard_registry();
+        let outcomes: Vec<ModelOutcome> = registry
+            .names()
+            .map(|name| registry.construct(name, &mesh, &fs).unwrap())
+            .collect();
+        for outcome in &outcomes {
             assert!(outcome.covers_all_faults(), "{}", outcome.model);
             assert_eq!(outcome.faulty_count(), fs.len(), "{}", outcome.model);
         }
+        let [fb, fp, cmfp, dmfp] = &outcomes[..] else {
+            panic!("the standard registry holds the paper's four models");
+        };
+        assert_eq!(
+            [&fb.model, &fp.model, &cmfp.model, &dmfp.model],
+            ["FB", "FP", "CMFP", "DMFP"]
+        );
         // The ordering the paper reports: MFP disables no more than FP, which
         // disables no more than FB.
-        assert!(analysis.cmfp.disabled_nonfaulty() <= analysis.fp.disabled_nonfaulty());
-        assert!(analysis.fp.disabled_nonfaulty() <= analysis.fb.disabled_nonfaulty());
-        assert_eq!(
-            analysis.cmfp.disabled_nonfaulty(),
-            analysis.dmfp.disabled_nonfaulty()
-        );
+        assert!(cmfp.disabled_nonfaulty() <= fp.disabled_nonfaulty());
+        assert!(fp.disabled_nonfaulty() <= fb.disabled_nonfaulty());
+        assert_eq!(cmfp.disabled_nonfaulty(), dmfp.disabled_nonfaulty());
     }
 
     #[test]

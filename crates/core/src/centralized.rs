@@ -24,14 +24,18 @@
 //! coordinates (the window's origin may be `(-1, -1)` in mesh
 //! coordinates): the component's faults are loaded as bits, both schemes
 //! run bit-parallel, and the polygon is read off the frame's disabled
-//! bits. The batch models and the incremental engine hold the frame in
-//! their [`ConstructionScratch`](crate::ConstructionScratch), so the solve
-//! allocates only the output polygon. `mocp_core`'s `construct_oracle`
-//! test keeps the per-window `FaultSet`/`Grid` emulation this replaced as
-//! its oracle. The batch model also solves through a shape cache, which
-//! answers a repeated small window from the first solve of its shape.
+//! bits. The solve is reached through
+//! [`construct_component_with`](crate::construct_component_with) with
+//! [`CentralizedSolution::VirtualBlock`](crate::CentralizedSolution::VirtualBlock),
+//! whose [`ConstructionScratch`](crate::ConstructionScratch) holds the
+//! frame, so it allocates only the output polygon. The batch
+//! [`CentralizedMfpModel`](crate::CentralizedMfpModel) also solves through
+//! a shape cache, which answers a repeated small window from the first
+//! solve of its shape. `mocp_core`'s `construct_oracle` test keeps the
+//! per-window `FaultSet`/`Grid` emulation this replaced as its oracle.
 
 use crate::component::FaultyComponent;
+use crate::construction::ComponentPolygon;
 use crate::shape_cache::{ShapeCache, ShapeKey};
 use fblock::LabelFrame;
 use fblock::RoundStats;
@@ -39,33 +43,18 @@ use mesh2d::{BitGrid, Coord, Rect, Region};
 
 /// Centralized solution 1 (virtual faulty block + labelling schemes 1 and 2).
 #[derive(Clone, Copy, Debug, Default)]
-pub struct VirtualBlockSolver;
-
-/// The result of solving one component.
-#[derive(Clone, Debug)]
-pub struct ComponentSolution {
-    /// The component's minimum faulty polygon (faults plus forced non-faulty
-    /// nodes), in mesh coordinates.
-    pub polygon: Region,
-    /// Rounds of neighbor information exchange the per-component emulation
-    /// of labelling schemes 1 and 2 needed (the CMFP contribution to
-    /// Figure 11).
-    pub rounds: RoundStats,
-}
+pub(crate) struct VirtualBlockSolver;
 
 impl VirtualBlockSolver {
-    /// Solves a single component on a fresh window frame.
-    pub fn solve(&self, component: &FaultyComponent) -> ComponentSolution {
-        self.solve_with(component, &mut LabelFrame::new())
-    }
-
     /// Solves a single component on a caller-provided window frame, which
-    /// is re-framed to the component's window.
-    pub fn solve_with(
+    /// is re-framed to the component's window. The rounds are those of
+    /// neighbor information exchange the emulation of labelling schemes 1
+    /// and 2 needed (the CMFP contribution to Figure 11).
+    pub(crate) fn solve_with(
         &self,
         component: &FaultyComponent,
         frame: &mut LabelFrame,
-    ) -> ComponentSolution {
+    ) -> ComponentPolygon {
         let window = window_around(component.virtual_block());
         let offset = window.min();
         frame.reset(window.width() as i32, window.height() as i32);
@@ -84,7 +73,7 @@ impl VirtualBlockSolver {
                 .iter()
                 .map(|c| Coord::new(c.x + offset.x, c.y + offset.y)),
         );
-        ComponentSolution { polygon, rounds }
+        ComponentPolygon { polygon, rounds }
     }
 
     /// [`solve_with`](Self::solve_with) through a shape cache: a component
@@ -96,7 +85,7 @@ impl VirtualBlockSolver {
         component: &FaultyComponent,
         frame: &mut LabelFrame,
         cache: &mut ShapeCache<SolvedShape>,
-    ) -> ComponentSolution {
+    ) -> ComponentPolygon {
         let window = window_around(component.virtual_block());
         let Some(key) = ShapeKey::new(window, component.iter()) else {
             return self.solve_with(component, frame);
@@ -104,7 +93,7 @@ impl VirtualBlockSolver {
         if let Some(SolvedShape { rounds, polygon }) = cache.get(&key) {
             mocp_obs::counter!("construct.shape_cache_hits").inc();
             let polygon = polygon_in(component.virtual_block(), key.unpack(window.min(), polygon));
-            return ComponentSolution { polygon, rounds };
+            return ComponentPolygon { polygon, rounds };
         }
         let sol = self.solve_with(component, frame);
         cache.insert(
@@ -147,8 +136,19 @@ fn window_around(block: Rect) -> Rect {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::CentralizedSolution;
+    use crate::construction::{construct_component_with, ConstructionScratch};
     use crate::hull::minimum_polygon;
     use mesh2d::Mesh2D;
+
+    /// Solution 1 through the public entry point, on a fresh frame.
+    fn solve(component: &FaultyComponent) -> ComponentPolygon {
+        construct_component_with(
+            component,
+            CentralizedSolution::VirtualBlock,
+            &mut ConstructionScratch::new(),
+        )
+    }
 
     fn component(list: &[(i32, i32)]) -> FaultyComponent {
         FaultyComponent::new(Region::from_coords(
@@ -159,7 +159,7 @@ mod tests {
     #[test]
     fn u_shape_polygon_matches_hull() {
         let u = component(&[(2, 2), (3, 2), (4, 2), (2, 3), (4, 3), (2, 4), (4, 4)]);
-        let sol = VirtualBlockSolver.solve(&u);
+        let sol = solve(&u);
         assert_eq!(sol.polygon, minimum_polygon(&u));
         assert!(sol.rounds.rounds > 0);
         assert!(sol.rounds.converged);
@@ -168,7 +168,7 @@ mod tests {
     #[test]
     fn staircase_polygon_is_the_component() {
         let s = component(&[(2, 2), (3, 3), (4, 4)]);
-        let sol = VirtualBlockSolver.solve(&s);
+        let sol = solve(&s);
         assert_eq!(sol.polygon, s.region().clone());
     }
 
@@ -179,7 +179,7 @@ mod tests {
         // shrinking rule is not starved of enabled neighbors there.
         let mesh = Mesh2D::square(6);
         let corner = component(&[(0, 0), (1, 1), (0, 2)]);
-        let sol = VirtualBlockSolver.solve(&corner);
+        let sol = solve(&corner);
         assert_eq!(sol.polygon, minimum_polygon(&corner));
         for c in sol.polygon.iter() {
             assert!(mesh.contains(c), "the hull never leaves the bounding box");
@@ -226,7 +226,7 @@ mod tests {
         ];
         for shape in shapes {
             let comp = component(&shape);
-            let sol = VirtualBlockSolver.solve(&comp);
+            let sol = solve(&comp);
             assert_eq!(sol.polygon, minimum_polygon(&comp), "shape {shape:?}");
         }
     }
@@ -236,8 +236,8 @@ mod tests {
         let small = component(&[(2, 2), (3, 3)]);
         let long: Vec<(i32, i32)> = (0..12).map(|i| (i + 2, i + 2)).collect();
         let large = component(&long);
-        let r_small = VirtualBlockSolver.solve(&small).rounds;
-        let r_large = VirtualBlockSolver.solve(&large).rounds;
+        let r_small = solve(&small).rounds;
+        let r_large = solve(&large).rounds;
         assert!(r_large.rounds > r_small.rounds);
     }
 }

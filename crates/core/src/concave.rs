@@ -10,7 +10,7 @@
 //! nodes), the scan is iterated until no new section appears. The
 //! production construction of solution 2 runs that scan-then-fill
 //! iteration bit-parallel on packed rows (`BitGrid::hull_fixpoint`, through
-//! [`construct_component`](crate::construct_component)); the scalar scan
+//! [`construct_component_with`](crate::construct_component_with)); the scalar scan
 //! and solver are the `construct_oracle` test's. This module keeps the
 //! section type the distributed protocol detects and notifies.
 

@@ -4,27 +4,22 @@
 //! [`centralized`](crate::centralized) and the concave-section fill of
 //! [`concave`](crate::concave), run here as the bit-parallel hull
 //! fixpoint — compute the minimum orthogonal convex polygon of *one*
-//! faulty component. Before this module existed that fact was buried
-//! inside [`CentralizedMfpModel`](crate::CentralizedMfpModel),
-//! whose API only accepted a whole mesh's fault set; consumers that already
-//! know the component decomposition (most importantly the incremental
-//! maintenance engine in `mocp_incremental`, which tracks components across
-//! a stream of inject/repair events) had no way to re-solve just one
-//! component.
-//!
-//! [`construct_component`] is that entry point: one component in, its
-//! minimum polygon and round accounting out, with the solution formulation
-//! chosen by [`CentralizedSolution`]. [`polygon_from_cells`] is the
-//! cell-set-shaped convenience wrapper. `CentralizedMfpModel` itself now
-//! routes every component through here, so the batch models and the
-//! incremental engine share one construction path.
+//! faulty component. [`construct_component_with`] is the one public entry
+//! point: one component in, its minimum polygon and round accounting out,
+//! with the formulation named by a [`CentralizedSolution`]. The batch
+//! [`CentralizedMfpModel`](crate::CentralizedMfpModel) routes every
+//! component through the same code, adding a shape cache for the
+//! virtual-block solve. The incremental engine in `mocp_incremental`
+//! needs no formulation choice: it hulls each dirty component in place
+//! with the concave-section fixpoint and borrows only the flood buffers
+//! of a [`ConstructionScratch`].
 
 use crate::analysis::CentralizedSolution;
 use crate::centralized::{SolvedShape, VirtualBlockSolver};
 use crate::component::FaultyComponent;
 use crate::shape_cache::ShapeCache;
 use fblock::{LabelFrame, RoundStats};
-use mesh2d::{BitGrid, BitScratch, Connectivity, Coord, Rect, Region};
+use mesh2d::{BitGrid, BitScratch, Connectivity, Rect, Region};
 
 /// Reusable buffers threaded through the construction entry points so the
 /// hull fixpoint, the virtual-block labelling and the callers' flood fills
@@ -80,43 +75,6 @@ impl ConstructionScratch {
     }
 }
 
-/// The concave-section (solution 2) construction of one component's
-/// minimum polygon over an arbitrary cell iterator, on scratch buffers:
-/// the bit-parallel hull fixpoint inside the component's bounding box.
-///
-/// `cells` must be the nodes of one 8-connected component and `bbox` its
-/// bounding rectangle. The returned iteration count equals the scan-then-
-/// fill rounds of the scalar concave-section solver, as the
-/// `construct_oracle` test checks.
-pub(crate) fn concave_polygon_with(
-    cells: impl Iterator<Item = Coord>,
-    cell_count: usize,
-    bbox: Rect,
-    scratch: &mut ConstructionScratch,
-) -> ComponentPolygon {
-    if scratch.grid.reset_frame(bbox.min(), bbox.max()) {
-        scratch.grid_grows += 1;
-    }
-    for c in cells {
-        scratch.grid.set(c);
-    }
-    let (iterations, added) = scratch.grid.hull_fixpoint(&mut scratch.bits);
-    let polygon = Region::from_bits(scratch.grid.clone());
-    debug_assert_eq!(polygon.len(), cell_count + added as usize);
-    mocp_obs::counter!("construct.components").inc();
-    mocp_obs::counter!("construct.fixpoint_rounds").add(iterations as u64);
-    mocp_obs::counter!("construct.nodes_added").add(added);
-    mocp_obs::histogram!("construct.rounds_per_component").record(iterations as u64);
-    ComponentPolygon {
-        polygon,
-        rounds: RoundStats {
-            rounds: iterations,
-            events: added,
-            converged: true,
-        },
-    }
-}
-
 /// The minimum faulty polygon of a single component, with the round
 /// accounting of the construction that produced it.
 #[derive(Clone, Debug)]
@@ -131,21 +89,11 @@ pub struct ComponentPolygon {
 }
 
 /// Computes the minimum faulty polygon of one component using the chosen
-/// centralized formulation. Both formulations produce the same polygon (the
-/// component's orthogonal convex hull); they differ only in cost model and
-/// round accounting.
-pub fn construct_component(
-    component: &FaultyComponent,
-    solution: CentralizedSolution,
-) -> ComponentPolygon {
-    construct_component_with(component, solution, &mut ConstructionScratch::new())
-}
-
-/// [`construct_component`] with caller-provided scratch buffers: the batch
-/// models thread one scratch across every component of a sweep, and the
-/// incremental engine threads one across its whole event stream, so
-/// neither formulation allocates anything but the output polygon in steady
-/// state.
+/// centralized formulation, on caller-provided scratch buffers. Both
+/// formulations produce the same polygon (the component's orthogonal
+/// convex hull); they differ only in cost model and round accounting. A
+/// caller that threads one scratch through many components allocates
+/// nothing but the output polygons in steady state.
 pub fn construct_component_with(
     component: &FaultyComponent,
     solution: CentralizedSolution,
@@ -173,74 +121,50 @@ pub(crate) fn construct_component_on(
             };
             mocp_obs::counter!("construct.components").inc();
             mocp_obs::counter!("construct.labelling_rounds").add(sol.rounds.rounds as u64);
-            ComponentPolygon {
-                polygon: sol.polygon,
-                rounds: sol.rounds,
-            }
+            sol
         }
-        CentralizedSolution::ConcaveSections => concave_polygon_with(
-            component.region().bits().iter(),
-            component.len(),
-            component.virtual_block(),
-            scratch,
-        ),
+        CentralizedSolution::ConcaveSections => concave_polygon_with(component, scratch),
     }
 }
 
-/// Per-component construction over a live cell set with its maintained
-/// bounding box — the incremental engine's entry point: no
-/// [`FaultyComponent`] is materialized and, for the concave-section
-/// solution, no intermediate `Region` either, so a steady-state caller
-/// holding one [`ConstructionScratch`] allocates only the output polygon.
-pub fn construct_cells_with(
-    cells: &Region,
-    bbox: Rect,
-    solution: CentralizedSolution,
+/// The concave-section (solution 2) construction of one component's
+/// minimum polygon on scratch buffers: the bit-parallel hull fixpoint
+/// inside the component's bounding box. The returned iteration count
+/// equals the scan-then-fill rounds of the scalar concave-section solver,
+/// as the `construct_oracle` test checks.
+fn concave_polygon_with(
+    component: &FaultyComponent,
     scratch: &mut ConstructionScratch,
 ) -> ComponentPolygon {
-    debug_assert!(!cells.is_empty(), "components are never empty");
-    debug_assert_eq!(
-        Some(bbox),
-        cells.bounding_rect(),
-        "bbox must be the cells' bounding rectangle"
-    );
-    match solution {
-        CentralizedSolution::VirtualBlock => {
-            construct_component_with(&FaultyComponent::new(cells.clone()), solution, scratch)
-        }
-        CentralizedSolution::ConcaveSections => {
-            concave_polygon_with(cells.bits().iter(), cells.len(), bbox, scratch)
-        }
+    let bbox = component.virtual_block();
+    if scratch.grid.reset_frame(bbox.min(), bbox.max()) {
+        scratch.grid_grows += 1;
     }
-}
-
-/// [`construct_component`] over a raw cell set: wraps the cells of one
-/// 8-connected faulty component and solves it. Returns `None` for an empty
-/// cell set.
-///
-/// The cells must form a single 8-connected component (the caller is
-/// expected to have decomposed the fault set already); this is
-/// `debug_assert`ed, not checked in release builds, because the incremental
-/// engine calls this on every dirty component of every event.
-pub fn polygon_from_cells(
-    cells: impl IntoIterator<Item = Coord>,
-    solution: CentralizedSolution,
-) -> Option<ComponentPolygon> {
-    let region = Region::from_coords(cells);
-    if region.is_empty() {
-        return None;
+    for c in component.region().bits().iter() {
+        scratch.grid.set(c);
     }
-    debug_assert!(
-        region.is_connected(Connectivity::Eight),
-        "polygon_from_cells expects one 8-connected component"
-    );
-    Some(construct_component(&FaultyComponent::new(region), solution))
+    let (iterations, added) = scratch.grid.hull_fixpoint(&mut scratch.bits);
+    let polygon = Region::from_bits(scratch.grid.clone());
+    debug_assert_eq!(polygon.len(), component.len() + added as usize);
+    mocp_obs::counter!("construct.components").inc();
+    mocp_obs::counter!("construct.fixpoint_rounds").add(iterations as u64);
+    mocp_obs::counter!("construct.nodes_added").add(added);
+    mocp_obs::histogram!("construct.rounds_per_component").record(iterations as u64);
+    ComponentPolygon {
+        polygon,
+        rounds: RoundStats {
+            rounds: iterations,
+            events: added,
+            converged: true,
+        },
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hull::minimum_polygon;
+    use mesh2d::Coord;
 
     fn component(list: &[(i32, i32)]) -> FaultyComponent {
         FaultyComponent::new(Region::from_coords(
@@ -256,25 +180,9 @@ mod tests {
             CentralizedSolution::VirtualBlock,
             CentralizedSolution::ConcaveSections,
         ] {
-            let sol = construct_component(&u, solution);
+            let sol = construct_component_with(&u, solution, &mut ConstructionScratch::new());
             assert_eq!(sol.polygon, spec, "{solution:?}");
             assert!(sol.rounds.converged);
         }
-    }
-
-    #[test]
-    fn cells_wrapper_agrees_with_component_entry_point() {
-        let cells = [(1, 1), (2, 2), (3, 1)].map(|(x, y)| Coord::new(x, y));
-        let via_cells = polygon_from_cells(cells, CentralizedSolution::ConcaveSections).unwrap();
-        let via_component = construct_component(
-            &FaultyComponent::new(Region::from_coords(cells)),
-            CentralizedSolution::ConcaveSections,
-        );
-        assert_eq!(via_cells.polygon, via_component.polygon);
-    }
-
-    #[test]
-    fn empty_cell_set_yields_none() {
-        assert!(polygon_from_cells([], CentralizedSolution::VirtualBlock).is_none());
     }
 }

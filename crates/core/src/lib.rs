@@ -14,17 +14,19 @@
 //! 2. **Polygon completion** — a minimum number of non-faulty nodes is added
 //!    to make each component orthogonally convex. Two equivalent centralized
 //!    formulations are provided:
-//!    * [`centralized::VirtualBlockSolver`] emulates labelling schemes 1 and
-//!      2 on each component's *virtual faulty block* (solution 1);
+//!    * the virtual-block solution ([`centralized`]) emulates labelling
+//!      schemes 1 and 2 on each component's *virtual faulty block*
+//!      (solution 1, [`CentralizedSolution::VirtualBlock`]);
 //!    * the concave-section solution disables every node on a *concave
 //!      row/column section* ([`concave::ConcaveSection`]) of the component,
 //!      iterated to the fixpoint bit-parallel (solution 2,
 //!      [`CentralizedSolution::ConcaveSections`]);
 //!
-//!    and a **distributed** formulation ([`distributed`]) in which boundary
-//!    nodes build a ring around each component, detect concave sections with
-//!    the boundary array `V[1..n](E,S,W,N)`, and notify the section nodes,
-//!    routing around blocking polygons when necessary.
+//!    [`construct_component_with`] solves one component with either. There
+//!    is also a **distributed** formulation ([`distributed`]) in which
+//!    boundary nodes build a ring around each component, detect concave
+//!    sections with the boundary array `V[1..n](E,S,W,N)`, and notify the
+//!    section nodes, routing around blocking polygons when necessary.
 //!
 //! The high-level entry points are the two [`fblock::FaultModel`]
 //! implementations:
@@ -69,13 +71,10 @@ mod shape_cache;
 pub mod superseding;
 pub mod verify;
 
-pub use analysis::{CentralizedMfpModel, CentralizedSolution, MfpAnalysis};
+pub use analysis::{CentralizedMfpModel, CentralizedSolution};
 pub use component::{merge_components, merge_components_with, FaultyComponent};
 pub use concave::{ConcaveSection, Orientation};
-pub use construction::{
-    construct_cells_with, construct_component, construct_component_with, polygon_from_cells,
-    ComponentPolygon, ConstructionScratch,
-};
+pub use construction::{construct_component_with, ComponentPolygon, ConstructionScratch};
 pub use distributed::protocol::{DistributedMfpModel, DmfpScratch};
 pub use hull::minimum_polygon;
 pub use registry::standard_registry;

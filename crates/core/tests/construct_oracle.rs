@@ -33,8 +33,6 @@ use mesh2d::{
     Activation, BitGrid, Connectivity, Coord, FaultSet, Mesh2D, NodeStatus, Rect, Region, Safety,
     StatusMap,
 };
-use mocp_core::centralized::VirtualBlockSolver;
-use mocp_core::construction::construct_cells_with;
 use mocp_core::{
     construct_component_with, merge_components, minimum_polygon, CentralizedMfpModel,
     CentralizedSolution, ConcaveSection, ConstructionScratch, DistributedMfpModel, FaultyComponent,
@@ -293,43 +291,37 @@ fn check_merge(faults: &FaultSet) -> Vec<FaultyComponent> {
     components
 }
 
-/// Every CMFP window solve (fresh frame and shared scratch) against the
-/// per-window grid emulation and the hull specification.
+/// Every per-component solve of both centralized solutions, on a fresh
+/// scratch and on one scratch shared across the components, against the
+/// per-window grid emulation, the scalar concave-section solver and the
+/// hull specification.
 fn check_windows(components: &[FaultyComponent]) {
-    let mut scratch = ConstructionScratch::new();
+    let mut shared = ConstructionScratch::new();
     for component in components {
         let (polygon, rounds) = oracle_virtual_block(component);
-        let fresh = VirtualBlockSolver.solve(component);
-        assert_eq!(fresh.polygon, polygon, "window polygon of {component:?}");
-        assert_eq!(fresh.rounds, rounds, "window rounds of {component:?}");
-        let shared =
-            construct_component_with(component, CentralizedSolution::VirtualBlock, &mut scratch);
-        assert_eq!(shared.polygon, polygon, "scratch polygon of {component:?}");
-        assert_eq!(shared.rounds, rounds, "scratch rounds of {component:?}");
         assert_eq!(polygon, minimum_polygon(component), "hull of {component:?}");
         let (concave_polygon, concave_rounds) = oracle_concave(component);
         assert_eq!(
             concave_polygon, polygon,
             "concave sections of {component:?}"
         );
-        for concave in [
-            construct_component_with(
-                component,
-                CentralizedSolution::ConcaveSections,
-                &mut scratch,
-            ),
-            construct_cells_with(
-                component.region(),
-                component.virtual_block(),
-                CentralizedSolution::ConcaveSections,
-                &mut scratch,
-            ),
+        for (solution, rounds) in [
+            (CentralizedSolution::VirtualBlock, rounds),
+            (CentralizedSolution::ConcaveSections, concave_rounds),
         ] {
-            assert_eq!(concave.polygon, polygon, "packed hull of {component:?}");
-            assert_eq!(
-                concave.rounds, concave_rounds,
-                "hull rounds of {component:?}"
-            );
+            let fresh =
+                construct_component_with(component, solution, &mut ConstructionScratch::new());
+            let reused = construct_component_with(component, solution, &mut shared);
+            for (scratch, sol) in [("fresh", fresh), ("shared", reused)] {
+                assert_eq!(
+                    sol.polygon, polygon,
+                    "{solution:?} {scratch}-scratch polygon of {component:?}"
+                );
+                assert_eq!(
+                    sol.rounds, rounds,
+                    "{solution:?} {scratch}-scratch rounds of {component:?}"
+                );
+            }
         }
     }
 }

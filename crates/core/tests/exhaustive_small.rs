@@ -8,7 +8,8 @@
 //!   regions;
 //! * the batch constructions, which answer repeated small component
 //!   shapes from a shape cache, equal the uncached per-component solves
-//!   (`VirtualBlockSolver::solve`, `DistributedMfpModel::run_component`),
+//!   (`construct_component_with` on a fresh scratch,
+//!   `DistributedMfpModel::run_component`),
 //!   rounds and events included — also when one `DmfpScratch`, and so one
 //!   cache, serves every set of the sweep. CMFP runs both on the ambient
 //!   pool and on a one-thread pool: with more threads the components of
@@ -22,10 +23,9 @@
 
 use fblock::{FaultModel, FaultyBlockModel, RoundStats, SubMinimumPolygonModel};
 use mesh2d::{Coord, FaultSet, Mesh2D, Region};
-use mocp_core::centralized::VirtualBlockSolver;
 use mocp_core::{
-    merge_components, minimum_polygon, CentralizedMfpModel, DistributedMfpModel, DmfpScratch,
-    FaultyComponent,
+    construct_component_with, merge_components, minimum_polygon, CentralizedMfpModel,
+    CentralizedSolution, ConstructionScratch, DistributedMfpModel, DmfpScratch, FaultyComponent,
 };
 use rayon::{ThreadPool, ThreadPoolBuilder};
 
@@ -112,7 +112,11 @@ fn check(mesh: &Mesh2D, faults: &FaultSet, shared: &mut DmfpScratch, sequential:
     let mut polygons = Vec::new();
     let mut rounds = RoundStats::quiescent();
     for component in &components {
-        let sol = VirtualBlockSolver.solve(component);
+        let sol = construct_component_with(
+            component,
+            CentralizedSolution::VirtualBlock,
+            &mut ConstructionScratch::new(),
+        );
         rounds = rounds.in_parallel_with(sol.rounds);
         polygons.push(sol.polygon);
     }

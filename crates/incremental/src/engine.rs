@@ -4,8 +4,7 @@ use mesh2d::{
     BitGrid, Coord, FaultEvent, FaultSet, Grid, Mesh2D, NodeStatus, Rect, Region, StatusDelta,
     StatusMap,
 };
-use mocp_core::construction::{construct_cells_with, ConstructionScratch};
-use mocp_core::CentralizedSolution;
+use mocp_core::ConstructionScratch;
 
 /// Sentinel component id for healthy nodes.
 const NO_COMPONENT: u32 = u32::MAX;
@@ -51,7 +50,6 @@ pub struct EngineStats {
 #[derive(Clone, Debug)]
 pub struct IncrementalEngine {
     mesh: Mesh2D,
-    solution: CentralizedSolution,
     faults: FaultSet,
     /// Component id per node; `NO_COMPONENT` for healthy nodes.
     comp_id: Grid<u32>,
@@ -88,19 +86,11 @@ pub struct IncrementalEngine {
 }
 
 impl IncrementalEngine {
-    /// An engine over a fault-free mesh, using the concave-section
-    /// construction (centralized solution 2) for dirty components.
+    /// An engine over a fault-free mesh. Dirty components are hulled in
+    /// place by the concave-section fixpoint (centralized solution 2).
     pub fn new(mesh: Mesh2D) -> Self {
-        Self::with_solution(mesh, CentralizedSolution::ConcaveSections)
-    }
-
-    /// An engine using the given centralized formulation for dirty
-    /// components. Both formulations produce identical polygons; they only
-    /// differ in construction cost.
-    pub fn with_solution(mesh: Mesh2D, solution: CentralizedSolution) -> Self {
         IncrementalEngine {
             mesh,
-            solution,
             faults: FaultSet::new(mesh),
             comp_id: Grid::for_mesh(&mesh, NO_COMPONENT),
             components: Vec::new(),
@@ -573,20 +563,11 @@ impl IncrementalEngine {
             // hold bits): recycle the last retired grid's allocation.
             polygon = std::mem::take(&mut self.spare_polygon);
         }
-        match self.solution {
-            CentralizedSolution::ConcaveSections => {
-                polygon.reset_frame(comp.bbox.min(), comp.bbox.max());
-                for cell in comp.cells.bits().iter() {
-                    polygon.set(cell);
-                }
-                polygon.hull_fixpoint(self.scratch.flood_scratch());
-            }
-            CentralizedSolution::VirtualBlock => {
-                let sol =
-                    construct_cells_with(&comp.cells, comp.bbox, self.solution, &mut self.scratch);
-                polygon = sol.polygon.into_bits();
-            }
+        polygon.reset_frame(comp.bbox.min(), comp.bbox.max());
+        for cell in comp.cells.bits().iter() {
+            polygon.set(cell);
         }
+        polygon.hull_fixpoint(self.scratch.flood_scratch());
         let mut size = 0usize;
         for n in polygon.iter() {
             size += 1;
@@ -862,21 +843,6 @@ mod tests {
         let mut replayed = StatusMap::all_enabled(&mesh);
         delta.apply_to(&mut replayed);
         assert_eq!(&replayed, engine.status());
-    }
-
-    #[test]
-    fn both_solutions_maintain_identical_state() {
-        let mesh = Mesh2D::square(10);
-        let mut concave = IncrementalEngine::new(mesh);
-        let mut virtual_block =
-            IncrementalEngine::with_solution(mesh, CentralizedSolution::VirtualBlock);
-        for (x, y) in [(2, 2), (3, 3), (4, 2), (2, 4), (7, 7), (8, 8), (3, 2)] {
-            let e = FaultEvent::Inject(Coord::new(x, y));
-            concave.apply(e);
-            virtual_block.apply(e);
-        }
-        assert_eq!(concave.status(), virtual_block.status());
-        assert_eq!(concave.polygons(), virtual_block.polygons());
     }
 
     /// The point queries must agree with the full `status()` /

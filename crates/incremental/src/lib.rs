@@ -36,13 +36,17 @@
 //!   pieces become new components.
 //!
 //! Only components touched by one of these transitions are marked **dirty**
-//! and re-run the per-component construction entry point of `mocp_core`
-//! ([`mocp_core::construction`]); every other cached polygon is served
-//! as-is. Because distinct components' polygons may geometrically overlap
-//! (a separate fault can sit inside another component's hull), disabled
-//! status is maintained as a per-node *cover count* — the number of live
-//! polygons containing the node — rather than a boolean, so retiring one
-//! polygon never un-disables a node another polygon still covers.
+//! and are hulled again; every other cached polygon is served as-is. A
+//! dirty component is re-framed over its bounding box in its own polygon
+//! grid and closed in place by the bit-parallel concave-section fixpoint
+//! (centralized solution 2, [`mesh2d::BitGrid::hull_fixpoint`]), on the
+//! flood buffers of one [`mocp_core::ConstructionScratch`] kept for the
+//! engine's lifetime. Because distinct components' polygons may
+//! geometrically overlap (a separate fault can sit inside another
+//! component's hull), disabled status is maintained as a per-node *cover
+//! count* — the number of live polygons containing the node — rather
+//! than a boolean, so retiring one polygon never un-disables a node
+//! another polygon still covers.
 //!
 //! Every event returns a [`StatusDelta`] — the nodes
 //! that changed status — so downstream consumers (routing tables, sweep

@@ -88,14 +88,9 @@ impl<T> Grid<T> {
         c.x >= 0 && c.y >= 0 && c.x < self.width && c.y < self.height
     }
 
+    /// The row-major index of an in-bounds `c`.
     #[inline]
     fn idx(&self, c: Coord) -> usize {
-        debug_assert!(
-            self.in_bounds(c),
-            "{c} out of bounds for {}x{} grid",
-            self.width,
-            self.height
-        );
         (c.y as usize) * (self.width as usize) + (c.x as usize)
     }
 
@@ -178,19 +173,29 @@ impl<T> Grid<T> {
     }
 }
 
+/// The panic of an out-of-bounds index, in every build: without it an x
+/// at or past the width would read the next row's node.
+#[cold]
+#[inline(never)]
+fn out_of_bounds(c: Coord, width: i32, height: i32) -> ! {
+    panic!("{c} out of bounds for {width}x{height} grid")
+}
+
 impl<T> Index<Coord> for Grid<T> {
     type Output = T;
     #[inline]
     fn index(&self, c: Coord) -> &T {
-        &self.data[self.idx(c)]
+        self.get(c)
+            .unwrap_or_else(|| out_of_bounds(c, self.width, self.height))
     }
 }
 
 impl<T> IndexMut<Coord> for Grid<T> {
     #[inline]
     fn index_mut(&mut self, c: Coord) -> &mut T {
-        let i = self.idx(c);
-        &mut self.data[i]
+        let (width, height) = (self.width, self.height);
+        self.get_mut(c)
+            .unwrap_or_else(|| out_of_bounds(c, width, height))
     }
 }
 

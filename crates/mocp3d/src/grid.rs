@@ -109,19 +109,27 @@ impl<T> Grid3<T> {
     }
 }
 
+/// The panic of an out-of-bounds index, in every build: without it a
+/// coordinate past one axis would read a node of the next line or plane.
+#[cold]
+#[inline(never)]
+fn out_of_bounds(c: Coord3, mesh: Mesh3D) -> ! {
+    panic!("{c:?} outside {mesh:?}")
+}
+
 impl<T> Index<Coord3> for Grid3<T> {
     type Output = T;
     #[inline]
     fn index(&self, c: Coord3) -> &T {
-        &self.data[self.mesh.index(c)]
+        self.get(c).unwrap_or_else(|| out_of_bounds(c, self.mesh))
     }
 }
 
 impl<T> IndexMut<Coord3> for Grid3<T> {
     #[inline]
     fn index_mut(&mut self, c: Coord3) -> &mut T {
-        let i = self.mesh.index(c);
-        &mut self.data[i]
+        let mesh = self.mesh;
+        self.get_mut(c).unwrap_or_else(|| out_of_bounds(c, mesh))
     }
 }
 
@@ -143,6 +151,13 @@ mod tests {
         assert_eq!(g.as_slice()[0], 5);
         g.fill(1);
         assert_eq!(g.count_where(|&v| v == 1), 12);
+    }
+
+    #[test]
+    #[should_panic]
+    fn out_of_bounds_index_panics() {
+        let g = Grid3::for_mesh(&Mesh3D::new(3, 2, 2), 0u8);
+        let _ = g[Coord3::new(3, 0, 0)];
     }
 
     /// `fill_box` against per-cell writes of the same box.

@@ -1,7 +1,5 @@
 //! Service sizing knobs.
 
-use mocp_core::CentralizedSolution;
-
 /// Configuration of a [`MonitorService`](crate::MonitorService).
 ///
 /// The defaults target the service's design point — thousands of small
@@ -23,10 +21,6 @@ pub struct ServeConfig {
     /// [`try_submit`](crate::MonitorService::try_submit) — the service's
     /// backpressure. Clamped to at least 1.
     pub queue_capacity: usize,
-    /// Which centralized construction dirty components are rebuilt with;
-    /// both produce identical polygons (see
-    /// [`IncrementalEngine::with_solution`](mocp_incremental::IncrementalEngine::with_solution)).
-    pub solution: CentralizedSolution,
     /// How many applied batches may pass before a tenant's coherent
     /// snapshot (the state degraded reads are served from while the
     /// tenant is rebuilding) is refreshed. Lower values make degraded
@@ -41,7 +35,6 @@ impl Default for ServeConfig {
             shards: 64,
             workers: std::thread::available_parallelism().map_or(2, |n| n.get().max(2)),
             queue_capacity: 1024,
-            solution: CentralizedSolution::ConcaveSections,
             snapshot_every: 32,
         }
     }
@@ -72,12 +65,6 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the centralized construction used for dirty components.
-    pub fn with_solution(mut self, solution: CentralizedSolution) -> Self {
-        self.solution = solution;
-        self
-    }
-
     /// Sets the coherent-snapshot refresh interval (in batches).
     pub fn with_snapshot_every(mut self, batches: u64) -> Self {
         self.snapshot_every = batches;
@@ -97,10 +84,8 @@ mod tests {
             .with_shards(8)
             .with_workers(3)
             .with_queue_capacity(16)
-            .with_solution(CentralizedSolution::VirtualBlock)
             .with_snapshot_every(5);
         assert_eq!((c.shards, c.workers, c.queue_capacity), (8, 3, 16));
-        assert_eq!(c.solution, CentralizedSolution::VirtualBlock);
         assert_eq!(c.snapshot_every, 5);
     }
 }

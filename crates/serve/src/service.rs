@@ -473,17 +473,14 @@ impl MonitorService {
         &self.core.chaos
     }
 
-    /// Registers a fresh fault-free tenant mesh, using the configured
-    /// centralized solution. Returns `false` (and changes nothing) when
+    /// Registers a fresh fault-free tenant mesh with its own
+    /// [`IncrementalEngine`]. Returns `false` (and changes nothing) when
     /// the id is already registered. Tenants are never removed.
     pub fn create_tenant(&self, tenant: TenantId, mesh: Mesh2D) -> bool {
-        let created = self.core.registry.insert(
-            tenant,
-            Tenant::new(IncrementalEngine::with_solution(
-                mesh,
-                self.core.config.solution,
-            )),
-        );
+        let created = self
+            .core
+            .registry
+            .insert(tenant, Tenant::new(IncrementalEngine::new(mesh)));
         if created {
             mocp_obs::gauge!("serve.tenants").set(self.core.registry.len() as i64);
         }

@@ -25,7 +25,6 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, PoisonError};
 use std::thread::JoinHandle;
 
-use mesh2d::FaultEvent;
 use mocp_incremental::IncrementalEngine;
 
 use crate::registry::TenantHealth;
@@ -104,12 +103,7 @@ pub(crate) fn recover_worker(core: &Core, worker: usize) {
     for tenant in owned_tenants(core, worker) {
         core.registry.with(tenant, |state| {
             if state.health == TenantHealth::Rebuilding {
-                let mut engine =
-                    IncrementalEngine::with_solution(*state.engine.mesh(), core.config.solution);
-                for &c in state.faults.in_insertion_order() {
-                    engine.apply(FaultEvent::Inject(c));
-                }
-                state.engine = engine;
+                state.engine = IncrementalEngine::from_faults(*state.engine.mesh(), &state.faults);
             }
             // The rebuilt engine is the pre-batch state subscribers last
             // saw, so the re-applied batch fans out as an ordinary update.

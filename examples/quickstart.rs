@@ -6,9 +6,10 @@
 //! ```
 
 use faultgen::{generate_faults, FaultDistribution};
+use fblock::ModelOutcome;
 use mesh2d::render::render_status_with_axes;
 use mesh2d::Mesh2D;
-use mocp_core::MfpAnalysis;
+use mocp_core::standard_registry;
 
 fn main() {
     // A 16x16 mesh with 18 clustered faults.
@@ -22,8 +23,16 @@ fn main() {
         mesh.height()
     );
 
-    let analysis = MfpAnalysis::run(&mesh, &faults);
-    for outcome in analysis.all() {
+    let registry = standard_registry();
+    let outcomes: Vec<ModelOutcome> = registry
+        .names()
+        .map(|name| {
+            registry
+                .construct(name, &mesh, &faults)
+                .expect("registered")
+        })
+        .collect();
+    for outcome in &outcomes {
         println!(
             "== {} ==  disabled non-faulty nodes: {:>3}   regions: {:>2}   avg region size: {:>6.2}   rounds: {:>3}",
             outcome.model,
@@ -35,11 +44,18 @@ fn main() {
         println!("{}", render_status_with_axes(&outcome.status));
     }
 
+    let disabled = |name: &str| {
+        outcomes
+            .iter()
+            .find(|o| o.model == name)
+            .expect("the standard registry holds FB and CMFP")
+            .disabled_nonfaulty()
+    };
     println!("legend: '#' faulty, 'o' disabled non-faulty, '.' enabled");
     println!(
         "\nThe minimum faulty polygon model (CMFP/DMFP) re-enables {} of the {} healthy nodes the \
          rectangular faulty block model disables.",
-        analysis.fb.disabled_nonfaulty() - analysis.cmfp.disabled_nonfaulty(),
-        analysis.fb.disabled_nonfaulty(),
+        disabled("FB") - disabled("CMFP"),
+        disabled("FB"),
     );
 }

@@ -4,19 +4,30 @@
 
 use faultgen::scenario::{all_scenarios, blocking_polygons, figure2_l_shape, figure3_two_groups};
 use faultgen::{generate_faults, FaultDistribution};
-use fblock::{FaultModel, FaultyBlockModel, SubMinimumPolygonModel};
+use fblock::{FaultModel, FaultyBlockModel, ModelOutcome, SubMinimumPolygonModel};
 use mesh2d::{Coord, Mesh2D, Region};
 use meshroute::{ExtendedECube, RoutingExperiment};
 use mocp_core::{
-    merge_components, minimum_polygon, CentralizedMfpModel, DistributedMfpModel, MfpAnalysis,
+    merge_components, minimum_polygon, standard_registry, CentralizedMfpModel, DistributedMfpModel,
 };
 
 #[test]
 fn every_scenario_satisfies_the_model_invariants() {
     for scenario in all_scenarios() {
         let faults = scenario.fault_set();
-        let analysis = MfpAnalysis::run(&scenario.mesh, &faults);
-        for outcome in analysis.all() {
+        let registry = standard_registry();
+        let outcomes: Vec<ModelOutcome> = registry
+            .names()
+            .map(|name| registry.construct(name, &scenario.mesh, &faults).unwrap())
+            .collect();
+        let [fb, fp, cmfp, dmfp] = &outcomes[..] else {
+            panic!("the standard registry holds the paper's four models");
+        };
+        assert_eq!(
+            [&fb.model, &fp.model, &cmfp.model, &dmfp.model],
+            ["FB", "FP", "CMFP", "DMFP"]
+        );
+        for outcome in &outcomes {
             assert!(
                 outcome.covers_all_faults(),
                 "{}: {}",
@@ -39,21 +50,17 @@ fn every_scenario_satisfies_the_model_invariants() {
         }
         // the headline ordering of the paper
         assert!(
-            analysis.cmfp.disabled_nonfaulty() <= analysis.fp.disabled_nonfaulty(),
+            cmfp.disabled_nonfaulty() <= fp.disabled_nonfaulty(),
             "{}",
             scenario.name
         );
         assert!(
-            analysis.fp.disabled_nonfaulty() <= analysis.fb.disabled_nonfaulty(),
+            fp.disabled_nonfaulty() <= fb.disabled_nonfaulty(),
             "{}",
             scenario.name
         );
         // centralized and distributed constructions agree exactly
-        assert_eq!(
-            analysis.cmfp.status, analysis.dmfp.status,
-            "{}",
-            scenario.name
-        );
+        assert_eq!(cmfp.status, dmfp.status, "{}", scenario.name);
     }
 }
 
