@@ -2,16 +2,18 @@
 //! generic over the mesh topology.
 //!
 //! One [`FaultInjector`] drives every dimension: the topology supplies
-//! dense node indexing (for the flat [`WeightTable`] sampling core) and
-//! the cluster neighborhood (whose failure rate the clustered model
-//! doubles), and the injector supplies the seeded draw / boost / undo
-//! loop. The 2-D injector is `FaultInjector<Mesh2D>` (the default, so
-//! existing code reads unchanged) and the 3-D injector is
+//! dense node indexing (for the flat [`WeightTable`] sampling core), and
+//! the injector supplies the seeded draw / boost / undo loop and the
+//! cluster neighborhood whose failure rate the clustered model doubles
+//! ([`cluster_indices`]: the word grid's full neighborhood, 8 nodes in a
+//! plane and 26 across planes, enumerated in place). The 2-D injector is
+//! `FaultInjector<Mesh2D>` (the default, so existing code reads
+//! unchanged) and the 3-D injector is
 //! `mocp_3d::FaultInjector3 = FaultInjector<Mesh3D>` — the same code
 //! path, byte-for-byte identical fault sequences for equal seeds.
 
 use crate::weights::{DrawRecord, WeightTable};
-use mesh2d::{FaultEvent, Mesh2D};
+use mesh2d::{FaultEvent, GridCoord, Mesh2D};
 use mocp_topology::{FaultStore, MeshTopology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -20,13 +22,13 @@ use rand::{Rng, SeedableRng};
 ///
 /// The enum is shared by every dimension — 2-D and 3-D sweeps spell their
 /// `--distribution` flags and series labels identically — and only the
-/// meaning of *adjacent* (the topology's cluster neighborhood) differs.
+/// meaning of *adjacent* ([`cluster_indices`]) differs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FaultDistribution {
     /// Every healthy node is equally likely to fail next.
     Random,
-    /// Healthy nodes adjacent (the topology's cluster neighborhood: 8
-    /// neighbors in 2-D, 26 in 3-D) to an existing fault fail with twice
+    /// Healthy nodes adjacent (the cluster neighborhood: 8 neighbors in
+    /// 2-D, 26 in 3-D) to an existing fault fail with twice
     /// the base rate, so faults tend to form clusters.
     Clustered,
 }
@@ -136,6 +138,11 @@ impl<T: MeshTopology> FaultInjector<T> {
         &self.faults
     }
 
+    /// The per-node failure weights the next draw samples from.
+    pub fn weights(&self) -> &WeightTable {
+        &self.weights
+    }
+
     /// Number of faults injected so far.
     pub fn len(&self) -> usize {
         self.faults.len()
@@ -176,18 +183,15 @@ impl<T: MeshTopology> FaultInjector<T> {
         debug_assert!(newly_faulty, "{victim:?} is already faulty");
         let victim_index = self.mesh.index(victim);
         // The shared core does the zero/boost/undo bookkeeping; the
-        // topology only decides what "adjacent" means (8-neighborhood in
-        // 2-D, 26-neighborhood in 3-D).
-        let record = if self.distribution == FaultDistribution::Clustered {
-            let neighbors: Vec<usize> = self
-                .mesh
-                .cluster_neighbors(victim)
-                .into_iter()
-                .map(|n| self.mesh.index(n))
-                .collect();
-            self.weights.mark_faulty(victim_index, neighbors)
-        } else {
-            self.weights.mark_faulty(victim_index, [])
+        // clustered model boosts the victim's full neighborhood.
+        let record = match self.distribution {
+            FaultDistribution::Clustered => {
+                let mut neighbors = [0; 26];
+                let neighbors = cluster_indices(&self.mesh, victim, &mut neighbors);
+                self.weights
+                    .mark_faulty(victim_index, neighbors.iter().copied())
+            }
+            FaultDistribution::Random => self.weights.mark_faulty(victim_index, []),
         };
         self.log.push(record);
     }
@@ -273,6 +277,35 @@ impl<T: MeshTopology> Iterator for EventStream<'_, T> {
     }
 }
 
+/// The in-mesh *cluster* neighborhood of `c` — the adjacency of the paper's
+/// Definition 2, the word grid's full neighborhood (the 8 nodes around `c`
+/// in its plane, 26 across planes when `T::DIM` is 3) — as dense
+/// [`MeshTopology::index`]es, written into `out` in `(z, y, x)` order. Returns
+/// the filled prefix of `out`. The clustered model doubles these nodes'
+/// failure rate; enumerating them in place spares each draw a neighbour
+/// list on the heap.
+pub fn cluster_indices<'a, T: MeshTopology>(
+    mesh: &T,
+    c: T::Coord,
+    out: &'a mut [usize; 26],
+) -> &'a [usize] {
+    let (x, y, z) = c.xyz();
+    let planes = if T::DIM == 2 { 0..=0 } else { -1..=1 };
+    let mut len = 0;
+    for dz in planes {
+        for dy in -1..=1 {
+            for dx in -1..=1 {
+                let n = T::Coord::from_xyz(x + dx, y + dy, z + dz);
+                if (dx, dy, dz) != (0, 0, 0) && mesh.contains(n) {
+                    out[len] = mesh.index(n);
+                    len += 1;
+                }
+            }
+        }
+    }
+    &out[..len]
+}
+
 /// Convenience wrapper: generates `count` faults in one call, for any
 /// topology (`generate_faults(Mesh2D::square(..), ..)` returns a 2-D
 /// `FaultSet`; `mocp_3d::generate_faults_3d` delegates here with `Mesh3D`).
@@ -292,7 +325,7 @@ mod tests {
     use super::*;
     use mesh2d::{BitGrid, Connectivity, Coord, Region};
 
-    /// The clustered model boosts each victim's `cluster_neighbors`: they
+    /// The clustered model boosts each victim's [`cluster_indices`]: they
     /// must be the victim's dilation minus the victim, clipped to the mesh,
     /// at every node, borders and corners included. With the weight
     /// table's boost bookkeeping (`weights::tests`), this makes the
@@ -307,7 +340,11 @@ mod tests {
         ] {
             for i in 0..mesh.node_count() {
                 let c = MeshTopology::coord(&mesh, i);
-                let mut neighbors = mesh.cluster_neighbors(c);
+                let mut buf = [0; 26];
+                let mut neighbors: Vec<Coord> = cluster_indices(&mesh, c, &mut buf)
+                    .iter()
+                    .map(|&n| MeshTopology::coord(&mesh, n))
+                    .collect();
                 neighbors.sort_unstable();
                 let mut dilation: Vec<Coord> = BitGrid::from_coords([c])
                     .dilate()

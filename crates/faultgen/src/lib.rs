@@ -20,8 +20,9 @@
 //! Since the `mocp_topology` redesign the injector is **generic over the
 //! mesh topology**: `FaultInjector<Mesh2D>` (the default) and
 //! `FaultInjector<Mesh3D>` are the same seeded draw / boost / undo loop
-//! over the same [`WeightTable`]; only the topology's cluster
-//! neighborhood — what "adjacent" means to the clustered model — differs.
+//! over the same [`WeightTable`]; only the cluster neighborhood — what
+//! "adjacent" means to the clustered model, enumerated by
+//! [`cluster_indices`] from the coordinate's `(x, y, z)` — differs.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -31,6 +32,7 @@ pub mod scenario;
 pub mod weights;
 
 pub use injector::{
-    generate_faults, EventStream, FaultDistribution, FaultInjector, InjectorSnapshot,
+    cluster_indices, generate_faults, EventStream, FaultDistribution, FaultInjector,
+    InjectorSnapshot,
 };
 pub use weights::{DrawRecord, WeightTable};

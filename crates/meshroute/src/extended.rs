@@ -196,7 +196,7 @@ impl<'a> ExtendedECube<'a> {
 
     /// True when `c` is a usable (in-mesh, enabled) node.
     pub fn enabled(&self, c: Coord) -> bool {
-        self.mesh.contains(c) && !self.status.status(c).is_excluded()
+        self.status.get(c).is_some_and(|s| !s.is_excluded())
     }
 
     /// The excluded region blocking `c`, if any — the region a message

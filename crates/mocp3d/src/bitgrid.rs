@@ -8,12 +8,12 @@
 //! across planes) and the convexity scan are the same kernels the 2-D grid
 //! runs in its single plane. This module adds what only the 3-D merge
 //! process uses: the box-halo test, the union-find over fault components
-//! and the merge of a class's pieces. The scalar `BTreeSet` prototype of
+//! and the reusable union-find that regroups touching parts round after
+//! round. The scalar `BTreeSet` prototype of
 //! `tests/hull_oracle.rs` remains the specification the kernels are
 //! property-tested against.
 
 use crate::mesh::Coord3;
-use mesh2d::bitgrid::joint_box;
 use mesh2d::{GridCoord, WordGrid};
 
 /// The 3-D word grid: one plane per `z`, one x-line per `(y, z)`.
@@ -76,6 +76,57 @@ impl UnionFind {
     }
 }
 
+/// The regrouping step of the 3-D merge process: a union-find over a
+/// fixed set of parts, kept for the whole fixpoint. A round
+/// [`join`](Self::join)s the pairs that touch and then
+/// [`drain_classes`](Self::drain_classes) hands out each class it joined;
+/// only the entries the round touched are visited and reset, so a round
+/// costs what grew rather than the number of parts.
+pub(crate) struct Regroup {
+    classes: UnionFind,
+    /// Every part passed to `join` since the last drain: each member of a
+    /// joined class was, so these are exactly the entries to reset.
+    touched: Vec<usize>,
+}
+
+impl Regroup {
+    /// A regrouping over parts `0..n`, all apart.
+    pub(crate) fn new(n: usize) -> Self {
+        Regroup {
+            classes: UnionFind::new(n),
+            touched: Vec::new(),
+        }
+    }
+
+    /// Records that parts `a` and `b` touch.
+    pub(crate) fn join(&mut self, a: usize, b: usize) {
+        self.classes.union(a, b);
+        self.touched.extend([a, b]);
+    }
+
+    /// Calls `merge` once per class joined since the last drain, with the
+    /// class's members in increasing order (so `class[0]` is the member
+    /// the merged part replaces), then leaves every part apart again.
+    pub(crate) fn drain_classes(&mut self, mut merge: impl FnMut(&[usize])) {
+        // Point every touched entry at its root, so one sort groups the
+        // classes.
+        for &i in &self.touched {
+            let root = self.classes.find(i);
+            self.classes.parent[i] = root;
+        }
+        let parent = &mut self.classes.parent;
+        self.touched.sort_unstable_by_key(|&i| (parent[i], i));
+        self.touched.dedup();
+        for class in self.touched.chunk_by(|&a, &b| parent[a] == parent[b]) {
+            merge(class);
+        }
+        for &i in &self.touched {
+            parent[i] = i;
+        }
+        self.touched.clear();
+    }
+}
+
 /// One connected piece of a node set: its grid, the grid's tight bounding
 /// box and its lexicographically minimal `(z, y, x)` cell.
 #[derive(Debug)]
@@ -101,50 +152,6 @@ impl Piece {
 /// Storage-order sort key of a cell: `z`, then `y`, then `x`.
 pub(crate) fn zyx(c: Coord3) -> (i32, i32, i32) {
     (c.z, c.y, c.x)
-}
-
-/// Merges the pieces of each union-find class into one — a grid framed
-/// once over the class's joint bounding box, each member ORed in over its
-/// own frame — and orders the results by minimal `(z, y, x)` cell, which
-/// is the first-seen order of the sequential flood. Returns each merged
-/// piece with the number of pieces its class held.
-pub(crate) fn merge_classes(pieces: Vec<Piece>, classes: &mut UnionFind) -> Vec<(Piece, usize)> {
-    let mut members: Vec<Vec<Piece>> = (0..pieces.len()).map(|_| Vec::new()).collect();
-    for (i, piece) in pieces.into_iter().enumerate() {
-        members[classes.find(i)].push(piece);
-    }
-    let mut merged: Vec<(Piece, usize)> = members
-        .into_iter()
-        .filter(|class| !class.is_empty())
-        .map(|mut class| {
-            let size = class.len();
-            if size == 1 {
-                return (class.pop().expect("one member"), 1);
-            }
-            let (lo, hi) = class
-                .iter()
-                .map(|p| p.bbox)
-                .reduce(joint_box)
-                .expect("two members");
-            let min_cell = class
-                .iter()
-                .map(|p| p.min_cell)
-                .min_by_key(|&c| zyx(c))
-                .expect("two members");
-            let mut grid = BitGrid3::with_bounds(lo, hi);
-            for p in &class {
-                grid.union_with(&p.grid);
-            }
-            let piece = Piece {
-                grid,
-                bbox: (lo, hi),
-                min_cell,
-            };
-            (piece, size)
-        })
-        .collect();
-    merged.sort_by_key(|(piece, _)| zyx(piece.min_cell));
-    merged
 }
 
 #[cfg(test)]

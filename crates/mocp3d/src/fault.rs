@@ -4,9 +4,9 @@
 //! `faultgen::FaultInjector` — [`FaultInjector3`] is its `Mesh3D`
 //! instantiation, not a re-implementation: one generic draw / boost /
 //! undo loop over the shared [`faultgen::WeightTable`] drives both
-//! dimensions, and the only 3-D-specific part is [`Mesh3D`]'s cluster
-//! neighborhood (the 26-neighborhood the clustered model's rate boost
-//! applies to).
+//! dimensions, and the clustered model's rate boost covers the
+//! 26-neighborhood that [`faultgen::cluster_indices`] enumerates from a
+//! [`Coord3`]'s `(x, y, z)`, as it enumerates the 8-neighborhood in 2-D.
 
 use crate::mesh::Coord3;
 use crate::mesh::Mesh3D;

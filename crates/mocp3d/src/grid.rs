@@ -98,9 +98,14 @@ impl<T> Grid3<T> {
             .map(|(i, v)| (self.mesh.coord(i), v))
     }
 
-    /// Counts cells whose value satisfies `pred`.
+    /// Counts cells whose value satisfies `pred`. The count runs in
+    /// 255-cell chunks with a `u8` sum each, which cannot overflow and lets
+    /// a byte-sized cell compare vectorize.
     pub fn count_where(&self, mut pred: impl FnMut(&T) -> bool) -> usize {
-        self.data.iter().filter(|v| pred(v)).count()
+        self.data
+            .chunks(u8::MAX as usize)
+            .map(|chunk| chunk.iter().fold(0u8, |n, v| n + pred(v) as u8) as usize)
+            .sum()
     }
 
     /// Raw x-major access to the backing storage.
@@ -151,6 +156,30 @@ mod tests {
         assert_eq!(g.as_slice()[0], 5);
         g.fill(1);
         assert_eq!(g.count_where(|&v| v == 1), 12);
+    }
+
+    /// The chunked count against a per-cell count on a grid of 1400 cells
+    /// (five full 255-cell chunks and a partial one), with runs of every
+    /// value straddling each chunk edge.
+    #[test]
+    fn count_where_matches_a_per_cell_count_across_chunk_edges() {
+        let mesh = Mesh3D::new(70, 5, 4);
+        let mut g = Grid3::for_mesh(&mesh, 0u8);
+        for edge in (255..g.len()).step_by(255) {
+            for (offset, value) in (edge - 3..edge + 3).zip([1, 2, 1, 2, 2, 1]) {
+                let c = mesh.coord(offset);
+                g[c] = value;
+            }
+        }
+        let last = Coord3::new(69, 4, 3);
+        g[last] = 2;
+        for value in 0..3u8 {
+            let per_cell = g.iter().filter(|&(_, &v)| v == value).count();
+            assert_eq!(g.count_where(|&v| v == value), per_cell, "value {value}");
+        }
+        g.fill(1);
+        assert_eq!(g.count_where(|&v| v == 1), 1400);
+        assert_eq!(g.count_where(|&v| v == 0), 0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The 3-D mesh topology: bounds, flattened indexing and neighborhoods.
+//! The 3-D mesh topology: bounds and flattened indexing.
 
 /// A node address in a 3-D mesh.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -100,24 +100,6 @@ impl Mesh3D {
             (index / (w * h)) as i32,
         )
     }
-
-    /// The in-mesh 26-neighborhood of `c` — the 3-D analogue of the paper's
-    /// Definition 2 adjacency, used by the component merge process and the
-    /// clustered fault model's rate boost.
-    pub fn neighbors26(&self, c: Coord3) -> impl Iterator<Item = Coord3> + '_ {
-        let mesh = *self;
-        (-1..=1).flat_map(move |dz| {
-            (-1..=1).flat_map(move |dy| {
-                (-1..=1).filter_map(move |dx| {
-                    if (dx, dy, dz) == (0, 0, 0) {
-                        return None;
-                    }
-                    let n = Coord3::new(c.x + dx, c.y + dy, c.z + dz);
-                    mesh.contains(n).then_some(n)
-                })
-            })
-        })
-    }
 }
 
 #[cfg(test)]
@@ -143,12 +125,17 @@ mod tests {
         assert!(!mesh.contains(Coord3::new(0, -1, 0)));
     }
 
+    /// The clustered injector's neighborhood in a 3-D mesh: 26 nodes
+    /// inside, 17 on a face, 11 on an edge, 7 at a corner.
     #[test]
     fn neighborhood_sizes() {
         let mesh = Mesh3D::cube(3);
-        assert_eq!(mesh.neighbors26(Coord3::new(1, 1, 1)).count(), 26);
-        assert_eq!(mesh.neighbors26(Coord3::new(0, 0, 0)).count(), 7);
-        assert_eq!(mesh.neighbors26(Coord3::new(0, 1, 1)).count(), 17);
+        let size =
+            |x, y, z| faultgen::cluster_indices(&mesh, Coord3::new(x, y, z), &mut [0; 26]).len();
+        assert_eq!(size(1, 1, 1), 26);
+        assert_eq!(size(0, 1, 1), 17);
+        assert_eq!(size(0, 0, 1), 11);
+        assert_eq!(size(0, 0, 0), 7);
     }
 
     #[test]

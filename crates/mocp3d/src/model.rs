@@ -25,24 +25,35 @@
 //!   round are completed — every other component is already the
 //!   completion of something, and completions are idempotent (a single
 //!   node is its own hull, so it is never completed);
-//! * the completions are regrouped with a union-find over touching pairs.
-//!   Two components that both kept their shape were distinct components
-//!   of the previous set, so they cannot touch; only pairs with a member
-//!   that grew are tested, first on their bounding boxes with a ±1 halo
-//!   (exact for cuboids), then, for hulls, by a 26-dilation intersection;
-//! * each class is merged into one, and the classes are ordered by their
-//!   minimal `(z, y, x)` cell.
+//! * the completions are regrouped with one union-find kept for the whole
+//!   fixpoint, over touching pairs. Two components that both kept their
+//!   shape were distinct components of the previous set, so they cannot
+//!   touch; only pairs with a member that grew are tested, first on their
+//!   bounding boxes with a ±1 halo (exact for cuboids), then, for hulls,
+//!   by a 26-dilation intersection. A round visits and resets only the
+//!   union-find entries it joined;
+//! * each class is merged into the slot of its first member. The members
+//!   after it stay in their slots, flagged as tombstones, while the
+//!   classes merge, and one pass drops them after, so the parts keep their
+//!   order: sorted by the low z of their boxes, and for MFP-3D by minimal
+//!   `(z, y, x)` cell (a class's first member holds the class's lowest low
+//!   z and minimal cell, and a hull keeps the minimal cell of what it
+//!   completes).
 //!
 //! FB-3D runs this fixpoint on boxes alone. Each of its parts is a
 //! bounding box with a flag telling whether the part fills it, and
 //! completing a part means taking its box. A merged class fills its joint
 //! box exactly when the union of its member boxes does, which is checked
-//! on one rasterized grid. A merged class takes the place of its first
-//! member, which keeps the parts sorted by low z (all the pair test's
-//! early break needs); the final boxes are sorted once by their low
+//! on one rasterized grid. Its parts stay sorted by low z (all the pair
+//! test's early break needs): a grown part is tested against every later
+//! part in its z window, any other part only against the later grown
+//! ones, and the next round's grown parts are the merged classes that do
+//! not fill their box. The final boxes are sorted once by their low
 //! corner, which is their minimal cell. The regions become solid boxes
 //! only at the end, and the status grid is written one x-run per line.
-//! MFP-3D keeps a bitmap per part, since its hulls are not boxes.
+//! MFP-3D keeps a bitmap per part, since its hulls are not boxes; there a
+//! grown part is tested against the later parts in its z window and the
+//! earlier parts that did not grow.
 //!
 //! Completions are connected, so the classes of touching completions are
 //! exactly the 26-connected components of their union: every round
@@ -56,7 +67,7 @@
 //! components: any closed superset contains the completion of each of
 //! its connected pieces, so it contains every round's set.
 
-use crate::bitgrid::{boxes_touch, merge_classes, zyx, BitGrid3, Piece, UnionFind};
+use crate::bitgrid::{boxes_touch, zyx, BitGrid3, Piece, Regroup, UnionFind};
 use crate::fault::FaultSet3;
 use crate::grid::Grid3;
 use crate::mesh::Coord3;
@@ -170,36 +181,52 @@ fn fault_components(faults: &FaultSet3) -> (Vec<FaultComponent>, Vec<usize>) {
     (components, labels)
 }
 
-/// The FB-3D fixpoint, run on boxes: each part is its bounding box and
-/// whether it fills it, and completing a part means taking its box.
+/// Drops the parts flagged as merged away (into an earlier part, by the
+/// round's regroup, which leaves them in their slots so class members keep
+/// their indices while the classes merge), keeping the order of the
+/// others, and renumbers `marked` (increasing indices of parts that stay)
+/// to their new positions.
+fn compact<P>(parts: &mut Vec<(P, bool)>, marked: &mut [usize]) {
+    let (mut dropped, mut next) = (0, 0);
+    for (i, &(_, merged_away)) in parts.iter().enumerate() {
+        if merged_away {
+            dropped += 1;
+        } else if marked.get(next) == Some(&i) {
+            marked[next] -= dropped;
+            next += 1;
+        }
+    }
+    parts.retain(|&(_, merged_away)| !merged_away);
+}
+
+/// The FB-3D fixpoint, run on boxes: each part is its bounding box, and
+/// completing a part that does not fill its box means taking the box.
 fn cuboid_process(mesh: &Mesh3D, faults: &FaultSet3, name: &str) -> Outcome3 {
     let (components, _) = fault_components(faults);
     // Parts stay sorted by the low z of their box.
-    let mut parts: Vec<(Box3, bool)> = components
+    let mut parts: Vec<(Box3, bool)> = components.iter().map(|c| (c.bbox, false)).collect();
+    let all: Vec<usize> = (0..parts.len()).collect();
+    // The parts that do not fill their box yet, in increasing order: they
+    // grow into it this round.
+    let mut grown: Vec<usize> = all
         .iter()
-        .map(|c| (c.bbox, c.len == volume(c.bbox)))
+        .copied()
+        .filter(|&i| components[i].len < volume(components[i].bbox))
         .collect();
+    let mut regroup = Regroup::new(parts.len());
     let mut growth_rounds = 0u32;
-    loop {
-        // Every part not yet solid grows into its box; after that all of
-        // them are solid.
-        let grown: Vec<usize> = (0..parts.len()).filter(|&i| !parts[i].1).collect();
-        if grown.is_empty() {
-            break;
-        }
+    while !grown.is_empty() {
         growth_rounds += 1;
 
         // Solid boxes touch exactly when their haloed boxes do. A grown
         // part is tested against every later part, any other part only
         // against the later grown ones.
-        let all: Vec<usize> = (0..parts.len()).collect();
-        let mut classes = UnionFind::new(parts.len());
         let mut next_grown = 0;
         for (i, &(a, _)) in parts.iter().enumerate() {
             let grew = grown.get(next_grown) == Some(&i);
             next_grown += grew as usize;
             let later = if grew {
-                &all[i + 1..]
+                &all[i + 1..parts.len()]
             } else {
                 &grown[next_grown..]
             };
@@ -209,11 +236,40 @@ fn cuboid_process(mesh: &Mesh3D, faults: &FaultSet3, name: &str) -> Outcome3 {
                     break; // sorted by low z: no later part comes closer
                 }
                 if boxes_touch(a, b) {
-                    classes.union(i, j);
+                    regroup.join(i, j);
                 }
             }
         }
-        parts = merge_boxes(&parts, &mut classes);
+
+        // Each class becomes its joint box, in its first member's slot
+        // (the member with the lowest low z, so the order holds). The box
+        // is solid exactly when the members' union fills it, checked on
+        // one grid with every member box filled in; if not, it grows next
+        // round.
+        grown.clear();
+        regroup.drain_classes(|class| {
+            let boxes = || class.iter().map(|&i| parts[i].0);
+            let bbox = boxes().reduce(joint_box).expect("classes are non-empty");
+            // The union fills the joint box when a member is that box, and
+            // cannot when the members' volumes fall short of it.
+            let solid = boxes().any(|b| b == bbox)
+                || boxes().map(volume).sum::<u64>() >= volume(bbox) && {
+                    let mut grid = BitGrid3::with_bounds(bbox.0, bbox.1);
+                    for (lo, hi) in boxes() {
+                        grid.fill_box(lo, hi);
+                    }
+                    grid.len() as u64 == volume(bbox)
+                };
+            for &i in &class[1..] {
+                parts[i].1 = true;
+            }
+            parts[class[0]].0 = bbox;
+            if !solid {
+                grown.push(class[0]);
+            }
+        });
+        grown.sort_unstable();
+        compact(&mut parts, &mut grown);
     }
     // Every part is a solid box now, whose minimal cell is its low corner.
     parts.sort_by_key(|&((lo, _), _)| zyx(lo));
@@ -229,49 +285,6 @@ fn cuboid_process(mesh: &Mesh3D, faults: &FaultSet3, name: &str) -> Outcome3 {
     finish(name, faults, regions, status, growth_rounds)
 }
 
-/// Regroups the parts after a round in which every one of them became
-/// solid: each union-find class becomes its joint box, which is solid
-/// exactly when the members' union fills it (checked on one grid with
-/// every member box filled in). A class takes the place of its first
-/// member, which has the lowest low z, so the parts stay sorted by it.
-fn merge_boxes(parts: &[(Box3, bool)], classes: &mut UnionFind) -> Vec<(Box3, bool)> {
-    let roots: Vec<usize> = (0..parts.len()).map(|i| classes.find(i)).collect();
-    let mut joined = vec![false; parts.len()];
-    for (i, &root) in roots.iter().enumerate() {
-        joined[root] |= root != i;
-    }
-    let mut members: Vec<(usize, usize)> = (0..parts.len())
-        .filter(|&i| joined[roots[i]])
-        .map(|i| (roots[i], i))
-        .collect();
-    members.sort_unstable();
-    let mut merged_at: Vec<Option<(Box3, bool)>> = vec![None; parts.len()];
-    for class in members.chunk_by(|a, b| a.0 == b.0) {
-        let boxes = || class.iter().map(|&(_, i)| parts[i].0);
-        let bbox = boxes().reduce(joint_box).expect("classes are non-empty");
-        // The union fills the joint box when a member is that box, and
-        // cannot when the members' volumes fall short of it.
-        let solid = boxes().any(|b| b == bbox)
-            || boxes().map(volume).sum::<u64>() >= volume(bbox) && {
-                let mut grid = BitGrid3::with_bounds(bbox.0, bbox.1);
-                for (lo, hi) in boxes() {
-                    grid.fill_box(lo, hi);
-                }
-                grid.len() as u64 == volume(bbox)
-            };
-        merged_at[class[0].1] = Some((bbox, solid));
-    }
-    (0..parts.len())
-        .filter_map(|i| {
-            if joined[roots[i]] {
-                merged_at[i]
-            } else {
-                Some((parts[i].0, true))
-            }
-        })
-        .collect()
-}
-
 /// The MFP-3D fixpoint: replace every 26-connected component of the
 /// excluded set by its minimum orthogonal convex hull until the set stops
 /// growing, then report the final components as the model's regions.
@@ -285,10 +298,9 @@ fn merge_process(mesh: &Mesh3D, faults: &FaultSet3, name: &str) -> Outcome3 {
     for (&c, &k) in faults.in_insertion_order().iter().zip(&labels) {
         grids[k].set(c);
     }
-    // Each component with whether it still needs completing (it is new or
-    // was merged in the previous round; a single node is its own hull).
-    // Components stay sorted by their minimal cell, hence by the low z of
-    // their bounding box.
+    // Parts stay sorted by their minimal cell, hence by the low z of their
+    // bounding box: a hull keeps the minimal cell of what it completes,
+    // and a merged class takes the slot of its first member.
     let mut parts: Vec<(Piece, bool)> = components
         .iter()
         .zip(grids)
@@ -298,55 +310,94 @@ fn merge_process(mesh: &Mesh3D, faults: &FaultSet3, name: &str) -> Outcome3 {
                 bbox: c.bbox,
                 min_cell: c.min_cell,
             };
-            (piece, c.len > 1)
+            (piece, false)
         })
         .collect();
+    // The parts to complete this round, in increasing order: the new or
+    // merged ones (a single node is its own hull).
+    let mut open: Vec<usize> = (0..parts.len())
+        .filter(|&i| components[i].len > 1)
+        .collect();
+    let mut grown = Vec::new();
+    let mut regroup = Regroup::new(parts.len());
     let mut growth_rounds = 0u32;
     loop {
-        // The completions are independent per component — fan them out
-        // over the pool (ordered collect keeps the component order, and
-        // with one effective thread this is a plain sequential map).
-        let completions: Vec<Option<BitGrid3>> = parts
+        // The completions are independent per part — fan them out over
+        // the pool (ordered collect keeps the part order, and with one
+        // effective thread this is a plain sequential map).
+        let completions: Vec<Option<BitGrid3>> = open
             .par_iter()
-            .map_init(BitScratch::new, |scratch, (piece, open)| {
-                open.then(|| hull_bits(&piece.grid, scratch))
-                    .filter(|hull| hull.len() > piece.grid.len())
+            .map_init(BitScratch::new, |scratch, &i| {
+                let piece = &parts[i].0;
+                Some(hull_bits(&piece.grid, scratch)).filter(|hull| hull.len() > piece.grid.len())
             })
             .collect();
-        let mut grew = vec![false; parts.len()];
-        for (i, completion) in completions.into_iter().enumerate() {
+        grown.clear();
+        for (&i, completion) in open.iter().zip(completions) {
             if let Some(grid) = completion {
                 parts[i].0 = Piece::new(grid);
-                grew[i] = true;
+                grown.push(i);
             }
         }
-        if !grew.contains(&true) {
+        if grown.is_empty() {
             break;
         }
         growth_rounds += 1;
 
-        let mut classes = UnionFind::new(parts.len());
-        for i in 0..parts.len() {
+        // Two parts that both kept their shape cannot touch, so only
+        // pairs with a grown member are tested: each grown part against
+        // every later part in its z window, and against every earlier
+        // part that did not grow (an earlier grown part tested it).
+        for (k, &g) in grown.iter().enumerate() {
+            let a = &parts[g].0;
             let mut dilated: Option<BitGrid3> = None;
-            for j in i + 1..parts.len() {
-                let (a, b) = (&parts[i].0, &parts[j].0);
+            let mut touches = |b: &Piece| {
+                boxes_touch(a.bbox, b.bbox)
+                    && b.grid
+                        .intersects(dilated.get_or_insert_with(|| a.grid.dilate()))
+            };
+            for (j, (b, _)) in parts.iter().enumerate().skip(g + 1) {
                 if b.bbox.0.z > a.bbox.1.z + 1 {
                     break; // sorted by low z: no later part comes closer
                 }
-                if !(grew[i] || grew[j]) || !boxes_touch(a.bbox, b.bbox) {
-                    continue;
+                if touches(b) {
+                    regroup.join(g, j);
                 }
-                let dilated = dilated.get_or_insert_with(|| a.grid.dilate());
-                if b.grid.intersects(dilated) {
-                    classes.union(i, j);
+            }
+            for (j, (b, _)) in parts[..g].iter().enumerate() {
+                if grown[..k].binary_search(&j).is_err() && touches(b) {
+                    regroup.join(g, j);
                 }
             }
         }
-        let pieces = parts.into_iter().map(|(piece, _)| piece).collect();
-        parts = merge_classes(pieces, &mut classes)
-            .into_iter()
-            .map(|(piece, size)| (piece, size > 1))
-            .collect();
+
+        // Each class is merged into its first member's slot — a grid
+        // framed once over the class's joint box, each member ORed in —
+        // and is completed next round.
+        open.clear();
+        regroup.drain_classes(|class| {
+            let first = class[0];
+            let bbox = class
+                .iter()
+                .map(|&i| parts[i].0.bbox)
+                .reduce(joint_box)
+                .expect("classes are non-empty");
+            let mut grid = BitGrid3::with_bounds(bbox.0, bbox.1);
+            for &i in class {
+                grid.union_with(&parts[i].0.grid);
+            }
+            for &i in &class[1..] {
+                parts[i].1 = true;
+            }
+            parts[first].0 = Piece {
+                grid,
+                bbox,
+                min_cell: parts[first].0.min_cell,
+            };
+            open.push(first);
+        });
+        open.sort_unstable();
+        compact(&mut parts, &mut open);
     }
     let regions: Vec<Region3> = parts
         .into_iter()

@@ -42,10 +42,6 @@ impl MeshTopology for Mesh3D {
     fn coord(&self, index: usize) -> Coord3 {
         Mesh3D::coord(self, index)
     }
-
-    fn cluster_neighbors(&self, c: Coord3) -> Vec<Coord3> {
-        self.neighbors26(c).collect()
-    }
 }
 
 impl RegionOps for Region3 {
@@ -140,8 +136,6 @@ mod tests {
             assert!(MeshTopology::contains(&mesh, c));
             assert_eq!(MeshTopology::index(&mesh, c), i);
         }
-        assert_eq!(mesh.cluster_neighbors(Coord3::new(0, 0, 0)).len(), 7);
-        assert_eq!(mesh.cluster_neighbors(Coord3::new(1, 1, 1)).len(), 26);
         assert_eq!(Mesh3D::DIM, 3);
     }
 

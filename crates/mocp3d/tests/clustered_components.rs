@@ -3,11 +3,11 @@
 //! faults into fewer 26-connected components than uniform placement,
 //! mirroring the 2-D checks in `faultgen`.
 
-use faultgen::FaultDistribution;
+use faultgen::{cluster_indices, FaultDistribution};
 use mocp_3d::{generate_faults_3d, BitGrid3, Coord3, Mesh3D, MeshTopology};
 use proptest::prelude::*;
 
-/// `cluster_neighbors(c)` is the dilation of `{c}` minus `c`, clipped to
+/// `cluster_indices(c)` is the dilation of `{c}` minus `c`, clipped to
 /// the mesh, at every node — faces, edges and corners included. The
 /// injector boosts exactly this list, so with `faultgen`'s weight-table
 /// tests the clustered weight-2 set is the dilation of the faults minus
@@ -22,7 +22,10 @@ fn cluster_neighbors_are_the_clipped_dilation() {
     ] {
         for i in 0..mesh.node_count() {
             let c = MeshTopology::coord(&mesh, i);
-            let mut neighbors = mesh.cluster_neighbors(c);
+            let mut neighbors: Vec<Coord3> = cluster_indices(&mesh, c, &mut [0; 26])
+                .iter()
+                .map(|&n| MeshTopology::coord(&mesh, n))
+                .collect();
             neighbors.sort_unstable();
             let mut dilation: Vec<Coord3> = BitGrid3::from_coords([c])
                 .dilate()

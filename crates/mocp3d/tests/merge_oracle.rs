@@ -7,7 +7,8 @@
 //! complete every component (cuboid cell by cell, or hull), re-flood the
 //! union of the completions with `components26`, and repeat until the
 //! excluded set stops growing. Both must agree on the regions (content and
-//! order), the round count, the event count and the status grid.
+//! order), the round count, the event count and the status grid, and the
+//! status grid's disabled count must be the excluded set minus the faults.
 
 use faultgen::FaultDistribution;
 use mesh2d::NodeStatus;
@@ -105,6 +106,14 @@ fn check(mesh: &Mesh3D, faults: &FaultSet3) -> u32 {
         }
         assert_eq!(outcome.rounds.rounds, expected.rounds, "{} rounds", name);
         assert_eq!(outcome.rounds.events, expected.events, "{} events", name);
+        // The Figure 9 metric, counted on the status grid, is the excluded
+        // set minus the faults.
+        assert_eq!(
+            outcome.disabled_nonfaulty() as u64,
+            expected.events,
+            "{} disabled non-faulty nodes",
+            name
+        );
         assert!(outcome.rounds.converged);
         assert!(outcome.status == expected.status, "{} status grid", name);
         assert!(outcome.covers_all_faults() && outcome.regions_disjoint());

@@ -8,11 +8,13 @@ use std::fmt::Debug;
 ///
 /// The trait names exactly what the dimension-generic layers consume: a
 /// coordinate vocabulary with dense indexing (the fault injector's
-/// weighted-sampling core is a flat table over `0..node_count()`), the
-/// *cluster* neighborhood of the paper's Definition 2 (the adjacency the
-/// clustered fault distribution boosts and the component merge process
-/// flood-fills), and the associated region / status / fault-set types the
-/// generic [`Outcome`](crate::Outcome) is made of.
+/// weighted-sampling core is a flat table over `0..node_count()`) and the
+/// associated region / status / fault-set types the generic
+/// [`Outcome`](crate::Outcome) is made of. The *cluster* neighborhood of
+/// the paper's Definition 2 (the adjacency the clustered fault
+/// distribution boosts and the component merge process floods) needs no
+/// method of its own: it is the full neighborhood of the word grid the
+/// coordinates address — 8 nodes in a plane, 26 across planes.
 ///
 /// `mesh2d::Mesh2D` implements it here; `mocp_3d::Mesh3D` implements it in
 /// the `mocp_3d` crate. A new topology (a torus family, a 4-D mesh) joins
@@ -34,9 +36,7 @@ use std::fmt::Debug;
 /// // Dense indexing round-trips every node.
 /// let c = mesh.coord(17);
 /// assert_eq!(mesh.index(c), 17);
-/// // The 2-D cluster neighborhood is the 8-neighborhood.
-/// use mesh2d::Coord;
-/// assert_eq!(mesh.cluster_neighbors(Coord::new(3, 3)).len(), 8);
+/// assert!(mesh.contains(c));
 /// ```
 pub trait MeshTopology: Copy + PartialEq + Debug + Send + Sync + 'static {
     /// Node address type (`Coord` in 2-D, `Coord3` in 3-D). As a
@@ -75,12 +75,6 @@ pub trait MeshTopology: Copy + PartialEq + Debug + Send + Sync + 'static {
 
     /// Inverse of [`index`](Self::index).
     fn coord(&self, index: usize) -> Self::Coord;
-
-    /// The in-mesh *cluster* neighborhood of `c` — the Definition 2
-    /// adjacency of the dimension (8-neighborhood in 2-D, 26-neighborhood
-    /// in 3-D). The clustered fault distribution doubles these nodes'
-    /// failure rate; the merge process floods along this relation.
-    fn cluster_neighbors(&self, c: Self::Coord) -> Vec<Self::Coord>;
 }
 
 impl MeshTopology for Mesh2D {
@@ -110,10 +104,6 @@ impl MeshTopology for Mesh2D {
     fn coord(&self, index: usize) -> Coord {
         self.coord_of(index)
     }
-
-    fn cluster_neighbors(&self, c: Coord) -> Vec<Coord> {
-        self.neighbors8(c).collect()
-    }
 }
 
 #[cfg(test)]
@@ -130,8 +120,6 @@ mod tests {
             assert!(MeshTopology::contains(&mesh, c));
             assert_eq!(MeshTopology::index(&mesh, c), i);
         }
-        assert_eq!(mesh.cluster_neighbors(Coord::new(0, 0)).len(), 3);
-        assert_eq!(mesh.cluster_neighbors(Coord::new(2, 2)).len(), 8);
         assert_eq!(Mesh2D::DIM, 2);
     }
 }
