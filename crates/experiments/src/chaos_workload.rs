@@ -199,11 +199,11 @@ pub fn run_chaos_workload(cfg: &ChaosWorkloadConfig, serve: ServeConfig) -> Chao
         .collect();
 
     let threads = w.ingest_threads.max(1);
-    let events_submitted: u64 = crossbeam::scope(|s| {
+    let events_submitted: u64 = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|slot| {
                 let service = &service;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut events = 0u64;
                     for t in (slot..w.tenants).step_by(threads) {
                         let tenant = t as TenantId;
@@ -222,8 +222,7 @@ pub fn run_chaos_workload(cfg: &ChaosWorkloadConfig, serve: ServeConfig) -> Chao
             .into_iter()
             .map(|h| h.join().expect("ingest thread panicked"))
             .sum()
-    })
-    .expect("scope itself cannot fail");
+    });
     service.quiesce();
 
     // Quiesce means "every event applied"; the supervisor's Degraded →

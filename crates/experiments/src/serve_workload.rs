@@ -231,19 +231,18 @@ pub fn run_serve_workload(cfg: &ServeWorkloadConfig, serve: ServeConfig) -> Work
         service.create_tenant(t as TenantId, Mesh2D::square(cfg.mesh_size));
     }
     let threads = cfg.ingest_threads.max(1);
-    let per_thread: Vec<(u64, u64)> = crossbeam::scope(|s| {
+    let per_thread: Vec<(u64, u64)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|slot| {
                 let service = &service;
-                s.spawn(move |_| ingest_slot(cfg, service, slot, threads))
+                s.spawn(move || ingest_slot(cfg, service, slot, threads))
             })
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("ingest thread panicked"))
             .collect()
-    })
-    .expect("scope itself cannot fail");
+    });
     service.quiesce();
 
     let (events_submitted, queries_issued) = per_thread

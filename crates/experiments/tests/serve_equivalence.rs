@@ -68,12 +68,12 @@ fn per_node_state_matches_replay_under_concurrent_noise() {
     for t in 0..cfg.tenants {
         service.create_tenant(t as TenantId, mesh2d::Mesh2D::square(cfg.mesh_size));
     }
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         // Ingest threads for all tenants.
         for slot in 0..cfg.ingest_threads {
             let service = &service;
             let cfg = &cfg;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for t in (slot..cfg.tenants).step_by(cfg.ingest_threads) {
                     let events = experiments::tenant_events(cfg, t as TenantId);
                     for batch in events.chunks(cfg.batch_size) {
@@ -87,7 +87,7 @@ fn per_node_state_matches_replay_under_concurrent_noise() {
         // transient, so only absence of panics/deadlocks is asserted.
         let service = &service;
         let cfg = &cfg;
-        s.spawn(move |_| {
+        s.spawn(move || {
             for t in 0..cfg.tenants as TenantId {
                 for c in tenant_queries(cfg, t) {
                     let _ = service.node_status(t, c);
@@ -96,8 +96,7 @@ fn per_node_state_matches_replay_under_concurrent_noise() {
                 let _ = service.counts(t);
             }
         });
-    })
-    .unwrap();
+    });
     service.quiesce();
 
     for t in 0..cfg.tenants as TenantId {
@@ -143,11 +142,11 @@ fn repeated_runs_are_identical() {
         for t in 0..cfg.tenants {
             service.create_tenant(t as TenantId, mesh2d::Mesh2D::square(cfg.mesh_size));
         }
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for slot in 0..cfg.ingest_threads {
                 let service = &service;
                 let cfg = &cfg;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for t in (slot..cfg.tenants).step_by(cfg.ingest_threads) {
                         let events = experiments::tenant_events(cfg, t as TenantId);
                         for batch in events.chunks(cfg.batch_size) {
@@ -156,8 +155,7 @@ fn repeated_runs_are_identical() {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         service.quiesce();
         let snapshot: Vec<_> = (0..cfg.tenants as TenantId)
             .map(|t| (service.polygons(t).unwrap(), service.counts(t).unwrap()))

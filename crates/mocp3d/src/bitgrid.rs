@@ -7,13 +7,13 @@
 //! under `Connectivity::Eight`), the hull fixpoint (with its z sweep
 //! across planes) and the convexity scan are the same kernels the 2-D grid
 //! runs in its single plane. This module adds what only the 3-D merge
-//! process uses: the box-halo test, the union-find over fault components
-//! and the reusable union-find that regroups touching parts round after
-//! round. The scalar `BTreeSet` prototype of
+//! process uses: the box-halo test, the bucket index that finds the
+//! parts whose boxes touch, and the reusable union-find that regroups
+//! touching parts round after round. The scalar `BTreeSet` prototype of
 //! `tests/hull_oracle.rs` remains the specification the kernels are
 //! property-tested against.
 
-use crate::mesh::Coord3;
+use crate::mesh::{Coord3, Mesh3D};
 use mesh2d::{GridCoord, WordGrid};
 
 /// The 3-D word grid: one plane per `z`, one x-line per `(y, z)`.
@@ -31,11 +31,13 @@ impl GridCoord for Coord3 {
     }
 }
 
+/// An inclusive box `lo..=hi`.
+pub(crate) type Box3 = (Coord3, Coord3);
+
 /// True when two boxes touch or overlap under 26-adjacency: their ±1
 /// halos intersect on every axis. The exact test for solid boxes and the
 /// proximity prefilter for anything else.
-pub(crate) fn boxes_touch(a: (Coord3, Coord3), b: (Coord3, Coord3)) -> bool {
-    let ((alo, ahi), (blo, bhi)) = (a, b);
+fn boxes_touch((alo, ahi): Box3, (blo, bhi): Box3) -> bool {
     alo.x <= bhi.x + 1
         && blo.x <= ahi.x + 1
         && alo.y <= bhi.y + 1
@@ -44,8 +46,223 @@ pub(crate) fn boxes_touch(a: (Coord3, Coord3), b: (Coord3, Coord3)) -> bool {
         && blo.z <= ahi.z + 1
 }
 
-/// A union-find over `0..n` with path halving: the fault labelling and
-/// regrouping steps of the 3-D merge process.
+/// Side of a [`BoxIndex`] bucket, as a shift: cubes of 4 nodes a side.
+const BUCKET_SHIFT: u32 = 2;
+
+/// True when a box is wider than a bucket along some axis.
+fn is_big((lo, hi): Box3) -> bool {
+    let side = 1 << BUCKET_SHIFT;
+    hi.x - lo.x >= side || hi.y - lo.y >= side || hi.z - lo.z >= side
+}
+
+/// The boxes of the parts of a merge process, indexed for finding the
+/// parts that touch a box. The mesh is cut into cubes of
+/// `1 << BUCKET_SHIFT` nodes a side, and each bucket lists the small
+/// parts whose box meets it: those no wider than a bucket on any axis, so
+/// each is listed in at most eight buckets. The big parts are kept in one
+/// list instead. A box only ever grows, so a merge lists a part again
+/// only in the buckets its new box adds. The entries of a part that was
+/// merged away or grew big are unlinked by the first query that walks
+/// them, so a query costs the parts near its box, not every part that
+/// ever was there.
+pub(crate) struct BoxIndex {
+    parts: Vec<IndexedPart>,
+    /// The last bucket along each axis.
+    last: Coord3,
+    /// Per bucket, 1 + the index of its newest entry; 0 while empty.
+    head: Vec<u32>,
+    /// Per entry, its part and 1 + the index of the bucket's next older
+    /// entry (0 at the oldest).
+    entries: Vec<(u32, u32)>,
+    /// The parts whose box is wider than a bucket.
+    big: Vec<u32>,
+    /// Per part, the last query that reported it.
+    seen: Vec<u32>,
+    query: u32,
+}
+
+/// A part of a [`BoxIndex`].
+#[derive(Clone, Copy)]
+struct IndexedPart {
+    bbox: Box3,
+    /// False once merged into another part.
+    live: bool,
+}
+
+impl BoxIndex {
+    /// An index over `mesh` holding `boxes` as parts `0..boxes.len()`.
+    pub(crate) fn new(mesh: &Mesh3D, boxes: impl IntoIterator<Item = Box3>) -> Self {
+        let last = Coord3::new(
+            (mesh.width() - 1) >> BUCKET_SHIFT,
+            (mesh.height() - 1) >> BUCKET_SHIFT,
+            (mesh.depth() - 1) >> BUCKET_SHIFT,
+        );
+        let buckets = (last.x + 1) as usize * (last.y + 1) as usize * (last.z + 1) as usize;
+        let parts: Vec<IndexedPart> = boxes
+            .into_iter()
+            .map(|bbox| IndexedPart { bbox, live: true })
+            .collect();
+        let mut index = BoxIndex {
+            last,
+            head: vec![0; buckets],
+            entries: Vec::with_capacity(2 * parts.len()),
+            big: Vec::new(),
+            seen: vec![0; parts.len()],
+            query: 0,
+            parts,
+        };
+        for part in 0..index.parts.len() {
+            index.list(part, None);
+        }
+        index
+    }
+
+    /// The box of `part`.
+    pub(crate) fn bbox(&self, part: usize) -> Box3 {
+        self.parts[part].bbox
+    }
+
+    /// The parts not merged away, in increasing order.
+    pub(crate) fn live(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.parts.len()).filter(|&i| self.parts[i].live)
+    }
+
+    /// Merges the parts of `class` into its first, whose box becomes the
+    /// joint box `bbox` of the class.
+    pub(crate) fn merge(&mut self, class: &[usize], bbox: Box3) {
+        for &i in &class[1..] {
+            self.parts[i].live = false;
+        }
+        let old = std::mem::replace(&mut self.parts[class[0]].bbox, bbox);
+        if old != bbox {
+            self.list(class[0], Some(old));
+        }
+    }
+
+    /// The buckets a box meets, clipped to the mesh.
+    fn buckets(&self, (lo, hi): Box3) -> Box3 {
+        let bucket = |c: i32, last: i32| (c.max(0) >> BUCKET_SHIFT).min(last);
+        let last = self.last;
+        (
+            Coord3::new(
+                bucket(lo.x, last.x),
+                bucket(lo.y, last.y),
+                bucket(lo.z, last.z),
+            ),
+            Coord3::new(
+                bucket(hi.x, last.x),
+                bucket(hi.y, last.y),
+                bucket(hi.z, last.z),
+            ),
+        )
+    }
+
+    /// The flat index of bucket `(x, y, z)`.
+    fn bucket(&self, x: i32, y: i32, z: i32) -> usize {
+        let (nx, ny) = ((self.last.x + 1) as usize, (self.last.y + 1) as usize);
+        x as usize + nx * (y as usize + ny * z as usize)
+    }
+
+    /// Lists `part`, whose box was `old` (`None` for a new part): among
+    /// the big parts once it is big, else in every bucket its box meets
+    /// and `old` did not.
+    fn list(&mut self, part: usize, old: Option<Box3>) {
+        let bbox = self.parts[part].bbox;
+        if is_big(bbox) {
+            if !old.is_some_and(is_big) {
+                self.big.push(part as u32);
+            }
+            return;
+        }
+        let (lo, hi) = self.buckets(bbox);
+        let old = old.map(|b| self.buckets(b));
+        for z in lo.z..=hi.z {
+            for y in lo.y..=hi.y {
+                for x in lo.x..=hi.x {
+                    if !old.is_some_and(|o| within((x, y, z), o)) {
+                        let k = self.bucket(x, y, z);
+                        self.entries.push((part as u32, self.head[k]));
+                        self.head[k] = self.entries.len() as u32;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Calls `visit` once for every other part, not merged away, whose box
+    /// touches the box of `part` under 26-adjacency (their ±1 halos
+    /// intersect on every axis).
+    pub(crate) fn touching(&mut self, part: usize, mut visit: impl FnMut(usize)) {
+        let bbox = self.parts[part].bbox;
+        self.query += 1;
+        self.seen[part] = self.query;
+        let mut test = |index: &mut Self, p: u32| {
+            let p = p as usize;
+            if index.seen[p] != index.query {
+                index.seen[p] = index.query;
+                let other = index.parts[p];
+                if other.live && boxes_touch(bbox, other.bbox) {
+                    visit(p);
+                }
+            }
+        };
+        let (blo, bhi) = self.buckets(halo(bbox));
+        for z in blo.z..=bhi.z {
+            for y in blo.y..=bhi.y {
+                for x in blo.x..=bhi.x {
+                    self.walk(self.bucket(x, y, z), &mut test);
+                }
+            }
+        }
+        let parts = &self.parts;
+        self.big.retain(|&p| parts[p as usize].live);
+        for k in 0..self.big.len() {
+            test(self, self.big[k]);
+        }
+    }
+
+    /// Calls `test` on every part listed in bucket `k`, unlinking the
+    /// entries of parts that were merged away or grew big.
+    fn walk(&mut self, k: usize, test: &mut impl FnMut(&mut Self, u32)) {
+        let (mut prev, mut next): (Option<usize>, u32) = (None, self.head[k]);
+        while next != 0 {
+            let e = next as usize - 1;
+            let (p, older) = self.entries[e];
+            next = older;
+            let other = self.parts[p as usize];
+            if !other.live || is_big(other.bbox) {
+                match prev {
+                    None => self.head[k] = older,
+                    Some(q) => self.entries[q].1 = older,
+                }
+                continue;
+            }
+            prev = Some(e);
+            test(self, p);
+        }
+    }
+}
+
+/// A box with a one-node halo.
+fn halo((lo, hi): Box3) -> Box3 {
+    (
+        Coord3::new(lo.x - 1, lo.y - 1, lo.z - 1),
+        Coord3::new(hi.x + 1, hi.y + 1, hi.z + 1),
+    )
+}
+
+/// True when `(x, y, z)` lies in the box `lo..=hi`.
+fn within((x, y, z): (i32, i32, i32), (lo, hi): Box3) -> bool {
+    (lo.x..=hi.x).contains(&x) && (lo.y..=hi.y).contains(&y) && (lo.z..=hi.z).contains(&z)
+}
+
+/// Number of nodes in a box.
+pub(crate) fn volume((lo, hi): Box3) -> u64 {
+    (hi.x - lo.x + 1) as u64 * (hi.y - lo.y + 1) as u64 * (hi.z - lo.z + 1) as u64
+}
+
+/// A union-find over `0..n` with path halving: the regrouping step of
+/// the 3-D merge process.
 pub(crate) struct UnionFind {
     parent: Vec<usize>,
 }
@@ -84,9 +301,11 @@ impl UnionFind {
 /// costs what grew rather than the number of parts.
 pub(crate) struct Regroup {
     classes: UnionFind,
-    /// Every part passed to `join` since the last drain: each member of a
-    /// joined class was, so these are exactly the entries to reset.
+    /// Every part passed to `join` since the last drain, once: each member
+    /// of a joined class was, so these are exactly the entries to reset.
     touched: Vec<usize>,
+    /// Per part, whether it is in `touched`.
+    marked: Vec<bool>,
 }
 
 impl Regroup {
@@ -95,13 +314,19 @@ impl Regroup {
         Regroup {
             classes: UnionFind::new(n),
             touched: Vec::new(),
+            marked: vec![false; n],
         }
     }
 
     /// Records that parts `a` and `b` touch.
     pub(crate) fn join(&mut self, a: usize, b: usize) {
         self.classes.union(a, b);
-        self.touched.extend([a, b]);
+        for i in [a, b] {
+            if !self.marked[i] {
+                self.marked[i] = true;
+                self.touched.push(i);
+            }
+        }
     }
 
     /// Calls `merge` once per class joined since the last drain, with the
@@ -116,36 +341,14 @@ impl Regroup {
         }
         let parent = &mut self.classes.parent;
         self.touched.sort_unstable_by_key(|&i| (parent[i], i));
-        self.touched.dedup();
         for class in self.touched.chunk_by(|&a, &b| parent[a] == parent[b]) {
             merge(class);
         }
         for &i in &self.touched {
             parent[i] = i;
+            self.marked[i] = false;
         }
         self.touched.clear();
-    }
-}
-
-/// One connected piece of a node set: its grid, the grid's tight bounding
-/// box and its lexicographically minimal `(z, y, x)` cell.
-#[derive(Debug)]
-pub(crate) struct Piece {
-    pub(crate) grid: BitGrid3,
-    pub(crate) bbox: (Coord3, Coord3),
-    pub(crate) min_cell: Coord3,
-}
-
-impl Piece {
-    /// Wraps a non-empty grid.
-    pub(crate) fn new(grid: BitGrid3) -> Self {
-        let bbox = grid.bounding_box().expect("pieces are non-empty");
-        let min_cell = grid.min_cell().expect("pieces are non-empty");
-        Piece {
-            grid,
-            bbox,
-            min_cell,
-        }
     }
 }
 
@@ -392,5 +595,68 @@ mod tests {
         assert_eq!(added, 1);
         assert!(u.contains(Coord3::new(1, 1, 0)));
         assert!(u.is_orthogonally_convex());
+    }
+
+    /// The parts `touching` reports, sorted, against a scan of every part.
+    fn assert_touching_matches_a_scan(index: &mut BoxIndex, part: usize) {
+        let mut found = Vec::new();
+        index.touching(part, |j| found.push(j));
+        found.sort_unstable();
+        let scan: Vec<usize> = index
+            .live()
+            .filter(|&j| j != part && boxes_touch(index.bbox(part), index.bbox(j)))
+            .collect();
+        assert_eq!(found, scan, "part {part} with box {:?}", index.bbox(part));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// Small and big boxes on meshes up to two filled-bitmap words
+        /// wide, merged into classes round after round: every query finds
+        /// exactly the live parts whose boxes touch.
+        #[test]
+        fn box_index_finds_exactly_the_touching_parts(
+            dims in (1i32..300, 1i32..14, 1i32..14),
+            boxes in proptest::collection::vec(
+                ((0i32..300, 0i32..14, 0i32..14), (0i32..9, 0i32..9, 0i32..9)),
+                1..60,
+            ),
+            merges in proptest::collection::vec((0usize..60, 0usize..60, 0usize..60), 0..20),
+        ) {
+            let mesh = Mesh3D::new(dims.0 as u32, dims.1 as u32, dims.2 as u32);
+            let clip = |c: i32, side: i32| c.min(side - 1);
+            let boxes: Vec<Box3> = boxes
+                .iter()
+                .map(|&((x, y, z), (w, h, d))| {
+                    let lo = Coord3::new(clip(x, dims.0), clip(y, dims.1), clip(z, dims.2));
+                    let hi = Coord3::new(
+                        clip(lo.x + w, dims.0),
+                        clip(lo.y + h, dims.1),
+                        clip(lo.z + d, dims.2),
+                    );
+                    (lo, hi)
+                })
+                .collect();
+            let mut index = BoxIndex::new(&mesh, boxes);
+            for (a, b, c) in merges {
+                let live: Vec<usize> = index.live().collect();
+                for part in &live {
+                    assert_touching_matches_a_scan(&mut index, *part);
+                }
+                let mut class = vec![live[a % live.len()], live[b % live.len()], live[c % live.len()]];
+                class.sort_unstable();
+                class.dedup();
+                let bbox = class
+                    .iter()
+                    .map(|&i| index.bbox(i))
+                    .reduce(mesh2d::bitgrid::joint_box)
+                    .unwrap();
+                index.merge(&class, bbox);
+            }
+            for part in index.live().collect::<Vec<_>>() {
+                assert_touching_matches_a_scan(&mut index, part);
+            }
+        }
     }
 }

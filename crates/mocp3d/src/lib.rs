@@ -12,7 +12,8 @@
 //!   scalar specification prototype that `tests/hull_oracle.rs` holds as
 //!   its differential oracle;
 //! * [`FaultSet3`] / [`FaultInjector3`] — the paper's random and clustered
-//!   fault distributions in 3-D; the injector is the `Mesh3D`
+//!   fault distributions in 3-D; the fault set keeps its 26-connected
+//!   components ([`FaultComponent3`]) as faults arrive; the injector is the `Mesh3D`
 //!   instantiation of `faultgen`'s generic injector, sharing its
 //!   weighted-sampling core (the clustered model doubles the rate of the
 //!   26-neighborhood);
@@ -55,7 +56,7 @@ pub mod registry;
 pub mod topology;
 
 pub use bitgrid::BitGrid3;
-pub use fault::{generate_faults_3d, FaultInjector3, FaultSet3};
+pub use fault::{generate_faults_3d, FaultComponent3, FaultInjector3, FaultSet3};
 pub use grid::Grid3;
 pub use mesh::{Coord3, Mesh3D};
 pub use model::{FaultyCuboidModel, MinimumPolyhedronModel, Outcome3};

@@ -11,15 +11,17 @@
 //! the MFP-3D excluded set is a subset of the FB-3D excluded set at every
 //! step, so MFP-3D never disables more non-faulty nodes than FB-3D.
 //!
-//! # Labelling from the fault list, then regrouping
+//! # Labelling at insertion, then regrouping
 //!
-//! The faults are labelled into 26-connected components once per
-//! construction, straight from the fault list: each fault, in injection
-//! order, joins the union-find classes of its already-placed neighbours,
-//! found through a dense slot map of the mesh. The components are ordered
-//! by their minimal `(z, y, x)` cell, the order a storage-order flood
-//! finds them in. After that the fixpoint tracks the components itself
-//! instead of re-flooding the union of the completions every round:
+//! The constructions do not label the faults: the fault set keeps its
+//! 26-connected components as faults are inserted
+//! ([`FaultSet3`]), each fault joining the union-find classes of its
+//! already-placed neighbours, and hands them out ordered by minimal
+//! `(z, y, x)` cell, the order a storage-order flood finds them in, with
+//! each fault's component for MFP-3D. Every construction on the same
+//! faults reads the same labelling. After that the fixpoint tracks the
+//! components itself instead of re-flooding the union of the completions
+//! every round:
 //!
 //! * only the components that are new or were merged in the previous
 //!   round are completed — every other component is already the
@@ -28,32 +30,28 @@
 //! * the completions are regrouped with one union-find kept for the whole
 //!   fixpoint, over touching pairs. Two components that both kept their
 //!   shape were distinct components of the previous set, so they cannot
-//!   touch; only pairs with a member that grew are tested, first on their
-//!   bounding boxes with a ±1 halo (exact for cuboids), then, for hulls,
-//!   by a 26-dilation intersection. A round visits and resets only the
-//!   union-find entries it joined;
-//! * each class is merged into the slot of its first member. The members
-//!   after it stay in their slots, flagged as tombstones, while the
-//!   classes merge, and one pass drops them after, so the parts keep their
-//!   order: sorted by the low z of their boxes, and for MFP-3D by minimal
-//!   `(z, y, x)` cell (a class's first member holds the class's lowest low
-//!   z and minimal cell, and a hull keeps the minimal cell of what it
-//!   completes).
+//!   touch; only the parts that grew look for the parts they touch,
+//!   through a bucket index over the parts' boxes (`BoxIndex`), first on
+//!   the boxes with a ±1 halo (exact for cuboids), then, for hulls, by a
+//!   26-dilation intersection. A round visits and resets only the
+//!   union-find entries it joined, and lists a merged part again only in
+//!   the buckets its grown box adds;
+//! * each class is merged into the slot of its first member, and the
+//!   slots of the members after it are emptied, so the parts keep their
+//!   order with no sort: for MFP-3D by minimal `(z, y, x)` cell (a class's
+//!   first member holds the class's minimal cell, and a hull keeps the
+//!   minimal cell of what it completes).
 //!
 //! FB-3D runs this fixpoint on boxes alone. Each of its parts is a
-//! bounding box with a flag telling whether the part fills it, and
-//! completing a part means taking its box. A merged class fills its joint
-//! box exactly when the union of its member boxes does, which is checked
-//! on one rasterized grid. Its parts stay sorted by low z (all the pair
-//! test's early break needs): a grown part is tested against every later
-//! part in its z window, any other part only against the later grown
-//! ones, and the next round's grown parts are the merged classes that do
-//! not fill their box. The final boxes are sorted once by their low
-//! corner, which is their minimal cell. The regions become solid boxes
-//! only at the end, and the status grid is written one x-run per line.
-//! MFP-3D keeps a bitmap per part, since its hulls are not boxes; there a
-//! grown part is tested against the later parts in its z window and the
-//! earlier parts that did not grow.
+//! bounding box, and completing a part means taking its box. A merged
+//! class fills its joint box exactly when the union of its member boxes
+//! does, which is checked on one rasterized grid; the next round's grown
+//! parts are the merged classes that do not fill their box. The final
+//! boxes are sorted once by their low corner, which is their minimal
+//! cell. The regions become solid boxes only at the end, and the status
+//! grid is written one x-run per line. MFP-3D keeps a bitmap per part,
+//! since its hulls are not boxes; a hull stays inside its part's box, so
+//! there too only merges change the boxes the index holds.
 //!
 //! Completions are connected, so the classes of touching completions are
 //! exactly the 26-connected components of their union: every round
@@ -67,10 +65,9 @@
 //! components: any closed superset contains the completion of each of
 //! its connected pieces, so it contains every round's set.
 
-use crate::bitgrid::{boxes_touch, zyx, BitGrid3, Piece, Regroup, UnionFind};
-use crate::fault::FaultSet3;
+use crate::bitgrid::{volume, zyx, BitGrid3, Box3, BoxIndex, Regroup};
+use crate::fault::{FaultComponent3, FaultSet3};
 use crate::grid::Grid3;
-use crate::mesh::Coord3;
 use crate::mesh::Mesh3D;
 use crate::region::{hull_bits, Region3};
 use mesh2d::bitgrid::joint_box;
@@ -87,168 +84,51 @@ use mocp_topology::{FaultModel, Outcome};
 /// `regions_disjoint`) come from the shared generic impl.
 pub type Outcome3 = Outcome<Mesh3D>;
 
-/// An inclusive box `lo..=hi`.
-type Box3 = (Coord3, Coord3);
-
-/// Number of nodes in a box.
-fn volume((lo, hi): Box3) -> u64 {
-    (hi.x - lo.x + 1) as u64 * (hi.y - lo.y + 1) as u64 * (hi.z - lo.z + 1) as u64
-}
-
-/// A 26-connected component of the faults.
-#[derive(Clone, Copy)]
-struct FaultComponent {
-    bbox: Box3,
-    min_cell: Coord3,
-    len: u64,
-}
-
-/// Labels the 26-connected components of the faults with a union-find
-/// over the fault list. Each fault, in injection order, joins the classes
-/// of its already-placed neighbours, looked up in a dense slot map of the
-/// mesh padded by one cell on every side, so no lookup needs a bounds
-/// check. Returns the components ordered by minimal `(z, y, x)` cell and,
-/// for each fault in injection order, the index of its component.
-fn fault_components(faults: &FaultSet3) -> (Vec<FaultComponent>, Vec<usize>) {
-    let list = faults.in_insertion_order();
-    let mesh = faults.mesh();
-    let sy = mesh.width() as usize + 2;
-    let sz = sy * (mesh.height() as usize + 2);
-    let slot = |c: Coord3| (c.x + 1) as usize + sy * (c.y + 1) as usize + sz * (c.z + 1) as usize;
-    let mut offsets = Vec::with_capacity(26);
-    for dz in -1isize..=1 {
-        for dy in -1isize..=1 {
-            for dx in -1isize..=1 {
-                if (dx, dy, dz) != (0, 0, 0) {
-                    offsets.push(dx + dy * sy as isize + dz * sz as isize);
-                }
-            }
-        }
-    }
-    // 1 + the list index of the fault placed in a slot; 0 while empty.
-    let mut slots = vec![0u32; sz * (mesh.depth() as usize + 2)];
-    let mut classes = UnionFind::new(list.len());
-    for (i, &c) in list.iter().enumerate() {
-        let s = slot(c);
-        for &offset in &offsets {
-            let placed = slots[s.wrapping_add_signed(offset)];
-            if placed != 0 {
-                classes.union(i, placed as usize - 1);
-            }
-        }
-        slots[s] = i as u32 + 1;
-    }
-
-    // Components in first-seen order, each with its smallest mesh index
-    // (x-major, so the `(z, y, x)` order of its minimal cell).
-    let mut component_of_root = vec![usize::MAX; list.len()];
-    let mut components: Vec<FaultComponent> = Vec::new();
-    let mut min_index: Vec<(usize, usize)> = Vec::new();
-    let mut labels: Vec<usize> = Vec::with_capacity(list.len());
-    for (i, &c) in list.iter().enumerate() {
-        let root = classes.find(i);
-        let index = mesh.index(c);
-        let mut k = component_of_root[root];
-        if k == usize::MAX {
-            k = components.len();
-            component_of_root[root] = k;
-            components.push(FaultComponent {
-                bbox: (c, c),
-                min_cell: c,
-                len: 1,
-            });
-            min_index.push((index, k));
-        } else {
-            let component = &mut components[k];
-            component.bbox = joint_box(component.bbox, (c, c));
-            component.len += 1;
-            if index < min_index[k].0 {
-                component.min_cell = c;
-                min_index[k].0 = index;
-            }
-        }
-        labels.push(k);
-    }
-    min_index.sort_unstable();
-    let mut rank = vec![0; components.len()];
-    for (r, &(_, k)) in min_index.iter().enumerate() {
-        rank[k] = r;
-    }
-    for label in &mut labels {
-        *label = rank[*label];
-    }
-    let components = min_index.iter().map(|&(_, k)| components[k]).collect();
-    (components, labels)
-}
-
-/// Drops the parts flagged as merged away (into an earlier part, by the
-/// round's regroup, which leaves them in their slots so class members keep
-/// their indices while the classes merge), keeping the order of the
-/// others, and renumbers `marked` (increasing indices of parts that stay)
-/// to their new positions.
-fn compact<P>(parts: &mut Vec<(P, bool)>, marked: &mut [usize]) {
-    let (mut dropped, mut next) = (0, 0);
-    for (i, &(_, merged_away)) in parts.iter().enumerate() {
-        if merged_away {
-            dropped += 1;
-        } else if marked.get(next) == Some(&i) {
-            marked[next] -= dropped;
-            next += 1;
-        }
-    }
-    parts.retain(|&(_, merged_away)| !merged_away);
-}
-
 /// The FB-3D fixpoint, run on boxes: each part is its bounding box, and
 /// completing a part that does not fill its box means taking the box.
 fn cuboid_process(mesh: &Mesh3D, faults: &FaultSet3, name: &str) -> Outcome3 {
-    let (components, _) = fault_components(faults);
-    // Parts stay sorted by the low z of their box.
-    let mut parts: Vec<(Box3, bool)> = components.iter().map(|c| (c.bbox, false)).collect();
-    let all: Vec<usize> = (0..parts.len()).collect();
-    // The parts that do not fill their box yet, in increasing order: they
-    // grow into it this round.
-    let mut grown: Vec<usize> = all
-        .iter()
-        .copied()
-        .filter(|&i| components[i].len < volume(components[i].bbox))
-        .collect();
-    let mut regroup = Regroup::new(parts.len());
+    // The parts keep their slots to the end. `grown` lists the parts that
+    // do not fill their box yet: they grow into it this round.
+    let mut boxes: Vec<Box3> = Vec::new();
+    let mut grown: Vec<usize> = Vec::new();
+    for (i, c) in faults.components().enumerate() {
+        if (c.len as u64) < volume(c.bbox) {
+            grown.push(i);
+        }
+        boxes.push(c.bbox);
+    }
+    let mut grows = vec![false; boxes.len()];
+    let mut regroup = Regroup::new(boxes.len());
+    let mut parts = BoxIndex::new(mesh, boxes);
     let mut growth_rounds = 0u32;
     while !grown.is_empty() {
         growth_rounds += 1;
 
-        // Solid boxes touch exactly when their haloed boxes do. A grown
-        // part is tested against every later part, any other part only
-        // against the later grown ones.
-        let mut next_grown = 0;
-        for (i, &(a, _)) in parts.iter().enumerate() {
-            let grew = grown.get(next_grown) == Some(&i);
-            next_grown += grew as usize;
-            let later = if grew {
-                &all[i + 1..parts.len()]
-            } else {
-                &grown[next_grown..]
-            };
-            for &j in later {
-                let b = parts[j].0;
-                if b.0.z > a.1.z + 1 {
-                    break; // sorted by low z: no later part comes closer
+        // Solid boxes touch exactly when their haloed boxes do, and two
+        // parts that kept their shape cannot touch. So only the grown
+        // parts look for the parts they touch, and a pair of grown parts
+        // is joined once.
+        for &g in &grown {
+            grows[g] = true;
+        }
+        for &g in &grown {
+            parts.touching(g, |j| {
+                if !(grows[j] && j < g) {
+                    regroup.join(g, j);
                 }
-                if boxes_touch(a, b) {
-                    regroup.join(i, j);
-                }
-            }
+            });
+        }
+        for &g in &grown {
+            grows[g] = false;
         }
 
-        // Each class becomes its joint box, in its first member's slot
-        // (the member with the lowest low z, so the order holds). The box
-        // is solid exactly when the members' union fills it, checked on
-        // one grid with every member box filled in; if not, it grows next
-        // round.
+        // Each class becomes its joint box, in its first member's slot.
+        // The box is solid exactly when the members' union fills it,
+        // checked on one grid with every member box filled in; if not, it
+        // grows next round.
         grown.clear();
         regroup.drain_classes(|class| {
-            let boxes = || class.iter().map(|&i| parts[i].0);
+            let boxes = || class.iter().map(|&i| parts.bbox(i));
             let bbox = boxes().reduce(joint_box).expect("classes are non-empty");
             // The union fills the joint box when a member is that box, and
             // cannot when the members' volumes fall short of it.
@@ -260,27 +140,23 @@ fn cuboid_process(mesh: &Mesh3D, faults: &FaultSet3, name: &str) -> Outcome3 {
                     }
                     grid.len() as u64 == volume(bbox)
                 };
-            for &i in &class[1..] {
-                parts[i].1 = true;
-            }
-            parts[class[0]].0 = bbox;
+            parts.merge(class, bbox);
             if !solid {
                 grown.push(class[0]);
             }
         });
-        grown.sort_unstable();
-        compact(&mut parts, &mut grown);
     }
     // Every part is a solid box now, whose minimal cell is its low corner.
-    parts.sort_by_key(|&((lo, _), _)| zyx(lo));
+    let mut boxes: Vec<Box3> = parts.live().map(|i| parts.bbox(i)).collect();
+    boxes.sort_by_key(|&(lo, _)| zyx(lo));
 
     let mut status = Grid3::for_mesh(mesh, NodeStatus::Enabled);
-    for &((lo, hi), _) in &parts {
+    for &(lo, hi) in &boxes {
         status.fill_box(lo, hi, NodeStatus::Disabled);
     }
-    let regions = parts
+    let regions = boxes
         .into_iter()
-        .map(|((lo, hi), _)| Region3::from_bits(BitGrid3::solid_box(lo, hi)))
+        .map(|(lo, hi)| Region3::from_bits(BitGrid3::solid_box(lo, hi)))
         .collect();
     finish(name, faults, regions, status, growth_rounds)
 }
@@ -290,7 +166,8 @@ fn cuboid_process(mesh: &Mesh3D, faults: &FaultSet3, name: &str) -> Outcome3 {
 /// growing, then report the final components as the model's regions.
 fn merge_process(mesh: &Mesh3D, faults: &FaultSet3, name: &str) -> Outcome3 {
     use rayon::prelude::*;
-    let (components, labels) = fault_components(faults);
+    let components: Vec<FaultComponent3> = faults.components().collect();
+    let labels = faults.component_labels();
     let mut grids: Vec<BitGrid3> = components
         .iter()
         .map(|c| BitGrid3::with_bounds(c.bbox.0, c.bbox.1))
@@ -298,27 +175,19 @@ fn merge_process(mesh: &Mesh3D, faults: &FaultSet3, name: &str) -> Outcome3 {
     for (&c, &k) in faults.in_insertion_order().iter().zip(&labels) {
         grids[k].set(c);
     }
-    // Parts stay sorted by their minimal cell, hence by the low z of their
-    // bounding box: a hull keeps the minimal cell of what it completes,
-    // and a merged class takes the slot of its first member.
-    let mut parts: Vec<(Piece, bool)> = components
-        .iter()
-        .zip(grids)
-        .map(|(c, grid)| {
-            let piece = Piece {
-                grid,
-                bbox: c.bbox,
-                min_cell: c.min_cell,
-            };
-            (piece, false)
-        })
-        .collect();
-    // The parts to complete this round, in increasing order: the new or
-    // merged ones (a single node is its own hull).
+    // Parts stay sorted by their minimal cell: a hull keeps the minimal
+    // cell of what it completes, and a merged class takes the slot of its
+    // first member. A part merged away leaves its slot empty.
+    let mut parts: Vec<Option<BitGrid3>> = grids.into_iter().map(Some).collect();
+    // A hull stays inside its box, so only merges change the boxes.
+    let mut index = BoxIndex::new(mesh, components.iter().map(|c| c.bbox));
+    // The parts to complete this round: the new or merged ones (a single
+    // node is its own hull).
     let mut open: Vec<usize> = (0..parts.len())
         .filter(|&i| components[i].len > 1)
         .collect();
     let mut grown = Vec::new();
+    let mut grows = vec![false; parts.len()];
     let mut regroup = Regroup::new(parts.len());
     let mut growth_rounds = 0u32;
     loop {
@@ -328,14 +197,14 @@ fn merge_process(mesh: &Mesh3D, faults: &FaultSet3, name: &str) -> Outcome3 {
         let completions: Vec<Option<BitGrid3>> = open
             .par_iter()
             .map_init(BitScratch::new, |scratch, &i| {
-                let piece = &parts[i].0;
-                Some(hull_bits(&piece.grid, scratch)).filter(|hull| hull.len() > piece.grid.len())
+                let grid = part(&parts, i);
+                Some(hull_bits(grid, scratch)).filter(|hull| hull.len() > grid.len())
             })
             .collect();
         grown.clear();
         for (&i, completion) in open.iter().zip(completions) {
             if let Some(grid) = completion {
-                parts[i].0 = Piece::new(grid);
+                parts[i] = Some(grid);
                 grown.push(i);
             }
         }
@@ -344,31 +213,25 @@ fn merge_process(mesh: &Mesh3D, faults: &FaultSet3, name: &str) -> Outcome3 {
         }
         growth_rounds += 1;
 
-        // Two parts that both kept their shape cannot touch, so only
-        // pairs with a grown member are tested: each grown part against
-        // every later part in its z window, and against every earlier
-        // part that did not grow (an earlier grown part tested it).
-        for (k, &g) in grown.iter().enumerate() {
-            let a = &parts[g].0;
+        // Two parts that both kept their shape cannot touch, so each grown
+        // part is tested against the parts the index finds near its box,
+        // by a 26-dilation intersection, and a pair of grown parts once.
+        for &g in &grown {
+            grows[g] = true;
+        }
+        for &g in &grown {
+            let a = part(&parts, g);
             let mut dilated: Option<BitGrid3> = None;
-            let mut touches = |b: &Piece| {
-                boxes_touch(a.bbox, b.bbox)
-                    && b.grid
-                        .intersects(dilated.get_or_insert_with(|| a.grid.dilate()))
-            };
-            for (j, (b, _)) in parts.iter().enumerate().skip(g + 1) {
-                if b.bbox.0.z > a.bbox.1.z + 1 {
-                    break; // sorted by low z: no later part comes closer
-                }
-                if touches(b) {
+            index.touching(g, |j| {
+                if !(grows[j] && j < g)
+                    && part(&parts, j).intersects(dilated.get_or_insert_with(|| a.dilate()))
+                {
                     regroup.join(g, j);
                 }
-            }
-            for (j, (b, _)) in parts[..g].iter().enumerate() {
-                if grown[..k].binary_search(&j).is_err() && touches(b) {
-                    regroup.join(g, j);
-                }
-            }
+            });
+        }
+        for &g in &grown {
+            grows[g] = false;
         }
 
         // Each class is merged into its first member's slot — a grid
@@ -376,32 +239,27 @@ fn merge_process(mesh: &Mesh3D, faults: &FaultSet3, name: &str) -> Outcome3 {
         // and is completed next round.
         open.clear();
         regroup.drain_classes(|class| {
-            let first = class[0];
             let bbox = class
                 .iter()
-                .map(|&i| parts[i].0.bbox)
+                .map(|&i| index.bbox(i))
                 .reduce(joint_box)
                 .expect("classes are non-empty");
             let mut grid = BitGrid3::with_bounds(bbox.0, bbox.1);
             for &i in class {
-                grid.union_with(&parts[i].0.grid);
+                grid.union_with(part(&parts, i));
             }
             for &i in &class[1..] {
-                parts[i].1 = true;
+                parts[i] = None;
             }
-            parts[first].0 = Piece {
-                grid,
-                bbox,
-                min_cell: parts[first].0.min_cell,
-            };
-            open.push(first);
+            parts[class[0]] = Some(grid);
+            index.merge(class, bbox);
+            open.push(class[0]);
         });
-        open.sort_unstable();
-        compact(&mut parts, &mut open);
     }
     let regions: Vec<Region3> = parts
         .into_iter()
-        .map(|(piece, _)| Region3::from_bits(piece.grid))
+        .flatten()
+        .map(Region3::from_bits)
         .collect();
     let mut status = Grid3::for_mesh(mesh, NodeStatus::Enabled);
     for region in &regions {
@@ -410,6 +268,11 @@ fn merge_process(mesh: &Mesh3D, faults: &FaultSet3, name: &str) -> Outcome3 {
         }
     }
     finish(name, faults, regions, status, growth_rounds)
+}
+
+/// The part in slot `i`, which is not merged away.
+fn part(parts: &[Option<BitGrid3>], i: usize) -> &BitGrid3 {
+    parts[i].as_ref().expect("only merges empty a slot")
 }
 
 /// The shared tail of both fixpoints: marks the faults on the status grid
